@@ -21,24 +21,22 @@ from .model import (CvarMarker, MasterMap, RandomLayout, Realization,
                     RecourseModel, SubproblemOutcome, TechEntry,
                     build_aggregated_master, evaluate_subproblem,
                     extract_cell_duals, subproblem_lp)
-from .refiners import (DualClusteringRefiner, HyperplaneRefiner, RangingRefiner,
-                       RefineContext, Refiner, auto_refiner, refiner_by_name,
-                       rhs_dual_breakpoints)
+from .refiners import (REFINERS, DualClusteringRefiner, HyperplaneRefiner,
+                       RangingRefiner, RefineContext, Refiner, auto_refiner,
+                       refiner_by_name, rhs_dual_breakpoints)
 from .reporting import iteration_csv_text, partition_trace, run_summary, write_run_report
 from .spaces import (Cell, DiscreteSpace, GaussianTechnologySpace, Partition,
-                     UncertaintySpace, UniformRhsSpace, discrete_space,
-                     gaussian_technology_space, uniform_rhs_space)
+                     UncertaintySpace, UniformRhsSpace)
 
 __all__ = [
     "AdaptPartError", "RecourseViolation", "SolverFailure", "ValidationError",
     "Cell", "Partition", "UncertaintySpace", "DiscreteSpace", "UniformRhsSpace",
-    "GaussianTechnologySpace", "discrete_space", "uniform_rhs_space",
-    "gaussian_technology_space",
+    "GaussianTechnologySpace",
     "RecourseModel", "Realization", "SubproblemOutcome", "RandomLayout",
     "TechEntry", "CvarMarker", "MasterMap", "build_aggregated_master",
     "extract_cell_duals", "subproblem_lp", "evaluate_subproblem",
     "Refiner", "RefineContext", "DualClusteringRefiner", "RangingRefiner",
-    "HyperplaneRefiner", "auto_refiner", "refiner_by_name", "rhs_dual_breakpoints",
+    "HyperplaneRefiner", "REFINERS", "auto_refiner", "refiner_by_name", "rhs_dual_breakpoints",
     "SolverConfig", "SolveResult", "IterationRecord", "run", "check_conditions",
     "compute_upper_bound", "relative_gap",
     "GAP", "CONDITIONS", "STABILIZED", "ITERATION_LIMIT",

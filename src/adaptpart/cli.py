@@ -11,7 +11,7 @@ from . import lp as lplib
 from .engine import CONDITIONS, GAP, SolverConfig, run
 from .errors import AdaptPartError
 from .model import build_aggregated_master
-from .refiners import refiner_by_name
+from .refiners import REFINERS, refiner_by_name
 from .reporting import write_run_report
 
 EXIT_OK = 0
@@ -55,9 +55,7 @@ def cmd_run(args) -> int:
                                         pool_size=args.mc_pool)
     refiner = refiner_by_name(args.refiner, space)
     config = SolverConfig(epsilon=args.epsilon, max_iterations=args.max_iters,
-                          upper_bound=args.upper_bound, refiner=args.refiner,
-                          seed=args.seed,
-                          pool_size=args.mc_pool or instances.DEFAULT_POOL_SIZE)
+                          upper_bound=args.upper_bound)
     result = run(model, space, refiner, config)
     _print_table(result.records, model.n_first)
     print("termination: %s after %d iterations (%.3f s, %d LP solves)" % (
@@ -117,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--mc-pool", type=int, default=None,
                        help="sample pool size (overrides the instance)")
     p_run.add_argument("--refiner", default="auto",
-                       choices=["auto", "dual-cluster", "ranging", "hyperplane"])
+                       choices=["auto"] + [r.name for r in REFINERS])
     p_run.add_argument("--upper-bound", default="auto", choices=["auto", "on", "off"])
     p_run.add_argument("--oracle", action="store_true",
                        help="also solve the extensive form (discrete instances)")

@@ -6,15 +6,15 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import lp as lplib
-from .analytics import cvar_analytic_ub
 from .errors import SolverFailure, ValidationError
 from .model import RecourseModel, build_aggregated_master, evaluate_subproblem
-from .refiners import RefineContext, Refiner, loss_vector, rhs_dual_breakpoints
+from .refiners import RefineContext, Refiner, auto_refiner
+from .refiners import rhs_dual_breakpoints  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .spaces import Partition, UncertaintySpace
 
 GAP = "gap"
@@ -23,18 +23,14 @@ STABILIZED = "partition-stabilized"
 ITERATION_LIMIT = "iteration-limit"
 
 UPPER_BOUND_MODES = ("auto", "on", "off")
+CONDITION_TOL = 1e-6
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     epsilon: float = 1e-4
     max_iterations: int = 100
-    condition_tol: float = 1e-6
     upper_bound: str = "auto"
-    refiner: str = "auto"
-    seed: int | None = None
-    pool_size: int = 100_000
-    condition_sample_cap: int = 128
 
     def __post_init__(self):
         if not self.epsilon > 0.0:
@@ -43,8 +39,6 @@ class SolverConfig:
             raise ValidationError("iteration limit must be at least 1")
         if self.upper_bound not in UPPER_BOUND_MODES:
             raise ValidationError(f"upper_bound must be one of {UPPER_BOUND_MODES}")
-        if self.condition_sample_cap < 2:
-            raise ValidationError("condition sample cap must be at least 2")
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,43 +99,22 @@ def check_conditions(weights, hs, techs, duals, x_bar, tol: float) -> bool:
 
 def compute_upper_bound(model: RecourseModel, space: UncertaintySpace,
                         x_bar: np.ndarray, mode: str = "auto") -> float | None:
-    """Exact expected cost of the incumbent where the backend allows one:
-    weighted per-scenario solves (discrete), closed-form integration of the
-    piecewise linear recourse value (1-D uniform rhs), or the closed-form
-    tail expectation (normal returns with a tail-risk marker).  Returns None
-    when mode is "auto" and no method applies."""
+    """Exact expected cost of the incumbent by the backend's rule (see
+    Refiner.upper_bound).  Mode "off" skips it; "auto" returns None when the
+    backend has no rule for this model, and "on" raises instead."""
     if mode == "off":
         return None
-    if space.kind == "discrete":
-        value = float(model.c @ x_bar)
-        for w, real in zip(space.weights, space.realizations):
-            value += float(w) * evaluate_subproblem(model, x_bar, real).value
-        return value
-    if space.kind == "uniform_rhs":
-        points = rhs_dual_breakpoints(model, space, x_bar, space.lo, space.hi)
-        edges = [space.lo] + points + [space.hi]
-        expected = 0.0
-        # the recourse value is linear on each segment, so the midpoint
-        # rule integrates it exactly against the uniform density
-        for s, e in zip(edges, edges[1:]):
-            mid = 0.5 * (s + e)
-            out = evaluate_subproblem(model, x_bar, space.realization_at(mid))
-            expected += (e - s) / (space.hi - space.lo) * out.value
-        return float(model.c @ x_bar + expected)
-    if space.kind == "gaussian_technology" and model.cvar is not None:
-        w = loss_vector(model, x_bar, space.dim)
-        return float(cvar_analytic_ub(space.mu, space.sigma, model.cvar.delta, w))
-    if mode == "on":
+    value = auto_refiner(space).upper_bound(model, space, x_bar)
+    if value is None and mode == "on":
         raise ValidationError(f"no exact upper bound available for {space.kind} spaces")
-    return None
+    return value
 
 
-def _conditions_hold(ctx: RefineContext, config: SolverConfig) -> bool:
-    cap = None if ctx.space.kind == "discrete" else config.condition_sample_cap
+def _conditions_hold(ctx: RefineContext) -> bool:
     for cell in ctx.partition.cells:
-        weights, reals, outs = ctx.atomized(cell.label, cap)
+        weights, reals, outs = ctx.atomized(cell.label)
         ok = check_conditions(weights, [r.h for r in reals], [r.T for r in reals],
-                              [o.duals for o in outs], ctx.x_bar, config.condition_tol)
+                              [o.duals for o in outs], ctx.x_bar, CONDITION_TOL)
         if not ok:
             return False
     return True
@@ -188,7 +161,7 @@ def run(model: RecourseModel, space: UncertaintySpace, refiner: Refiner,
         ctx = RefineContext(model, space, partition, x_bar, cell_outcomes)
         refined = refiner.refine(ctx)
         if refined is partition:
-            termination = CONDITIONS if _conditions_hold(ctx, config) else STABILIZED
+            termination = CONDITIONS if _conditions_hold(ctx) else STABILIZED
             break
         partition = refined
     last = records[-1]

@@ -11,8 +11,7 @@ import numpy as np
 from .errors import ValidationError
 from .model import CvarMarker, RandomLayout, RecourseModel, TechEntry
 from .spaces import (DiscreteSpace, GaussianTechnologySpace, UncertaintySpace,
-                     UniformRhsSpace, discrete_space, gaussian_technology_space,
-                     uniform_rhs_space)
+                     UniformRhsSpace)
 
 DEFAULT_POOL_SIZE = 100_000
 
@@ -153,16 +152,16 @@ def document_to_space(doc: dict, model: RecourseModel, seed: int | None = None,
                                    T=np.array(s["T"], dtype=float) if "T" in s else t_base,
                                    weight=float(s["weight"]))
                  for s in p["scenarios"]]
-        return discrete_space(reals)
+        return DiscreteSpace(reals)
     if kind == "uniform_rhs":
-        return uniform_rhs_space(model, int(p["row"]), float(p["lo"]), float(p["hi"]))
+        return UniformRhsSpace(model, int(p["row"]), float(p["lo"]), float(p["hi"]))
     use_seed = seed if seed is not None else p.get("seed")
     if use_seed is None:
         raise ValidationError("gaussian uncertainty needs a seed (document or --seed)")
     use_pool = pool_size if pool_size is not None else p.get("pool_size", DEFAULT_POOL_SIZE)
-    return gaussian_technology_space(model, np.array(p["mu"], dtype=float),
-                                     np.array(p["sigma"], dtype=float),
-                                     int(use_seed), int(use_pool))
+    return GaussianTechnologySpace(model, np.array(p["mu"], dtype=float),
+                                   np.array(p["sigma"], dtype=float),
+                                   int(use_seed), int(use_pool))
 
 
 def load_document(path) -> dict:

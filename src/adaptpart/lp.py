@@ -8,7 +8,6 @@ nonpositive and duals of >= rows are nonnegative at an optimum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TextIO
 
 import numpy as np
 
@@ -202,7 +201,7 @@ def _apply_pivot(tab: np.ndarray, row: int, col: int) -> None:
     tab[row, col] = 1.0
 
 
-def _pivot_loop(tab: np.ndarray, basis: list[int], trace: TextIO | None, label: str) -> str:
+def _pivot_loop(tab: np.ndarray, basis: list[int], label: str) -> str:
     scale = 1.0 + float(np.abs(tab[:-1, -1]).max(initial=0.0))
     stall = 0
     bland = False
@@ -210,8 +209,6 @@ def _pivot_loop(tab: np.ndarray, basis: list[int], trace: TextIO | None, label: 
         cost = tab[-1, :-1]
         elig = np.flatnonzero(cost < -_RC_TOL)
         if elig.size == 0:
-            if trace is not None:
-                trace.write(f"[{label}] optimal after basis {basis}\n")
             return OPTIMAL
         col = int(elig[0]) if bland else int(elig[np.argmin(cost[elig])])
         colvals = tab[:-1, col]
@@ -233,15 +230,7 @@ def _pivot_loop(tab: np.ndarray, basis: list[int], trace: TextIO | None, label: 
     raise SolverFailure(f"pivot limit exceeded in {label}")
 
 
-def _dump(tab: np.ndarray, basis: list[int], trace: TextIO | None, label: str) -> None:
-    if trace is None:
-        return
-    trace.write(f"--- {label}: basis={basis}\n")
-    trace.write(np.array2string(tab, precision=6, suppress_small=True, max_line_width=240))
-    trace.write("\n")
-
-
-def solve(lp: StandardLp, *, trace: TextIO | None = None) -> LpSolution:
+def solve(lp: StandardLp) -> LpSolution:
     """Solve with a two-phase primal simplex.  Deterministic: fixed pivot rules
     (entering: largest reduced-cost violation, lowest-index ties, Bland's rule
     after a degeneracy stall; leaving: first row among ratio ties) yield
@@ -279,12 +268,15 @@ def solve(lp: StandardLp, *, trace: TextIO | None = None) -> LpSolution:
         tab[-1] = cost1
         for i in art_rows:
             tab[-1] -= tab[i]
-        _dump(tab, basis, trace, "phase-1 start")
-        status = _pivot_loop(tab, basis, trace, "phase 1")
+        status = _pivot_loop(tab, basis, "phase 1")
         if status != OPTIMAL:
             raise SolverFailure("phase 1 reported unbounded; artificial objective is bounded below")
-        if -tab[-1, -1] > FEAS_TOL * (1.0 + float(np.abs(canon.b).max(initial=0.0))):
-            return LpSolution(INFEASIBLE)
+        # the same per-row residual test that _validate applies
+        for i in range(m_c):
+            if basis[i] >= n_c:
+                row = art_rows[basis[i] - n_c]
+                if tab[i, -1] > FEAS_TOL * (1.0 + abs(canon.b[row])):
+                    return LpSolution(INFEASIBLE)
         # Drive leftover artificials out of the basis; drop redundant rows.
         keep = np.ones(m_c, dtype=bool)
         for i in range(m_c):
@@ -308,8 +300,7 @@ def solve(lp: StandardLp, *, trace: TextIO | None = None) -> LpSolution:
         if cost2[bc] != 0.0:
             cost2 = cost2 - cost2[bc] * tab[pos]
     tab[-1] = cost2
-    _dump(tab, basis, trace, "phase-2 start")
-    status = _pivot_loop(tab, basis, trace, "phase 2")
+    status = _pivot_loop(tab, basis, "phase 2")
     if status == UNBOUNDED:
         return LpSolution(UNBOUNDED)
 

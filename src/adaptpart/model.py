@@ -184,16 +184,8 @@ class MasterMap:
     n_recourse_rows: int
     masses: tuple[float, ...]
 
-    @property
-    def n_cells(self) -> int:
-        return len(self.masses)
-
     def first_stage(self, sol: lplib.LpSolution) -> np.ndarray:
         return np.array(sol.x[: self.n_first])
-
-    def recourse(self, sol: lplib.LpSolution, k: int) -> np.ndarray:
-        c0 = self.n_first + k * self.n_second
-        return np.array(sol.x[c0: c0 + self.n_second])
 
 
 def build_aggregated_master(model: RecourseModel, cells) -> tuple[lplib.StandardLp, MasterMap]:

@@ -4,7 +4,9 @@ Three structure-aware disaggregation procedures, one per uncertainty backend:
 grouping scenarios by equal subproblem duals, splitting intervals at rhs
 ranging breakpoints, and cutting regions along the hyperplane where the
 recourse dual switches.  Each returns a refinement of the input partition and
-returns the partition object unchanged when nothing splits.
+returns the partition object unchanged when nothing splits.  Each also
+carries its backend's exact upper bound rule, since the interval rule needs
+the breakpoint sweep defined here.
 """
 from __future__ import annotations
 
@@ -14,13 +16,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lp as lplib
+from .analytics import cvar_analytic_ub
 from .errors import RecourseViolation, ValidationError
 from .model import RecourseModel, SubproblemOutcome, evaluate_subproblem, subproblem_lp
-from .spaces import (Breakpoints, HyperplaneSplit, Partition, ScenarioRegroup,
-                     UncertaintySpace, UniformRhsSpace)
+from .spaces import (Breakpoints, DiscreteSpace, GaussianTechnologySpace,
+                     HyperplaneSplit, Partition, ScenarioRegroup, UncertaintySpace,
+                     UniformRhsSpace)
 
 DUAL_TOL = 1e-6
 DEGENERACY_STEP_FRAC = 1e-7
+CONDITION_SAMPLE_CAP = 128
 
 
 @dataclass
@@ -39,26 +44,26 @@ class RefineContext:
     cell_outcomes: dict[str, SubproblemOutcome]
     _atoms: dict = field(default_factory=dict, repr=False)
 
-    def atomized(self, label: str, cap: int | None = None):
+    def atomized(self, label: str):
         """(weights, realizations, outcomes) for one cell's members at the
         incumbent; weights are cell-conditional and sum to one."""
-        key = (label, cap)
-        if key not in self._atoms:
+        if label not in self._atoms:
             cell = self.partition.find(label)
-            weights, reals = self.space.cell_samples(cell, cap)
+            weights, reals = self.space.cell_samples(cell, CONDITION_SAMPLE_CAP)
             outs = [evaluate_subproblem(self.model, self.x_bar, r) for r in reals]
-            self._atoms[key] = (weights, reals, outs)
-        return self._atoms[key]
+            self._atoms[label] = (weights, reals, outs)
+        return self._atoms[label]
 
 
 class Refiner(ABC):
-    """Disaggregation procedure; `kinds` names the compatible backends."""
+    """Disaggregation procedure for the backend `space_type`, with that
+    backend's exact upper bound rule."""
 
     name: str = ""
-    kinds: tuple[str, ...] = ()
+    space_type: type = UncertaintySpace
 
     def check(self, space: UncertaintySpace) -> None:
-        if space.kind not in self.kinds:
+        if not isinstance(space, self.space_type):
             raise ValidationError(
                 f"{self.name} refiner does not support {space.kind} spaces")
 
@@ -66,11 +71,11 @@ class Refiner(ABC):
     def refine(self, ctx: RefineContext) -> Partition:
         """A refinement of ctx.partition; the same object when no cell splits."""
 
-
-def _finish(old: Partition, new: Partition) -> Partition:
-    if new is old:
-        return old
-    return Partition(new.cells, old.generation + 1)
+    @abstractmethod
+    def upper_bound(self, model: RecourseModel, space: UncertaintySpace,
+                    x_bar: np.ndarray) -> float | None:
+        """Exact expected cost c.x + E[Q(x, xi)] of the incumbent, or None
+        when the backend has no exact rule for this model."""
 
 
 # ------------------------------------------------------------ dual clustering
@@ -98,10 +103,7 @@ class DualClusteringRefiner(Refiner):
     """Split each scenario cell into groups of equal-dual members."""
 
     name = "dual-cluster"
-    kinds = ("discrete",)
-
-    def __init__(self, tol: float = DUAL_TOL):
-        self.tol = float(tol)
+    space_type = DiscreteSpace
 
     def refine(self, ctx: RefineContext) -> Partition:
         part = ctx.partition
@@ -110,26 +112,32 @@ class DualClusteringRefiner(Refiner):
             if len(indices) <= 1:
                 continue
             _, _, outs = ctx.atomized(cell.label)
-            groups = group_scenarios_by_dual(indices, [o.duals for o in outs], self.tol)
+            groups = group_scenarios_by_dual(indices, [o.duals for o in outs])
             if len(groups) > 1:
                 splitter = ScenarioRegroup(tuple(tuple(g) for g in groups))
                 part = ctx.space.split_cell(part, cell.label, splitter)
-        return _finish(ctx.partition, part)
+        return part
+
+    def upper_bound(self, model, space, x_bar):
+        """Weighted sum of the per-scenario recourse values."""
+        value = float(model.c @ x_bar)
+        for w, real in zip(space.weights, space.realizations):
+            value += float(w) * evaluate_subproblem(model, x_bar, real).value
+        return value
 
 
 # ------------------------------------------------------------- rhs ranging
 
 def rhs_dual_breakpoints(model: RecourseModel, space: UniformRhsSpace,
-                         x_bar: np.ndarray, lo: float, hi: float,
-                         step_frac: float = DEGENERACY_STEP_FRAC) -> list[float]:
+                         x_bar: np.ndarray, lo: float, hi: float) -> list[float]:
     """Left-to-right sweep of the random rhs component over [lo, hi] at the
     incumbent: solve the subproblem, take the maximal dual-constant segment
     from rhs ranging, hop to its right end.  Returns the interior breakpoints
     in increasing order.  Zero-width segments (degeneracy) advance the probe
-    by step_frac*(hi-lo) so the sweep always terminates."""
+    by DEGENERACY_STEP_FRAC*(hi-lo) so the sweep always terminates."""
     if not lo < hi:
         raise ValidationError("sweep needs lo < hi")
-    step = step_frac * (hi - lo)
+    step = DEGENERACY_STEP_FRAC * (hi - lo)
     # the LP rhs at the random row is xi - T[row] @ x_bar
     offset = float(model.T_base[space.row] @ x_bar)
     points: list[float] = []
@@ -157,20 +165,29 @@ class RangingRefiner(Refiner):
     located by rhs ranging along each cell."""
 
     name = "ranging"
-    kinds = ("uniform_rhs",)
-
-    def __init__(self, step_frac: float = DEGENERACY_STEP_FRAC):
-        self.step_frac = float(step_frac)
+    space_type = UniformRhsSpace
 
     def refine(self, ctx: RefineContext) -> Partition:
         part = ctx.partition
         for cell in ctx.partition.cells:
             lo, hi = cell.geometry.lo, cell.geometry.hi
-            points = rhs_dual_breakpoints(ctx.model, ctx.space, ctx.x_bar,
-                                          lo, hi, self.step_frac)
+            points = rhs_dual_breakpoints(ctx.model, ctx.space, ctx.x_bar, lo, hi)
             if points:
                 part = ctx.space.split_cell(part, cell.label, Breakpoints(tuple(points)))
-        return _finish(ctx.partition, part)
+        return part
+
+    def upper_bound(self, model, space, x_bar):
+        """Closed-form integration of the piecewise linear recourse value."""
+        points = rhs_dual_breakpoints(model, space, x_bar, space.lo, space.hi)
+        edges = [space.lo] + points + [space.hi]
+        expected = 0.0
+        # the recourse value is linear on each segment, so the midpoint
+        # rule integrates it exactly against the uniform density
+        for s, e in zip(edges, edges[1:]):
+            mid = 0.5 * (s + e)
+            out = evaluate_subproblem(model, x_bar, space.realization_at(mid))
+            expected += (e - s) / (space.hi - space.lo) * out.value
+        return float(model.c @ x_bar + expected)
 
 
 # -------------------------------------------------------- hyperplane cutting
@@ -212,7 +229,7 @@ class HyperplaneRefiner(Refiner):
     incumbent; one-sided cells pass through unchanged."""
 
     name = "hyperplane"
-    kinds = ("gaussian_technology",)
+    space_type = GaussianTechnologySpace
 
     def refine(self, ctx: RefineContext) -> Partition:
         cuts = dual_switch_hyperplanes(ctx.model, ctx.x_bar, ctx.space.dim)
@@ -221,27 +238,33 @@ class HyperplaneRefiner(Refiner):
             splitter = HyperplaneSplit(tuple(float(v) for v in normal), float(offset))
             for label in [c.label for c in part.cells]:
                 part = ctx.space.split_cell(part, label, splitter)
-        return _finish(ctx.partition, part)
+        return part
+
+    def upper_bound(self, model, space, x_bar):
+        """Closed-form normal tail expectation; tail-risk models only."""
+        if model.cvar is None:
+            return None
+        w = loss_vector(model, x_bar, space.dim)
+        return float(cvar_analytic_ub(space.mu, space.sigma, model.cvar.delta, w))
+
+
+REFINERS = (DualClusteringRefiner, RangingRefiner, HyperplaneRefiner)
 
 
 def auto_refiner(space: UncertaintySpace) -> Refiner:
     """The refiner matching the backend."""
-    table = {"discrete": DualClusteringRefiner,
-             "uniform_rhs": RangingRefiner,
-             "gaussian_technology": HyperplaneRefiner}
-    if space.kind not in table:
-        raise ValidationError(f"no refiner available for {space.kind} spaces")
-    return table[space.kind]()
+    for cls in REFINERS:
+        if isinstance(space, cls.space_type):
+            return cls()
+    raise ValidationError(f"no refiner available for {space.kind} spaces")
 
 
 def refiner_by_name(name: str, space: UncertaintySpace) -> Refiner:
     if name == "auto":
         return auto_refiner(space)
-    table = {"dual-cluster": DualClusteringRefiner,
-             "ranging": RangingRefiner,
-             "hyperplane": HyperplaneRefiner}
-    if name not in table:
-        raise ValidationError(f"unknown refiner {name!r}")
-    refiner = table[name]()
-    refiner.check(space)
-    return refiner
+    for cls in REFINERS:
+        if cls.name == name:
+            refiner = cls()
+            refiner.check(space)
+            return refiner
+    raise ValidationError(f"unknown refiner {name!r}")

@@ -4,12 +4,9 @@ from __future__ import annotations
 import json
 import os
 
-import numpy as np
-
 from .engine import SolveResult
 from .model import RecourseModel
-from .spaces import (GaussianTechnologySpace, HalfspaceRegion, Interval,
-                     Partition, ScenarioSet, UncertaintySpace)
+from .spaces import UncertaintySpace
 
 CSV_HEADER = "iter,lb,ub,gap_pct,cells"
 
@@ -38,20 +35,7 @@ def _cell_entry(cell, space: UncertaintySpace) -> dict:
     entry: dict = {"label": cell.label, "mass": cell.mass, "estimate": cell.estimate}
     if cell.sample_count is not None:
         entry["sample_count"] = cell.sample_count
-    geo = cell.geometry
-    if isinstance(geo, ScenarioSet):
-        entry["geometry"] = {"type": "scenarios", "indices": list(geo.indices)}
-        entry["h_mean"] = [float(v) for v in cell.h_mean]
-    elif isinstance(geo, Interval):
-        entry["geometry"] = {"type": "interval", "lo": geo.lo, "hi": geo.hi}
-        entry["midpoint"] = 0.5 * (geo.lo + geo.hi)
-    elif isinstance(geo, HalfspaceRegion):
-        entry["geometry"] = {
-            "type": "region",
-            "halfspaces": [{"normal": list(a), "offset": b} for a, b in geo.halfspaces],
-        }
-        if isinstance(space, GaussianTechnologySpace):
-            entry["xi_mean"] = [float(v) for v in space.cell_mean_xi(cell)]
+    entry.update(space.cell_report(cell))
     return entry
 
 

@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .model import Realization, RecourseModel
+from .model import MASS_TOL, Realization, RecourseModel
 
-MASS_TOL = 1e-9
 EXACT = "exact"
 MONTE_CARLO = "monte-carlo"
 
@@ -93,10 +92,9 @@ class Cell:
 
 @dataclass(frozen=True, eq=False)
 class Partition:
-    """Disjoint cells covering the support; generation counts engine passes."""
+    """Disjoint cells covering the support."""
 
     cells: tuple[Cell, ...]
-    generation: int = 0
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -115,10 +113,10 @@ class Partition:
 
 
 class UncertaintySpace(ABC):
-    """Backend interface: cell construction, splitting, and sampling."""
+    """Backend interface: cell construction, splitting, sampling, and the
+    report geometry of a cell.  `kind` is the instance document tag."""
 
     kind: str = ""
-    exact_expectation: bool = False
 
     @abstractmethod
     def trivial_partition(self) -> Partition:
@@ -129,9 +127,14 @@ class UncertaintySpace(ABC):
         """Children of `cell` under `splitter`, or None for a no-op."""
 
     @abstractmethod
-    def cell_samples(self, cell: Cell, cap: int | None = None):
+    def cell_samples(self, cell: Cell, cap: int):
         """(weights, realizations) drawn from the cell's conditional law; used
-        for condition checks.  Weights sum to one."""
+        for condition checks.  Weights sum to one.  Continuous spaces return
+        at most `cap` samples; a discrete cell returns all its scenarios."""
+
+    @abstractmethod
+    def cell_report(self, cell: Cell) -> dict:
+        """The cell's geometry keys for the partition trace, in report order."""
 
     def split_cell(self, partition: Partition, label: str, splitter) -> Partition:
         """Replace one cell by its children.  Returns `partition` itself when
@@ -146,7 +149,7 @@ class UncertaintySpace(ABC):
                 out.extend(children)
             else:
                 out.append(c)
-        return Partition(tuple(out), partition.generation)
+        return Partition(tuple(out))
 
 
 # ------------------------------------------------------------------- discrete
@@ -155,7 +158,6 @@ class DiscreteSpace(UncertaintySpace):
     """Finite scenario set with exact conditional expectations."""
 
     kind = "discrete"
-    exact_expectation = True
 
     def __init__(self, realizations):
         realizations = list(realizations)
@@ -209,14 +211,14 @@ class DiscreteSpace(UncertaintySpace):
             return None
         return children
 
-    def cell_samples(self, cell: Cell, cap: int | None = None):
+    def cell_samples(self, cell: Cell, cap: int):
         idx = list(cell.geometry.indices)
         w = self.weights[idx]
         return w / w.sum(), [self.realizations[i] for i in idx]
 
-
-def discrete_space(realizations) -> DiscreteSpace:
-    return DiscreteSpace(realizations)
+    def cell_report(self, cell: Cell) -> dict:
+        return {"geometry": {"type": "scenarios", "indices": list(cell.geometry.indices)},
+                "h_mean": [float(v) for v in cell.h_mean]}
 
 
 # ------------------------------------------------------------ 1-D uniform rhs
@@ -225,7 +227,6 @@ class UniformRhsSpace(UncertaintySpace):
     """One rhs component uniform on [lo, hi]; everything else deterministic."""
 
     kind = "uniform_rhs"
-    exact_expectation = True
 
     def __init__(self, model: RecourseModel, row: int, lo: float, hi: float):
         if row not in model.layout.rhs_rows:
@@ -279,15 +280,15 @@ class UniformRhsSpace(UncertaintySpace):
             return None
         return children
 
-    def cell_samples(self, cell: Cell, cap: int | None = None):
-        n = cap or 64
+    def cell_samples(self, cell: Cell, cap: int):
         lo, hi = cell.geometry.lo, cell.geometry.hi
-        xs = lo + (np.arange(n) + 0.5) * (hi - lo) / n
-        return np.full(n, 1.0 / n), [self.realization_at(float(x)) for x in xs]
+        xs = lo + (np.arange(cap) + 0.5) * (hi - lo) / cap
+        return np.full(cap, 1.0 / cap), [self.realization_at(float(x)) for x in xs]
 
-
-def uniform_rhs_space(model: RecourseModel, row: int, lo: float, hi: float) -> UniformRhsSpace:
-    return UniformRhsSpace(model, row, lo, hi)
+    def cell_report(self, cell: Cell) -> dict:
+        lo, hi = cell.geometry.lo, cell.geometry.hi
+        return {"geometry": {"type": "interval", "lo": lo, "hi": hi},
+                "midpoint": 0.5 * (lo + hi)}
 
 
 # ------------------------------------------------- Gaussian technology matrix
@@ -302,7 +303,6 @@ class GaussianTechnologySpace(UncertaintySpace):
     """
 
     kind = "gaussian_technology"
-    exact_expectation = False
 
     def __init__(self, model: RecourseModel, mu, sigma, seed: int, pool_size: int = 100_000):
         if seed is None:
@@ -343,19 +343,13 @@ class GaussianTechnologySpace(UncertaintySpace):
             T[e.row, e.col] = e.scale * xi[e.component]
         return Realization(self.model.h_base, T)
 
-    def _mean_technology(self, xi_mean: np.ndarray) -> np.ndarray:
-        T = self.model.T_base.copy()
-        for e in self.model.layout.tech_entries:
-            T[e.row, e.col] = e.scale * xi_mean[e.component]
-        return T
-
     def _make_cell(self, label: str, halfspaces, members: np.ndarray) -> Cell | None:
         if members.size == 0:
             return None
         xi_mean = self.pool[members].mean(axis=0)
         return Cell(label, HalfspaceRegion(halfspaces, members),
                     members.size / self.pool_size, self.model.h_base.copy(),
-                    self._mean_technology(xi_mean), MONTE_CARLO, int(members.size))
+                    self.realization_at(xi_mean).T, MONTE_CARLO, int(members.size))
 
     def trivial_partition(self) -> Partition:
         cell = self._make_cell("0", (), np.arange(self.pool_size))
@@ -381,9 +375,9 @@ class GaussianTechnologySpace(UncertaintySpace):
             return None
         return children
 
-    def cell_samples(self, cell: Cell, cap: int | None = None):
+    def cell_samples(self, cell: Cell, cap: int):
         members = cell.geometry.members
-        if cap is not None and members.size > cap:
+        if members.size > cap:
             pick = np.unique(np.linspace(0, members.size - 1, cap).astype(int))
             members = members[pick]
         w = np.full(members.size, 1.0 / members.size)
@@ -392,7 +386,7 @@ class GaussianTechnologySpace(UncertaintySpace):
     def cell_mean_xi(self, cell: Cell) -> np.ndarray:
         return self.pool[cell.geometry.members].mean(axis=0)
 
-
-def gaussian_technology_space(model: RecourseModel, mu, sigma, seed: int,
-                              pool_size: int = 100_000) -> GaussianTechnologySpace:
-    return GaussianTechnologySpace(model, mu, sigma, seed, pool_size)
+    def cell_report(self, cell: Cell) -> dict:
+        halfspaces = [{"normal": list(a), "offset": b} for a, b in cell.geometry.halfspaces]
+        return {"geometry": {"type": "region", "halfspaces": halfspaces},
+                "xi_mean": [float(v) for v in self.cell_mean_xi(cell)]}

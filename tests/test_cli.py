@@ -75,6 +75,16 @@ class TestEnergyRuns:
         assert len(rows) == 1
         assert float(rows[0]["gap_pct"]) == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.parametrize("interval", [(2, 8), (3, 8), (1, 9), (2.5, 7.5)])
+    def test_demand_beyond_capacity_is_infeasible_recourse(self, tmp_path, capsys,
+                                                           interval):
+        # past a demand of 7 no recourse covers the shortfall; the sweep
+        # must report that, not a residual failure of the LP kernel
+        path = make_lands(tmp_path, "--d1-interval", *interval)
+        assert run_cli(["run", "--instance", path]) == 1
+        err = capsys.readouterr().err
+        assert "subproblem infeasible at rhs component value 7" in err
+
     def test_oracle_rejected_for_continuous_uncertainty(self, tmp_path, capsys):
         path = make_lands(tmp_path)
         assert run_cli(["run", "--instance", path, "--oracle"]) == 1

@@ -7,7 +7,8 @@ from adaptpart import lp as lplib
 from adaptpart.engine import (CONDITIONS, GAP, ITERATION_LIMIT, SolverConfig,
                               check_conditions, compute_upper_bound,
                               relative_gap, run)
-from adaptpart.instances import document_to_model, document_to_space, lands_document
+from adaptpart.instances import (cvar_document, document_to_model,
+                                 document_to_space, lands_document)
 from adaptpart.model import evaluate_subproblem
 from adaptpart.refiners import DualClusteringRefiner, RangingRefiner, auto_refiner
 from adaptpart.spaces import DiscreteSpace, UniformRhsSpace
@@ -74,13 +75,15 @@ class TestUpperBound:
         assert ub == pytest.approx(manual, rel=1e-12)
 
     def test_auto_returns_none_without_exact_rule(self):
-        class Opaque:
-            kind = "mystery"
-        model = random_recourse_model(np.random.default_rng(32))
-        assert compute_upper_bound(model, Opaque(), np.zeros(model.n_first),
-                                   "auto") is None
+        # normal returns without a tail-risk marker have no exact rule
+        doc = cvar_document(pool_size=200)
+        del doc["uncertainty"]["parameters"]["cvar"]
+        model = document_to_model(doc)
+        space = document_to_space(doc, model)
+        x = np.zeros(model.n_first)
+        assert compute_upper_bound(model, space, x, "auto") is None
         with pytest.raises(Exception):
-            compute_upper_bound(model, Opaque(), np.zeros(model.n_first), "on")
+            compute_upper_bound(model, space, x, "on")
 
     def test_energy_instance_first_iteration_value(self):
         model, space = lands_pair()
