@@ -58,9 +58,9 @@ def cmd_run(args) -> int:
                           upper_bound=args.upper_bound)
     result = run(model, space, refiner, config)
     _print_table(result.records, model.n_first)
-    print("termination: %s after %d iterations (%.3f s, %d LP solves)" % (
-        result.termination, result.stats["iterations"],
-        result.stats["wall_time_s"], result.stats["lp_solves"]))
+    print("termination: %s after %d iterations (%.3f s, %d LP solves, %d from cached bases)" % (
+        result.termination, result.stats["iterations"], result.stats["wall_time_s"],
+        result.stats["lp_solves"], result.stats["basis_hits"]))
     if args.oracle:
         if space.kind != "discrete":
             print("--oracle requires a discrete instance", file=sys.stderr)

@@ -98,13 +98,15 @@ def check_conditions(weights, hs, techs, duals, x_bar, tol: float) -> bool:
 
 
 def compute_upper_bound(model: RecourseModel, space: UncertaintySpace,
-                        x_bar: np.ndarray, mode: str = "auto") -> float | None:
+                        x_bar: np.ndarray, mode: str = "auto",
+                        bases: lplib.BasisCache | None = None) -> float | None:
     """Exact expected cost of the incumbent by the backend's rule (see
     Refiner.upper_bound).  Mode "off" skips it; "auto" returns None when the
-    backend has no rule for this model, and "on" raises instead."""
+    backend has no rule for this model, and "on" raises instead.  `bases`
+    is passed on to evaluate_subproblem."""
     if mode == "off":
         return None
-    value = auto_refiner(space).upper_bound(model, space, x_bar)
+    value = auto_refiner(space).upper_bound(model, space, x_bar, bases)
     if value is None and mode == "on":
         raise ValidationError(f"no exact upper bound available for {space.kind} spaces")
     return value
@@ -127,10 +129,12 @@ def run(model: RecourseModel, space: UncertaintySpace, refiner: Refiner,
     available) bounds from above, and the refiner splits cells between
     iterations.  Stops on gap, on a partition that no longer changes (with
     the optimality conditions deciding between converged and stalled), or on
-    the iteration limit."""
+    the iteration limit.  Every subproblem of the run shares one BasisCache,
+    since only the rhs changes between them (fixed recourse)."""
     refiner.check(space)
     solves_before = lplib.solve_call_count()
     started = time.perf_counter()
+    bases = lplib.BasisCache(model.q, model.W, model.recourse_senses)
     partition = space.trivial_partition()
     best_upper: float | None = None
     records: list[IterationRecord] = []
@@ -144,11 +148,16 @@ def run(model: RecourseModel, space: UncertaintySpace, refiner: Refiner,
             raise SolverFailure(f"aggregated master {sol.status} at iteration {t}")
         lower = float(sol.objective)
         x_bar = cmap.first_stage(sol)
-        upper = compute_upper_bound(model, space, x_bar, config.upper_bound)
+        if records and x_bar.tobytes() == records[-1].incumbent.tobytes():
+            # the bound depends on the incumbent alone
+            upper = records[-1].upper_bound
+        else:
+            upper = compute_upper_bound(model, space, x_bar, config.upper_bound, bases)
         if upper is not None:
             best_upper = upper if best_upper is None else min(best_upper, upper)
         cell_outcomes = {
-            c.label: evaluate_subproblem(model, x_bar, model.realization(c.h_mean, c.t_mean))
+            c.label: evaluate_subproblem(model, x_bar, model.realization(c.h_mean, c.t_mean),
+                                         bases)
             for c in partition.cells}
         gap = relative_gap(lower, best_upper) if best_upper is not None else None
         records.append(IterationRecord(t, lower, upper, gap, len(partition), x_bar))
@@ -158,7 +167,7 @@ def run(model: RecourseModel, space: UncertaintySpace, refiner: Refiner,
             break
         if t == config.max_iterations:
             break
-        ctx = RefineContext(model, space, partition, x_bar, cell_outcomes)
+        ctx = RefineContext(model, space, partition, x_bar, cell_outcomes, bases)
         refined = refiner.refine(ctx)
         if refined is partition:
             termination = CONDITIONS if _conditions_hold(ctx) else STABILIZED
@@ -169,6 +178,7 @@ def run(model: RecourseModel, space: UncertaintySpace, refiner: Refiner,
         "iterations": len(records),
         "master_solves": len(records),
         "lp_solves": lplib.solve_call_count() - solves_before,
+        "basis_hits": bases.hits,
         "wall_time_s": time.perf_counter() - started,
     }
     return SolveResult(x_star=last.incumbent, objective=last.lower_bound,

@@ -28,6 +28,7 @@ UNBOUNDED = "unbounded"
 _RC_TOL = 1e-9      # reduced-cost threshold for entering columns
 _RATIO_TIE = 1e-9   # ratio-test tie tolerance
 _MAX_PIVOTS = 50_000
+_CACHED_BASES = 16  # bases a BasisCache keeps
 
 _solve_calls = 0
 
@@ -189,6 +190,67 @@ def _canonicalize(lp: StandardLp) -> _Canonical:
     return _Canonical(A, b, c, offset, row_sign, row_origin, col_kind, shift)
 
 
+class BasisCache:
+    """Optimal bases of one fixed-recourse family  min q.y : W y (senses) r,
+    y >= 0,  in which only r changes (bunching).
+
+    The solve that found a basis certified it dual feasible, and dual
+    feasibility does not depend on r, so the basis is optimal for a new r
+    once its basic values B^-1 r are nonnegative.  `lookup` accepts a basis
+    only when every basic value is strictly positive, so it is nondegenerate
+    and its duals are the unique ones `solve` would return, and when the
+    point passes `_validate`'s per-row residual test.  Degenerate or
+    infeasible r is left to `solve`.  Canonical columns are those of
+    `_canonicalize`: one per y, then one slack per inequality row; sign
+    folding of rows leaves B^-1 r and the duals unchanged.
+    """
+
+    def __init__(self, objective, matrix, senses):
+        family = StandardLp(objective, matrix, np.zeros(len(senses)), senses)
+        canon = _canonicalize(family)
+        self._family = family
+        self._A = canon.A
+        self._all_rows = tuple(range(family.n_rows))
+        # (basis, B^-1, duals), most recently hit first
+        self._entries: list[tuple[tuple[int, ...], np.ndarray, np.ndarray]] = []
+        self.hits = 0
+
+    def lookup(self, rhs: np.ndarray) -> LpSolution | None:
+        """The optimum at rhs from a cached basis, or None when no cached
+        basis passes the checks."""
+        fam = self._family
+        floor = FEAS_TOL * (1.0 + float(np.abs(rhs).max(initial=0.0)))
+        for k, (basis, inv, duals) in enumerate(self._entries):
+            z_b = inv @ rhs
+            if z_b.min(initial=np.inf) <= floor:
+                continue
+            z = np.zeros(self._A.shape[1])
+            z[list(basis)] = z_b
+            y = z[:fam.n_cols]
+            if _row_violation(fam.matrix, rhs, fam.senses, y) is not None:
+                continue
+            self._entries.insert(0, self._entries.pop(k))
+            self.hits += 1
+            return LpSolution(OPTIMAL, y, duals.copy(), float(fam.objective @ y),
+                              basis, self._all_rows)
+        return None
+
+    def add(self, sol: LpSolution) -> None:
+        """Keep the basis of a solve of this family if it is optimal and kept
+        every row; known and singular bases are skipped, and the least
+        recently hit basis goes when the cache is full."""
+        if sol.status != OPTIMAL or sol.kept_rows != self._all_rows:
+            return
+        if any(set(basis) == set(sol.basis) for basis, _, _ in self._entries):
+            return
+        try:
+            inv = np.linalg.inv(self._A[:, list(sol.basis)])
+        except np.linalg.LinAlgError:
+            return
+        self._entries.insert(0, (sol.basis, inv, np.array(sol.duals, dtype=float)))
+        del self._entries[_CACHED_BASES:]
+
+
 def _apply_pivot(tab: np.ndarray, row: int, col: int) -> None:
     piv = tab[row, col]
     if abs(piv) < PIVOT_TOL:
@@ -329,19 +391,28 @@ def solve(lp: StandardLp) -> LpSolution:
                       tuple(int(v) for v in kept))
 
 
+def _row_violation(matrix: np.ndarray, rhs: np.ndarray, senses, x: np.ndarray) -> str | None:
+    """The first row of  matrix x (senses) rhs  that x misses by more than
+    FEAS_TOL*(1+|rhs_i|), as an error message; None when every row holds."""
+    resid = matrix @ x - rhs
+    for i, sense in enumerate(senses):
+        tol = FEAS_TOL * (1.0 + abs(rhs[i]))
+        r = resid[i]
+        if sense == EQ and abs(r) > tol:
+            return f"equality row {i} violated by {r:.3e}"
+        if sense == LE and r > tol:
+            return f"<= row {i} violated by {r:.3e}"
+        if sense == GE and r < -tol:
+            return f">= row {i} violated by {-r:.3e}"
+    return None
+
+
 def _validate(lp: StandardLp, canon: _Canonical, kept: np.ndarray, x: np.ndarray,
               lam: np.ndarray, objective: float) -> None:
     """Certify the reported optimum; raise SolverFailure on numerical breakdown."""
-    resid = lp.matrix @ x - lp.rhs
-    for i, sense in enumerate(lp.senses):
-        tol = FEAS_TOL * (1.0 + abs(lp.rhs[i]))
-        r = resid[i]
-        if sense == EQ and abs(r) > tol:
-            raise SolverFailure(f"equality row {i} violated by {r:.3e}")
-        if sense == LE and r > tol:
-            raise SolverFailure(f"<= row {i} violated by {r:.3e}")
-        if sense == GE and r < -tol:
-            raise SolverFailure(f">= row {i} violated by {-r:.3e}")
+    violation = _row_violation(lp.matrix, lp.rhs, lp.senses, x)
+    if violation is not None:
+        raise SolverFailure(violation)
     if np.any(x < lp.lower - FEAS_TOL) or np.any(x > lp.upper + FEAS_TOL):
         raise SolverFailure("variable bound violated at reported optimum")
     rc = canon.c - canon.A[kept].T @ lam

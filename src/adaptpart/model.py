@@ -159,18 +159,31 @@ def subproblem_lp(model: RecourseModel, x, realization: Realization) -> lplib.St
     return lplib.StandardLp(model.q, model.W, rhs, model.recourse_senses)
 
 
-def evaluate_subproblem(model: RecourseModel, x, realization: Realization) -> SubproblemOutcome:
+def evaluate_subproblem(model: RecourseModel, x, realization: Realization,
+                        bases: lplib.BasisCache | None = None) -> SubproblemOutcome:
     """Solve the recourse problem at (x, realization).
+
+    `bases`, a BasisCache built from model.q, model.W and
+    model.recourse_senses, answers from a cached optimal basis when one is
+    nondegenerate and feasible at the new rhs; otherwise the simplex runs and
+    its basis joins the cache.  Without it every call runs the simplex.
 
     Raises RecourseViolation naming the offending realization if the
     subproblem is infeasible or unbounded.
     """
+    if bases is not None:
+        rhs = realization.h - realization.T @ np.asarray(x, dtype=float)
+        sol = bases.lookup(rhs)
+        if sol is not None:
+            return SubproblemOutcome(sol.objective, sol.x, sol.duals, rhs)
     problem = subproblem_lp(model, x, realization)
     sol = lplib.solve(problem)
     if sol.status != lplib.OPTIMAL:
         raise RecourseViolation(
             f"recourse subproblem {sol.status} at x={np.asarray(x, dtype=float)} "
             f"for realization with h={realization.h}, rhs={problem.rhs}")
+    if bases is not None:
+        bases.add(sol)
     return SubproblemOutcome(sol.objective, sol.x, sol.duals, problem.rhs)
 
 

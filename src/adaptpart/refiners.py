@@ -34,7 +34,8 @@ class RefineContext:
     partition it was computed on, and the per-cell aggregated outcomes.
 
     Member-level subproblem solves are cached so the refiner and any later
-    condition check share work.
+    condition check share work; `bases` answers them from known optimal
+    bases where it can (see evaluate_subproblem).
     """
 
     model: RecourseModel
@@ -42,6 +43,7 @@ class RefineContext:
     partition: Partition
     x_bar: np.ndarray
     cell_outcomes: dict[str, SubproblemOutcome]
+    bases: lplib.BasisCache | None = None
     _atoms: dict = field(default_factory=dict, repr=False)
 
     def atomized(self, label: str):
@@ -50,7 +52,7 @@ class RefineContext:
         if label not in self._atoms:
             cell = self.partition.find(label)
             weights, reals = self.space.cell_samples(cell, CONDITION_SAMPLE_CAP)
-            outs = [evaluate_subproblem(self.model, self.x_bar, r) for r in reals]
+            outs = [evaluate_subproblem(self.model, self.x_bar, r, self.bases) for r in reals]
             self._atoms[label] = (weights, reals, outs)
         return self._atoms[label]
 
@@ -73,9 +75,11 @@ class Refiner(ABC):
 
     @abstractmethod
     def upper_bound(self, model: RecourseModel, space: UncertaintySpace,
-                    x_bar: np.ndarray) -> float | None:
+                    x_bar: np.ndarray,
+                    bases: lplib.BasisCache | None = None) -> float | None:
         """Exact expected cost c.x + E[Q(x, xi)] of the incumbent, or None
-        when the backend has no exact rule for this model."""
+        when the backend has no exact rule for this model.  `bases` is
+        passed on to evaluate_subproblem."""
 
 
 # ------------------------------------------------------------ dual clustering
@@ -118,11 +122,11 @@ class DualClusteringRefiner(Refiner):
                 part = ctx.space.split_cell(part, cell.label, splitter)
         return part
 
-    def upper_bound(self, model, space, x_bar):
+    def upper_bound(self, model, space, x_bar, bases=None):
         """Weighted sum of the per-scenario recourse values."""
         value = float(model.c @ x_bar)
         for w, real in zip(space.weights, space.realizations):
-            value += float(w) * evaluate_subproblem(model, x_bar, real).value
+            value += float(w) * evaluate_subproblem(model, x_bar, real, bases).value
         return value
 
 
@@ -176,7 +180,7 @@ class RangingRefiner(Refiner):
                 part = ctx.space.split_cell(part, cell.label, Breakpoints(tuple(points)))
         return part
 
-    def upper_bound(self, model, space, x_bar):
+    def upper_bound(self, model, space, x_bar, bases=None):
         """Closed-form integration of the piecewise linear recourse value."""
         points = rhs_dual_breakpoints(model, space, x_bar, space.lo, space.hi)
         edges = [space.lo] + points + [space.hi]
@@ -185,7 +189,7 @@ class RangingRefiner(Refiner):
         # rule integrates it exactly against the uniform density
         for s, e in zip(edges, edges[1:]):
             mid = 0.5 * (s + e)
-            out = evaluate_subproblem(model, x_bar, space.realization_at(mid))
+            out = evaluate_subproblem(model, x_bar, space.realization_at(mid), bases)
             expected += (e - s) / (space.hi - space.lo) * out.value
         return float(model.c @ x_bar + expected)
 
@@ -240,7 +244,7 @@ class HyperplaneRefiner(Refiner):
                 part = ctx.space.split_cell(part, label, splitter)
         return part
 
-    def upper_bound(self, model, space, x_bar):
+    def upper_bound(self, model, space, x_bar, bases=None):
         """Closed-form normal tail expectation; tail-risk models only."""
         if model.cvar is None:
             return None

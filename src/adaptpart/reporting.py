@@ -54,6 +54,7 @@ def run_summary(result: SolveResult) -> dict:
         "wall_time_s": result.stats["wall_time_s"],
         "master_solves": result.stats["master_solves"],
         "lp_solves": result.stats["lp_solves"],
+        "basis_hits": result.stats["basis_hits"],
         "final_lb": last.lower_bound,
         "final_ub_best": result.best_upper,
         "final_gap_pct": None if last.gap is None else 100.0 * last.gap,

@@ -41,10 +41,12 @@ class HalfspaceRegion:
     """Cell of a multivariate space: intersection of halfspaces a.xi <= b,
     stored as accumulated split history.  ``members`` caches the indices of
     the sample-pool points lying in the cell (the pool is partitioned
-    exactly, boundary points belong to exactly one child)."""
+    exactly, boundary points belong to exactly one child) and ``xi_mean``
+    their mean."""
 
     halfspaces: tuple[tuple[tuple[float, ...], float], ...]
     members: np.ndarray = field(repr=False)
+    xi_mean: np.ndarray = field(repr=False)
 
     def __eq__(self, other):
         return isinstance(other, HalfspaceRegion) and self.halfspaces == other.halfspaces
@@ -347,7 +349,7 @@ class GaussianTechnologySpace(UncertaintySpace):
         if members.size == 0:
             return None
         xi_mean = self.pool[members].mean(axis=0)
-        return Cell(label, HalfspaceRegion(halfspaces, members),
+        return Cell(label, HalfspaceRegion(halfspaces, members, xi_mean),
                     members.size / self.pool_size, self.model.h_base.copy(),
                     self.realization_at(xi_mean).T, MONTE_CARLO, int(members.size))
 
@@ -384,7 +386,7 @@ class GaussianTechnologySpace(UncertaintySpace):
         return w, [self.realization_at(self.pool[i]) for i in members]
 
     def cell_mean_xi(self, cell: Cell) -> np.ndarray:
-        return self.pool[cell.geometry.members].mean(axis=0)
+        return cell.geometry.xi_mean
 
     def cell_report(self, cell: Cell) -> dict:
         halfspaces = [{"normal": list(a), "offset": b} for a, b in cell.geometry.halfspaces]

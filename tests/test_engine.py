@@ -3,6 +3,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from adaptpart import engine
 from adaptpart import lp as lplib
 from adaptpart.engine import (CONDITIONS, GAP, ITERATION_LIMIT, SolverConfig,
                               check_conditions, compute_upper_bound,
@@ -183,3 +184,52 @@ class TestOracleEquivalence:
         b = run(model, space, RangingRefiner(), cfg)
         assert [r.lower_bound for r in a.records] == \
                [r.lower_bound for r in b.records]
+
+
+class TestBasisReuse:
+    """Every subproblem of a run shares one cache of optimal recourse bases."""
+
+    @staticmethod
+    def discrete_pair(n_scenarios=200):
+        rng = np.random.default_rng(6)
+        model = random_recourse_model(rng)
+        return model, random_discrete_space(rng, model, n_scenarios=n_scenarios)
+
+    def test_fewer_lp_solves_than_scenarios(self):
+        model, space = self.discrete_pair()
+        result = run(model, space, DualClusteringRefiner(), SolverConfig(epsilon=1e-9))
+        assert result.termination == GAP
+        assert len(result.records) > 1
+        assert result.stats["lp_solves"] < space.n_scenarios
+        assert result.stats["basis_hits"] > space.n_scenarios
+
+    def test_repeat_runs_on_one_model_agree(self):
+        for model, space in (self.discrete_pair(), lands_pair()):
+            cfg = SolverConfig(epsilon=1e-9, max_iterations=8)
+            a = run(model, space, auto_refiner(space), cfg)
+            b = run(model, space, auto_refiner(space), cfg)
+            assert [(r.lower_bound, r.upper_bound, r.gap, r.cell_count, r.incumbent.tobytes())
+                    for r in a.records] == \
+                   [(r.lower_bound, r.upper_bound, r.gap, r.cell_count, r.incumbent.tobytes())
+                    for r in b.records]
+            assert a.stats["lp_solves"] == b.stats["lp_solves"]
+            assert a.stats["basis_hits"] == b.stats["basis_hits"] > 0
+
+    def test_upper_bound_reused_at_unchanged_incumbent(self, monkeypatch):
+        model, space = self.discrete_pair()
+        seen = []
+        original = engine.compute_upper_bound
+
+        def counting(model, space, x_bar, *args):
+            seen.append(x_bar.tobytes())
+            return original(model, space, x_bar, *args)
+
+        monkeypatch.setattr(engine, "compute_upper_bound", counting)
+        result = run(model, space, DualClusteringRefiner(), SolverConfig(epsilon=1e-9))
+        incumbents = [r.incumbent.tobytes() for r in result.records]
+        moves = [b for a, b in zip(incumbents, incumbents[1:]) if a != b]
+        assert len(moves) < len(incumbents) - 1
+        assert seen == incumbents[:1] + moves
+        for prev, rec in zip(result.records, result.records[1:]):
+            if rec.incumbent.tobytes() == prev.incumbent.tobytes():
+                assert rec.upper_bound == prev.upper_bound

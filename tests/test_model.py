@@ -72,6 +72,79 @@ class TestSubproblem:
             evaluate_subproblem(model, np.array([1.0]), model.realization())
 
 
+def primal_feasible(model: RecourseModel, y, rhs, tol: float = 1e-7) -> bool:
+    lhs = model.W @ y
+    for i, sense in enumerate(model.recourse_senses):
+        slack = tol * (1.0 + abs(rhs[i]))
+        if sense == "<=" and lhs[i] > rhs[i] + slack:
+            return False
+        if sense == ">=" and lhs[i] < rhs[i] - slack:
+            return False
+        if sense == "=" and abs(lhs[i] - rhs[i]) > slack:
+            return False
+    return bool(np.all(y >= -tol))
+
+
+class TestBasisCache:
+    def test_cached_bases_match_the_simplex(self):
+        rng = np.random.default_rng(5)
+        total_hits = 0
+        for _ in range(6):
+            model = random_recourse_model(rng)
+            space = random_discrete_space(rng, model, n_scenarios=200)
+            x = random_first_stage_point(rng, model)
+            bases = lplib.BasisCache(model.q, model.W, model.recourse_senses)
+            for real in space.realizations:
+                hits = bases.hits
+                cached = evaluate_subproblem(model, x, real, bases)
+                plain = evaluate_subproblem(model, x, real)
+                npt.assert_array_equal(cached.rhs, plain.rhs)
+                assert cached.value == pytest.approx(plain.value, rel=1e-9, abs=1e-12)
+                assert primal_feasible(model, cached.y, cached.rhs)
+                if bases.hits > hits:
+                    npt.assert_allclose(cached.duals, plain.duals, rtol=0.0, atol=1e-9)
+                else:
+                    npt.assert_array_equal(cached.duals, plain.duals)
+            assert bases.hits > 100
+            total_hits += bases.hits
+        assert total_hits > 900
+
+    def test_degenerate_rhs_goes_to_the_simplex(self):
+        model = tail_loss_model()
+        bases = lplib.BasisCache(model.q, model.W, model.recourse_senses)
+        x = np.array([1.0, 0.0, 0.2])
+        # rhs 0.3 > 0: the loss variable is basic at a positive value
+        evaluate_subproblem(model, x, tail_realization(model, (-0.5, 0.2)), bases)
+        assert bases.hits == 0
+        out = evaluate_subproblem(model, x, tail_realization(model, (-0.6, 0.2)), bases)
+        assert bases.hits == 1
+        assert out.value == pytest.approx(0.4, abs=1e-12)
+        # rhs exactly 0: that basis is degenerate there, so the simplex decides
+        before = lplib.solve_call_count()
+        real = tail_realization(model, (-0.2, 0.2))
+        out = evaluate_subproblem(model, x, real, bases)
+        assert out.rhs[0] == 0.0
+        assert bases.hits == 1
+        assert lplib.solve_call_count() == before + 1
+        plain = evaluate_subproblem(model, x, real)
+        assert out.value == plain.value
+        npt.assert_array_equal(out.duals, plain.duals)
+
+    def test_infeasible_rhs_raises_as_without_cache(self):
+        model = RecourseModel(
+            c=np.array([1.0]), A=np.array([[1.0]]), b=np.array([5.0]), senses=("<=",),
+            W=np.array([[1.0], [1.0]]), q=np.array([1.0]),
+            recourse_senses=("<=", ">="),
+            h_base=np.array([0.0, 4.0]), T_base=np.array([[-1.0], [0.0]]))
+        bases = lplib.BasisCache(model.q, model.W, model.recourse_senses)
+        evaluate_subproblem(model, np.array([5.0]), model.realization(), bases)
+        with pytest.raises(RecourseViolation) as cached:
+            evaluate_subproblem(model, np.array([1.0]), model.realization(), bases)
+        with pytest.raises(RecourseViolation) as plain:
+            evaluate_subproblem(model, np.array([1.0]), model.realization())
+        assert str(cached.value) == str(plain.value)
+
+
 class TestAggregatedMaster:
     def test_single_deterministic_cell_is_mean_value_lp(self):
         model = random_recourse_model(np.random.default_rng(7))

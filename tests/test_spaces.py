@@ -174,6 +174,9 @@ class TestGaussian:
         part = space.split_cell(part, "0.0", HyperplaneSplit((1.0, -1.0), 0.2))
         total = sum(c.mass * space.cell_mean_xi(c) for c in part.cells)
         npt.assert_allclose(total, space.pool.mean(axis=0), atol=1e-12)
+        for c in part.cells:
+            npt.assert_array_equal(space.cell_mean_xi(c),
+                                   space.pool[c.geometry.members].mean(axis=0))
 
     def test_seed_required_and_covariance_validated(self):
         model = gaussian_model()
