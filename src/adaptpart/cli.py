@@ -11,7 +11,7 @@ from . import lp as lplib
 from .engine import CONDITIONS, GAP, SolverConfig, run
 from .errors import AdaptPartError
 from .model import build_aggregated_master
-from .refiners import REFINERS, refiner_by_name
+from .refiners import auto_refiner
 from .reporting import write_run_report
 
 EXIT_OK = 0
@@ -27,7 +27,7 @@ def _parse_matrix(text: str) -> list[list[float]]:
     return [_parse_vector(row) for row in text.split(";") if row.strip() != ""]
 
 
-def _print_table(records, n_first: int) -> None:
+def _print_table(records) -> None:
     print("%5s %14s %14s %10s %7s" % ("iter", "lb", "ub", "gap%", "cells"))
     for r in records:
         ub = "%14.6f" % r.upper_bound if r.upper_bound is not None else "%14s" % "-"
@@ -53,11 +53,10 @@ def cmd_run(args) -> int:
     model = instances.document_to_model(doc)
     space = instances.document_to_space(doc, model, seed=args.seed,
                                         pool_size=args.mc_pool)
-    refiner = refiner_by_name(args.refiner, space)
     config = SolverConfig(epsilon=args.epsilon, max_iterations=args.max_iters,
                           upper_bound=args.upper_bound)
-    result = run(model, space, refiner, config)
-    _print_table(result.records, model.n_first)
+    result = run(model, space, auto_refiner(space), config)
+    _print_table(result.records)
     print("termination: %s after %d iterations (%.3f s, %d LP solves, %d from cached bases)" % (
         result.termination, result.stats["iterations"], result.stats["wall_time_s"],
         result.stats["lp_solves"], result.stats["basis_hits"]))
@@ -114,8 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sample pool seed (overrides the instance)")
     p_run.add_argument("--mc-pool", type=int, default=None,
                        help="sample pool size (overrides the instance)")
-    p_run.add_argument("--refiner", default="auto",
-                       choices=["auto"] + [r.name for r in REFINERS])
     p_run.add_argument("--upper-bound", default="auto", choices=["auto", "on", "off"])
     p_run.add_argument("--oracle", action="store_true",
                        help="also solve the extensive form (discrete instances)")

@@ -12,7 +12,8 @@ import numpy as np
 
 from . import lp as lplib
 from .errors import SolverFailure, ValidationError
-from .model import RecourseModel, build_aggregated_master, evaluate_subproblem
+from .model import RecourseModel, build_aggregated_master
+from .model import evaluate_subproblem  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .refiners import RefineContext, Refiner, auto_refiner
 from .refiners import rhs_dual_breakpoints  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .spaces import Partition, UncertaintySpace
@@ -102,8 +103,8 @@ def compute_upper_bound(model: RecourseModel, space: UncertaintySpace,
                         bases: lplib.BasisCache | None = None) -> float | None:
     """Exact expected cost of the incumbent by the backend's rule (see
     Refiner.upper_bound).  Mode "off" skips it; "auto" returns None when the
-    backend has no rule for this model, and "on" raises instead.  `bases`
-    is passed on to evaluate_subproblem."""
+    backend has no rule for this model, and "on" raises instead.  The
+    recourse LPs go through `bases`."""
     if mode == "off":
         return None
     value = auto_refiner(space).upper_bound(model, space, x_bar, bases)
@@ -129,10 +130,10 @@ def run(model: RecourseModel, space: UncertaintySpace, refiner: Refiner,
     available) bounds from above, and the refiner splits cells between
     iterations.  Stops on gap, on a partition that no longer changes (with
     the optimality conditions deciding between converged and stalled), or on
-    the iteration limit.  Every subproblem of the run shares one BasisCache,
-    since only the rhs changes between them (fixed recourse)."""
+    the iteration limit.  Every recourse LP of the run goes through one
+    BasisCache, since only the rhs changes between them (fixed recourse), so
+    the LP solves are the masters plus the cache's simplex calls."""
     refiner.check(space)
-    solves_before = lplib.solve_call_count()
     started = time.perf_counter()
     bases = lplib.BasisCache(model.q, model.W, model.recourse_senses)
     partition = space.trivial_partition()
@@ -155,10 +156,6 @@ def run(model: RecourseModel, space: UncertaintySpace, refiner: Refiner,
             upper = compute_upper_bound(model, space, x_bar, config.upper_bound, bases)
         if upper is not None:
             best_upper = upper if best_upper is None else min(best_upper, upper)
-        cell_outcomes = {
-            c.label: evaluate_subproblem(model, x_bar, model.realization(c.h_mean, c.t_mean),
-                                         bases)
-            for c in partition.cells}
         gap = relative_gap(lower, best_upper) if best_upper is not None else None
         records.append(IterationRecord(t, lower, upper, gap, len(partition), x_bar))
         partitions.append(partition)
@@ -167,7 +164,7 @@ def run(model: RecourseModel, space: UncertaintySpace, refiner: Refiner,
             break
         if t == config.max_iterations:
             break
-        ctx = RefineContext(model, space, partition, x_bar, cell_outcomes, bases)
+        ctx = RefineContext(model, space, partition, x_bar, bases)
         refined = refiner.refine(ctx)
         if refined is partition:
             termination = CONDITIONS if _conditions_hold(ctx) else STABILIZED
@@ -177,7 +174,7 @@ def run(model: RecourseModel, space: UncertaintySpace, refiner: Refiner,
     stats = {
         "iterations": len(records),
         "master_solves": len(records),
-        "lp_solves": lplib.solve_call_count() - solves_before,
+        "lp_solves": len(records) + bases.solves,
         "basis_hits": bases.hits,
         "wall_time_s": time.perf_counter() - started,
     }

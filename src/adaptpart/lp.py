@@ -30,13 +30,6 @@ _RATIO_TIE = 1e-9   # ratio-test tie tolerance
 _MAX_PIVOTS = 50_000
 _CACHED_BASES = 16  # bases a BasisCache keeps
 
-_solve_calls = 0
-
-
-def solve_call_count() -> int:
-    """Total number of solve() invocations in this process (for run statistics)."""
-    return _solve_calls
-
 
 @dataclass(frozen=True, eq=False)
 class StandardLp:
@@ -191,18 +184,20 @@ def _canonicalize(lp: StandardLp) -> _Canonical:
 
 
 class BasisCache:
-    """Optimal bases of one fixed-recourse family  min q.y : W y (senses) r,
-    y >= 0,  in which only r changes (bunching).
+    """Solves one fixed-recourse family  min q.y : W y (senses) r,  y >= 0,
+    in which only r changes, from its optimal bases where it can (bunching).
 
     The solve that found a basis certified it dual feasible, and dual
     feasibility does not depend on r, so the basis is optimal for a new r
-    once its basic values B^-1 r are nonnegative.  `lookup` accepts a basis
+    once its basic values B^-1 r are nonnegative.  A cached basis answers
     only when every basic value is strictly positive, so it is nondegenerate
     and its duals are the unique ones `solve` would return, and when the
-    point passes `_validate`'s per-row residual test.  Degenerate or
-    infeasible r is left to `solve`.  Canonical columns are those of
-    `_canonicalize`: one per y, then one slack per inequality row; sign
-    folding of rows leaves B^-1 r and the duals unchanged.
+    point passes `_validate`'s per-row residual test.  Any other r goes to
+    the simplex, which `solves` counts, and an optimal basis it finds joins
+    the cache.  `hits` counts the answers from cached bases.  Canonical
+    columns are those of `_canonicalize`: one per y, then one slack per
+    inequality row; sign folding of rows leaves B^-1 r and the duals
+    unchanged.
     """
 
     def __init__(self, objective, matrix, senses):
@@ -214,10 +209,19 @@ class BasisCache:
         # (basis, B^-1, duals), most recently hit first
         self._entries: list[tuple[tuple[int, ...], np.ndarray, np.ndarray]] = []
         self.hits = 0
+        self.solves = 0
 
-    def lookup(self, rhs: np.ndarray) -> LpSolution | None:
-        """The optimum at rhs from a cached basis, or None when no cached
-        basis passes the checks."""
+    def solve(self, rhs: np.ndarray) -> LpSolution:
+        """The solution of the family at rhs, from a cached basis or the simplex."""
+        sol = self._lookup(rhs)
+        if sol is None:
+            fam = self._family
+            sol = solve(StandardLp(fam.objective, fam.matrix, rhs, fam.senses))
+            self.solves += 1
+            self._add(sol)
+        return sol
+
+    def _lookup(self, rhs: np.ndarray) -> LpSolution | None:
         fam = self._family
         floor = FEAS_TOL * (1.0 + float(np.abs(rhs).max(initial=0.0)))
         for k, (basis, inv, duals) in enumerate(self._entries):
@@ -235,10 +239,10 @@ class BasisCache:
                               basis, self._all_rows)
         return None
 
-    def add(self, sol: LpSolution) -> None:
-        """Keep the basis of a solve of this family if it is optimal and kept
-        every row; known and singular bases are skipped, and the least
-        recently hit basis goes when the cache is full."""
+    def _add(self, sol: LpSolution) -> None:
+        """Keep an optimal basis that kept every row; known and singular
+        bases are skipped, and the least recently hit basis goes when the
+        cache is full."""
         if sol.status != OPTIMAL or sol.kept_rows != self._all_rows:
             return
         if any(set(basis) == set(sol.basis) for basis, _, _ in self._entries):
@@ -297,9 +301,6 @@ def solve(lp: StandardLp) -> LpSolution:
     (entering: largest reduced-cost violation, lowest-index ties, Bland's rule
     after a degeneracy stall; leaving: first row among ratio ties) yield
     identical bases on identical input."""
-    global _solve_calls
-    _solve_calls += 1
-
     canon = _canonicalize(lp)
     m_c, n_c = canon.A.shape
 
@@ -428,7 +429,8 @@ def rhs_ranging(lp: StandardLp, sol: LpSolution, row: int) -> RangingInterval:
     """Maximal interval for lp.rhs[row] over which sol's basis stays optimal.
 
     The dual vector is constant on the interval.  Under degeneracy the interval
-    may have zero width.  Requires an optimal solution produced by solve(lp).
+    may have zero width.  Requires an optimal solution of lp with its basis,
+    from solve(lp) or BasisCache.solve.
     """
     if not 0 <= row < lp.n_rows:
         raise ValidationError(f"row {row} out of range for {lp.n_rows} rows")

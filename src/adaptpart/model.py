@@ -161,30 +161,23 @@ def subproblem_lp(model: RecourseModel, x, realization: Realization) -> lplib.St
 
 def evaluate_subproblem(model: RecourseModel, x, realization: Realization,
                         bases: lplib.BasisCache | None = None) -> SubproblemOutcome:
-    """Solve the recourse problem at (x, realization).
-
-    `bases`, a BasisCache built from model.q, model.W and
-    model.recourse_senses, answers from a cached optimal basis when one is
-    nondegenerate and feasible at the new rhs; otherwise the simplex runs and
-    its basis joins the cache.  Without it every call runs the simplex.
+    """Solve the recourse problem at (x, realization) through `bases`, a
+    BasisCache built from model.q, model.W and model.recourse_senses (see
+    BasisCache.solve).  Without it a fresh cache runs the simplex.
 
     Raises RecourseViolation naming the offending realization if the
     subproblem is infeasible or unbounded.
     """
-    if bases is not None:
-        rhs = realization.h - realization.T @ np.asarray(x, dtype=float)
-        sol = bases.lookup(rhs)
-        if sol is not None:
-            return SubproblemOutcome(sol.objective, sol.x, sol.duals, rhs)
-    problem = subproblem_lp(model, x, realization)
-    sol = lplib.solve(problem)
+    if bases is None:
+        bases = lplib.BasisCache(model.q, model.W, model.recourse_senses)
+    x = np.asarray(x, dtype=float)
+    rhs = realization.h - realization.T @ x
+    sol = bases.solve(rhs)
     if sol.status != lplib.OPTIMAL:
         raise RecourseViolation(
-            f"recourse subproblem {sol.status} at x={np.asarray(x, dtype=float)} "
-            f"for realization with h={realization.h}, rhs={problem.rhs}")
-    if bases is not None:
-        bases.add(sol)
-    return SubproblemOutcome(sol.objective, sol.x, sol.duals, problem.rhs)
+            f"recourse subproblem {sol.status} at x={x} "
+            f"for realization with h={realization.h}, rhs={rhs}")
+    return SubproblemOutcome(sol.objective, sol.x, sol.duals, rhs)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import numpy as np
 from . import lp as lplib
 from .analytics import cvar_analytic_ub
 from .errors import RecourseViolation, ValidationError
-from .model import RecourseModel, SubproblemOutcome, evaluate_subproblem, subproblem_lp
+from .model import RecourseModel, evaluate_subproblem, subproblem_lp
 from .spaces import (Breakpoints, DiscreteSpace, GaussianTechnologySpace,
                      HyperplaneSplit, Partition, ScenarioRegroup, UncertaintySpace,
                      UniformRhsSpace)
@@ -30,19 +30,18 @@ CONDITION_SAMPLE_CAP = 128
 
 @dataclass
 class RefineContext:
-    """What a refiner may consult at one iteration: the incumbent, the
-    partition it was computed on, and the per-cell aggregated outcomes.
+    """What a refiner may consult at one iteration: the incumbent and the
+    partition it was computed on.
 
     Member-level subproblem solves are cached so the refiner and any later
-    condition check share work; `bases` answers them from known optimal
-    bases where it can (see evaluate_subproblem).
+    condition check share work; every recourse LP goes through `bases`, the
+    run's BasisCache (see evaluate_subproblem).
     """
 
     model: RecourseModel
     space: UncertaintySpace
     partition: Partition
     x_bar: np.ndarray
-    cell_outcomes: dict[str, SubproblemOutcome]
     bases: lplib.BasisCache | None = None
     _atoms: dict = field(default_factory=dict, repr=False)
 
@@ -78,8 +77,8 @@ class Refiner(ABC):
                     x_bar: np.ndarray,
                     bases: lplib.BasisCache | None = None) -> float | None:
         """Exact expected cost c.x + E[Q(x, xi)] of the incumbent, or None
-        when the backend has no exact rule for this model.  `bases` is
-        passed on to evaluate_subproblem."""
+        when the backend has no exact rule for this model.  The recourse
+        LPs go through `bases`."""
 
 
 # ------------------------------------------------------------ dual clustering
@@ -132,15 +131,17 @@ class DualClusteringRefiner(Refiner):
 
 # ------------------------------------------------------------- rhs ranging
 
-def rhs_dual_breakpoints(model: RecourseModel, space: UniformRhsSpace,
-                         x_bar: np.ndarray, lo: float, hi: float) -> list[float]:
-    """Left-to-right sweep of the random rhs component over [lo, hi] at the
-    incumbent: solve the subproblem, take the maximal dual-constant segment
-    from rhs ranging, hop to its right end.  Returns the interior breakpoints
-    in increasing order.  Zero-width segments (degeneracy) advance the probe
-    by DEGENERACY_STEP_FRAC*(hi-lo) so the sweep always terminates."""
-    if not lo < hi:
-        raise ValidationError("sweep needs lo < hi")
+def rhs_dual_breakpoints(model: RecourseModel, space: UniformRhsSpace, x_bar: np.ndarray,
+                         bases: lplib.BasisCache | None = None) -> list[float]:
+    """Left-to-right sweep of the random rhs component over the support at
+    the incumbent: solve the subproblem through `bases` (a fresh cache when
+    None), take the maximal dual-constant segment from rhs ranging, hop to
+    its right end.  Returns the interior breakpoints in increasing order.
+    Zero-width segments (degeneracy) advance the probe by
+    DEGENERACY_STEP_FRAC*(hi-lo) so the sweep always terminates."""
+    if bases is None:
+        bases = lplib.BasisCache(model.q, model.W, model.recourse_senses)
+    lo, hi = space.lo, space.hi
     step = DEGENERACY_STEP_FRAC * (hi - lo)
     # the LP rhs at the random row is xi - T[row] @ x_bar
     offset = float(model.T_base[space.row] @ x_bar)
@@ -148,7 +149,7 @@ def rhs_dual_breakpoints(model: RecourseModel, space: UniformRhsSpace,
     xi = lo
     while xi < hi - step:
         prob = subproblem_lp(model, x_bar, space.realization_at(xi))
-        sol = lplib.solve(prob)
+        sol = bases.solve(prob.rhs)
         if sol.status != lplib.OPTIMAL:
             raise RecourseViolation(
                 f"subproblem {sol.status} at rhs component value {xi:.6g}")
@@ -166,23 +167,23 @@ def rhs_dual_breakpoints(model: RecourseModel, space: UniformRhsSpace,
 
 class RangingRefiner(Refiner):
     """Split interval cells at the dual breakpoints of the recourse value,
-    located by rhs ranging along each cell."""
+    located by one rhs ranging sweep over the support; each cell keeps the
+    points inside it."""
 
     name = "ranging"
     space_type = UniformRhsSpace
 
     def refine(self, ctx: RefineContext) -> Partition:
+        splitter = Breakpoints(tuple(rhs_dual_breakpoints(ctx.model, ctx.space, ctx.x_bar,
+                                                          ctx.bases)))
         part = ctx.partition
         for cell in ctx.partition.cells:
-            lo, hi = cell.geometry.lo, cell.geometry.hi
-            points = rhs_dual_breakpoints(ctx.model, ctx.space, ctx.x_bar, lo, hi)
-            if points:
-                part = ctx.space.split_cell(part, cell.label, Breakpoints(tuple(points)))
+            part = ctx.space.split_cell(part, cell.label, splitter)
         return part
 
     def upper_bound(self, model, space, x_bar, bases=None):
         """Closed-form integration of the piecewise linear recourse value."""
-        points = rhs_dual_breakpoints(model, space, x_bar, space.lo, space.hi)
+        points = rhs_dual_breakpoints(model, space, x_bar, bases)
         edges = [space.lo] + points + [space.hi]
         expected = 0.0
         # the recourse value is linear on each segment, so the midpoint

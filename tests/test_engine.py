@@ -11,7 +11,8 @@ from adaptpart.engine import (CONDITIONS, GAP, ITERATION_LIMIT, SolverConfig,
 from adaptpart.instances import (cvar_document, document_to_model,
                                  document_to_space, lands_document)
 from adaptpart.model import evaluate_subproblem
-from adaptpart.refiners import DualClusteringRefiner, RangingRefiner, auto_refiner
+from adaptpart.refiners import (DualClusteringRefiner, RangingRefiner, auto_refiner,
+                                rhs_dual_breakpoints)
 from adaptpart.spaces import DiscreteSpace, UniformRhsSpace
 
 from _generators import random_discrete_space, random_recourse_model
@@ -233,3 +234,27 @@ class TestBasisReuse:
         for prev, rec in zip(result.records, result.records[1:]):
             if rec.incumbent.tobytes() == prev.incumbent.tobytes():
                 assert rec.upper_bound == prev.upper_bound
+
+    def test_gap_stop_without_refiner_solves_takes_only_masters(self):
+        # the hyperplane refiner solves no subproblem and a gap stop skips
+        # the condition check, so only the masters reach the simplex
+        doc = cvar_document(seed=0, pool_size=2000)
+        model = document_to_model(doc)
+        space = document_to_space(doc, model)
+        result = run(model, space, auto_refiner(space), SolverConfig(epsilon=0.01))
+        assert result.termination == GAP
+        assert len(result.records) == 7
+        assert result.stats["lp_solves"] == len(result.records)
+        assert result.stats["basis_hits"] == 0
+
+    def test_shared_cache_sweeps_find_the_fresh_breakpoints(self):
+        model, space = lands_pair()
+        result = run(model, space, RangingRefiner(), SolverConfig(epsilon=1e-6))
+        incumbents = {r.incumbent.tobytes(): r.incumbent for r in result.records}
+        assert len(incumbents) >= 4
+        shared = lplib.BasisCache(model.q, model.W, model.recourse_senses)
+        for x_bar in incumbents.values():
+            fresh = rhs_dual_breakpoints(model, space, x_bar)
+            npt.assert_allclose(rhs_dual_breakpoints(model, space, x_bar, shared), fresh,
+                                rtol=0.0, atol=1e-12)
+        assert shared.hits > 0

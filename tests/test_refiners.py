@@ -3,13 +3,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from adaptpart import refiners
 from adaptpart.errors import ValidationError
 from adaptpart.model import RandomLayout, RecourseModel, TechEntry
 from adaptpart.refiners import (DualClusteringRefiner, HyperplaneRefiner,
                                 RangingRefiner, RefineContext, auto_refiner,
                                 dual_switch_hyperplanes, group_scenarios_by_dual,
                                 refiner_by_name, rhs_dual_breakpoints)
-from adaptpart.spaces import (DiscreteSpace, GaussianTechnologySpace,
+from adaptpart.spaces import (Breakpoints, DiscreteSpace, GaussianTechnologySpace,
                               UniformRhsSpace)
 
 from _generators import random_discrete_space, random_recourse_model
@@ -43,7 +44,7 @@ def two_piece_model() -> RecourseModel:
 def context_for(model, space, x_bar):
     return RefineContext(model=model, space=space,
                          partition=space.trivial_partition(),
-                         x_bar=np.asarray(x_bar, dtype=float), cell_outcomes={})
+                         x_bar=np.asarray(x_bar, dtype=float))
 
 
 class TestDualGrouping:
@@ -76,7 +77,7 @@ class TestDualGrouping:
         ctx = context_for(model, space, x_bar)
         part1 = refiner.refine(ctx)
         ctx2 = RefineContext(model=model, space=space, partition=part1,
-                             x_bar=ctx.x_bar, cell_outcomes={})
+                             x_bar=ctx.x_bar)
         part2 = refiner.refine(ctx2)
         assert part2 is part1
 
@@ -96,7 +97,7 @@ class TestRanging:
         model = two_piece_model()
         space = UniformRhsSpace(model, 1, 0.0, 4.0)
         x_bar = np.array([0.0])
-        bps = rhs_dual_breakpoints(model, space, x_bar, 0.0, 4.0)
+        bps = rhs_dual_breakpoints(model, space, x_bar)
         assert len(bps) == 1
         assert bps[0] == pytest.approx(2.0, abs=1e-6)
 
@@ -114,7 +115,7 @@ class TestRanging:
         model = shortage_model()
         space = UniformRhsSpace(model, 0, 0.0, 5.0)
         for xv in (1.0, 2.5, 4.0):
-            bps = rhs_dual_breakpoints(model, space, np.array([xv]), 0.0, 5.0)
+            bps = rhs_dual_breakpoints(model, space, np.array([xv]))
             assert len(bps) == 1
             # dual switches where demand crosses capacity: xi - x = 0
             assert bps[0] == pytest.approx(xv, abs=1e-6)
@@ -137,19 +138,38 @@ class TestRanging:
         edges = set()
         for xv in (2.0, 3.0, 1.0):
             ctx = RefineContext(model=model, space=space, partition=part,
-                                x_bar=np.array([xv]), cell_outcomes={})
+                                x_bar=np.array([xv]))
             part = refiner.refine(ctx)
             edges.add(xv)
             los = sorted(c.geometry.lo for c in part.cells)
             expected = sorted({0.0} | edges)
             npt.assert_allclose(los, expected, atol=1e-6)
 
+    def test_one_sweep_serves_every_cell(self, monkeypatch):
+        model = shortage_model()
+        space = UniformRhsSpace(model, 0, 0.0, 5.0)
+        part = space.split_cell(space.trivial_partition(), "0", Breakpoints((1.0, 3.0)))
+        assert len(part) == 3
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return rhs_dual_breakpoints(*args, **kwargs)
+
+        monkeypatch.setattr(refiners, "rhs_dual_breakpoints", counting)
+        ctx = RefineContext(model=model, space=space, partition=part,
+                            x_bar=np.array([2.0]))
+        refined = RangingRefiner().refine(ctx)
+        assert len(calls) == 1
+        npt.assert_allclose(sorted(c.geometry.lo for c in refined.cells),
+                            [0.0, 1.0, 2.0, 3.0], atol=1e-6)
+
     def test_no_breakpoint_means_identity(self):
         model = shortage_model()
         space = UniformRhsSpace(model, 0, 0.0, 5.0)
         part = space.trivial_partition()
         ctx = RefineContext(model=model, space=space, partition=part,
-                            x_bar=np.array([9.0]), cell_outcomes={})
+                            x_bar=np.array([9.0]))
         assert RangingRefiner().refine(ctx) is part
 
 
@@ -199,7 +219,7 @@ class TestHyperplane:
         part = space.trivial_partition()
         # incumbent with an empty portfolio produces a zero cut normal
         ctx = RefineContext(model=model, space=space, partition=part,
-                            x_bar=np.array([0.0, 0.0, 0.5]), cell_outcomes={})
+                            x_bar=np.array([0.0, 0.0, 0.5]))
         assert HyperplaneRefiner().refine(ctx) is part
 
     def test_cut_missing_every_member_is_identity(self):
@@ -208,7 +228,7 @@ class TestHyperplane:
             model, np.zeros(2), np.eye(2), seed=6, pool_size=2000)
         part = space.trivial_partition()
         ctx = RefineContext(model=model, space=space, partition=part,
-                            x_bar=np.array([1.0, 0.0, 50.0]), cell_outcomes={})
+                            x_bar=np.array([1.0, 0.0, 50.0]))
         assert HyperplaneRefiner().refine(ctx) is part
 
 
