@@ -8,7 +8,7 @@ an aggregated master over the cells' conditional means (a lower bound), and
 refines cells guided by subproblem duals until the bounds meet.
 """
 
-from .analytics import cvar_analytic_ub, empirical_cvar, norm_cdf, norm_pdf, norm_ppf
+from .analytics import empirical_cvar
 from .engine import (CONDITIONS, GAP, ITERATION_LIMIT, STABILIZED,
                      IterationRecord, SolveResult, SolverConfig,
                      check_conditions, compute_upper_bound, relative_gap, run)
@@ -19,8 +19,7 @@ from .instances import (cvar_document, document_to_model, document_to_space,
                         write_document)
 from .model import (CvarMarker, MasterMap, RandomLayout, Realization,
                     RecourseModel, SubproblemOutcome, TechEntry,
-                    build_aggregated_master, evaluate_subproblem,
-                    extract_cell_duals, subproblem_lp)
+                    build_aggregated_master, evaluate_subproblem, subproblem_lp)
 from .refiners import (REFINERS, DualClusteringRefiner, HyperplaneRefiner,
                        RangingRefiner, RefineContext, Refiner, auto_refiner,
                        refiner_by_name, rhs_dual_breakpoints)
@@ -34,13 +33,13 @@ __all__ = [
     "GaussianTechnologySpace",
     "RecourseModel", "Realization", "SubproblemOutcome", "RandomLayout",
     "TechEntry", "CvarMarker", "MasterMap", "build_aggregated_master",
-    "extract_cell_duals", "subproblem_lp", "evaluate_subproblem",
+    "subproblem_lp", "evaluate_subproblem",
     "Refiner", "RefineContext", "DualClusteringRefiner", "RangingRefiner",
     "HyperplaneRefiner", "REFINERS", "auto_refiner", "refiner_by_name", "rhs_dual_breakpoints",
     "SolverConfig", "SolveResult", "IterationRecord", "run", "check_conditions",
     "compute_upper_bound", "relative_gap",
     "GAP", "CONDITIONS", "STABILIZED", "ITERATION_LIMIT",
-    "norm_pdf", "norm_cdf", "norm_ppf", "cvar_analytic_ub", "empirical_cvar",
+    "empirical_cvar",
     "lands_document", "cvar_document", "document_to_model", "document_to_space",
     "load_document", "write_document", "validate_document",
     "iteration_csv_text", "partition_trace", "run_summary", "write_run_report",

@@ -1,97 +1,7 @@
-"""Standard-normal helpers and the closed-form normal tail-risk bound.
-
-The quantile uses Wichura's PPND16 rational approximation (absolute error
-below 1e-8 across (0, 1)), so results are bit-reproducible without pulling in
-a statistics dependency.
-"""
+"""Sample tail average, the reference value of the tail-risk portfolio."""
 from __future__ import annotations
 
-import math
-
 import numpy as np
-
-from .errors import ValidationError
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
-def norm_pdf(z: float) -> float:
-    return math.exp(-0.5 * z * z) / _SQRT_2PI
-
-
-def norm_cdf(z: float) -> float:
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
-
-
-# PPND16 coefficients (Wichura, Applied Statistics algorithm AS 241).
-_A = (3.3871328727963666080e0, 1.3314166789178437745e2, 1.9715909503065514427e3,
-      1.3731693765509461125e4, 4.5921953931549871457e4, 6.7265770927008700853e4,
-      3.3430575583588128105e4, 2.5090809287301226727e3)
-_B = (1.0, 4.2313330701600911252e1, 6.8718700749205790830e2, 5.3941960214247511077e3,
-      2.1213794301586595867e4, 3.9307895800092710610e4, 2.8729085735721942674e4,
-      5.2264952788528545610e3)
-_C = (1.42343711074968357734e0, 4.63033784615654529590e0, 5.76949722146069140550e0,
-      3.64784832476320460504e0, 1.27045825245236838258e0, 2.41780725177450611770e-1,
-      2.27238449892691845833e-2, 7.74545014278341407640e-4)
-_D = (1.0, 2.05319162663775882187e0, 1.67638483018380384940e0, 6.89767334985100004550e-1,
-      1.48103976427480074590e-1, 1.51986665636164571966e-2, 5.47593808499534494600e-4,
-      1.05075007164441684324e-9)
-_E = (6.65790464350110377720e0, 5.46378491116411436990e0, 1.78482653991729133580e0,
-      2.96560571828504891230e-1, 2.65321895265761230930e-2, 1.24266094738807843860e-3,
-      2.71155556874348757815e-5, 2.01033439929228813265e-7)
-_F = (1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1, 1.48753612908506148525e-2,
-      7.86869131145613259100e-4, 1.84631831751005468180e-5, 1.42151175831644588870e-7,
-      2.04426310338993978564e-15)
-
-
-def _poly(coeffs, r: float) -> float:
-    out = 0.0
-    for c in reversed(coeffs):
-        out = out * r + c
-    return out
-
-
-def norm_ppf(p: float) -> float:
-    """Inverse standard-normal CDF."""
-    if not 0.0 <= p <= 1.0 or math.isnan(p):
-        raise ValidationError(f"quantile level must lie in [0, 1], got {p}")
-    if p == 0.0:
-        return -math.inf
-    if p == 1.0:
-        return math.inf
-    q = p - 0.5
-    if abs(q) <= 0.425:
-        r = 0.180625 - q * q
-        return q * _poly(_A, r) / _poly(_B, r)
-    r = p if q < 0 else 1.0 - p
-    r = math.sqrt(-math.log(r))
-    if r <= 5.0:
-        z = _poly(_C, r - 1.6) / _poly(_D, r - 1.6)
-    else:
-        z = _poly(_E, r - 5.0) / _poly(_F, r - 5.0)
-    return -z if q < 0 else z
-
-
-def cvar_analytic_ub(mu, sigma, delta: float, x) -> float:
-    """Tail conditional expectation of the loss -x.r for r ~ N(mu, sigma):
-
-        -mu.x + sqrt(x.Sigma.x) * pdf(ppf(delta)) / delta
-
-    This is the exact delta-tail CVaR of a normal loss, hence an upper bound
-    on the portfolio problem's optimum evaluated at any feasible x.
-    """
-    if not 0.0 < delta <= 1.0:
-        raise ValidationError(f"tail probability must lie in (0, 1], got {delta}")
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
-    mean_loss = -float(mu @ x)
-    var = float(x @ sigma @ x)
-    if var <= 0.0:
-        return mean_loss
-    if delta >= 1.0 - 1e-12:
-        return mean_loss
-    return mean_loss + math.sqrt(var) * norm_pdf(norm_ppf(delta)) / delta
 
 
 def empirical_cvar(losses, delta: float) -> float:

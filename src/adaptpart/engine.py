@@ -1,7 +1,6 @@
 """Iterative solve loop: aggregated master over the current partition, exact
-or closed-form upper bounds where the backend allows one, optimality
-condition checks, and refinement until the gap closes or the partition
-stabilizes."""
+upper bounds where the backend allows one, optimality condition checks, and
+refinement until the gap closes or the partition stabilizes."""
 from __future__ import annotations
 
 import math
@@ -130,9 +129,11 @@ def run(model: RecourseModel, space: UncertaintySpace, refiner: Refiner,
     available) bounds from above, and the refiner splits cells between
     iterations.  Stops on gap, on a partition that no longer changes (with
     the optimality conditions deciding between converged and stalled), or on
-    the iteration limit.  Every recourse LP of the run goes through one
-    BasisCache, since only the rhs changes between them (fixed recourse), so
-    the LP solves are the masters plus the cache's simplex calls."""
+    the iteration limit.  Both bounds describe one problem, so a gap below
+    -max(epsilon, lp.DUALITY_TOL) raises SolverFailure.  Every recourse LP of
+    the run goes through one BasisCache, since only the rhs changes between
+    them (fixed recourse), so the LP solves are the masters plus the cache's
+    simplex calls."""
     refiner.check(space)
     started = time.perf_counter()
     bases = lplib.BasisCache(model.q, model.W, model.recourse_senses)
@@ -157,6 +158,9 @@ def run(model: RecourseModel, space: UncertaintySpace, refiner: Refiner,
         if upper is not None:
             best_upper = upper if best_upper is None else min(best_upper, upper)
         gap = relative_gap(lower, best_upper) if best_upper is not None else None
+        if gap is not None and gap < -max(config.epsilon, lplib.DUALITY_TOL):
+            raise SolverFailure(f"upper bound {best_upper!r} below lower bound {lower!r} "
+                                f"at iteration {t} (gap {gap:.3e})")
         records.append(IterationRecord(t, lower, upper, gap, len(partition), x_bar))
         partitions.append(partition)
         if gap is not None and gap < config.epsilon:

@@ -37,7 +37,9 @@ class RandomLayout:
 @dataclass(frozen=True)
 class CvarMarker:
     """Marks a model as a tail-risk portfolio problem: first-stage variable
-    `tau_col` is the threshold and `delta` the tail probability."""
+    `tau_col` is the threshold and `delta` the tail probability.  The model's
+    recourse must then be the tail loss  z >= h - T x  priced at 1/delta:
+    one `>=` row, W = [[1]] and q = [1/delta]."""
 
     delta: float
     tau_col: int
@@ -113,6 +115,8 @@ class RecourseModel:
         for row in self.layout.rhs_rows:
             if not 0 <= row < W.shape[0]:
                 raise ValidationError(f"random rhs row {row} out of range")
+        if self.cvar is not None:
+            _check_tail_loss(W, q, rsenses, self.cvar.delta)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
@@ -152,6 +156,19 @@ class RecourseModel:
                            self.T_base if T is None else T, weight)
 
 
+def _check_tail_loss(W, q, senses, delta: float) -> None:
+    """Reject a cvar marker on any recourse but the tail loss it promises."""
+    if not 0.0 < delta <= 1.0:
+        raise ValidationError(f"cvar marker needs delta in (0, 1], got {delta}")
+    if senses != (">=",):
+        raise ValidationError(f"cvar marker needs recourse.senses = ['>='], got {list(senses)}")
+    if W.shape != (1, 1) or W[0, 0] != 1.0:
+        raise ValidationError(f"cvar marker needs recourse.W = [[1]], got {W.tolist()}")
+    if abs(q[0] * delta - 1.0) > 1e-12:
+        raise ValidationError(f"cvar marker needs recourse.q = [1/delta] = [{1.0 / delta!r}], "
+                              f"got {q.tolist()}")
+
+
 def subproblem_lp(model: RecourseModel, x, realization: Realization) -> lplib.StandardLp:
     """The recourse LP  min q.y : W y (senses) h - T x, y >= 0  at a point."""
     x = np.asarray(x, dtype=float)
@@ -182,13 +199,9 @@ def evaluate_subproblem(model: RecourseModel, x, realization: Realization,
 
 @dataclass(frozen=True)
 class MasterMap:
-    """Column/row bookkeeping for an aggregated master program."""
+    """Where the first-stage columns sit in an aggregated master program."""
 
     n_first: int
-    n_second: int
-    n_first_rows: int
-    n_recourse_rows: int
-    masses: tuple[float, ...]
 
     def first_stage(self, sol: lplib.LpSolution) -> np.ndarray:
         return np.array(sol.x[: self.n_first])
@@ -233,16 +246,4 @@ def build_aggregated_master(model: RecourseModel, cells) -> tuple[lplib.Standard
     lower = np.concatenate([model.x_lower, np.zeros(K * n2)])
     upper = np.concatenate([model.x_upper, np.full(K * n2, np.inf)])
     master = lplib.StandardLp(obj, M, rhs, tuple(senses), lower, upper)
-    return master, MasterMap(n1, n2, mf, m, tuple(float(v) for v in masses))
-
-
-def extract_cell_duals(sol: lplib.LpSolution, cmap: MasterMap) -> list[np.ndarray]:
-    """Per-cell dual blocks of a solved master, rescaled by 1/mass so each block
-    is a dual vector of that cell's own recourse problem."""
-    if sol.status != lplib.OPTIMAL:
-        raise ValidationError("cell duals require an optimal master solution")
-    out = []
-    for k, mass in enumerate(cmap.masses):
-        r0 = cmap.n_first_rows + k * cmap.n_recourse_rows
-        out.append(np.array(sol.duals[r0: r0 + cmap.n_recourse_rows]) / mass)
-    return out
+    return master, MasterMap(n1)

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lp as lplib
-from .analytics import cvar_analytic_ub
 from .errors import RecourseViolation, ValidationError
 from .model import RecourseModel, evaluate_subproblem, subproblem_lp
 from .spaces import (Breakpoints, DiscreteSpace, GaussianTechnologySpace,
@@ -199,9 +198,10 @@ class RangingRefiner(Refiner):
 
 def dual_switch_hyperplanes(model: RecourseModel, x_bar: np.ndarray,
                             dim: int) -> list[tuple[np.ndarray, float]]:
-    """One hyperplane a.xi = d0 per recourse row carrying random technology
-    entries: the locus where that row's subproblem rhs crosses zero at the
-    incumbent, which is where its optimal dual switches value."""
+    """One pair (a, d0) per recourse row carrying random technology entries,
+    such that the row's subproblem rhs at the incumbent is d0 - a.xi.  The
+    hyperplane a.xi = d0 is where that rhs crosses zero, which is where the
+    row's optimal dual switches value; a zero normal is kept."""
     by_row: dict[int, list] = {}
     for e in model.layout.tech_entries:
         by_row.setdefault(e.row, []).append(e)
@@ -213,25 +213,14 @@ def dual_switch_hyperplanes(model: RecourseModel, x_bar: np.ndarray,
             a[e.component] += e.scale * x_bar[e.col]
             # realizations replace (not add to) the base entry
             base_det -= model.T_base[e.row, e.col] * x_bar[e.col]
-        d0 = float(model.h_base[row]) - base_det
-        if np.abs(a).max() > 1e-12:
-            cuts.append((a, d0))
+        cuts.append((a, float(model.h_base[row]) - base_det))
     return cuts
-
-
-def loss_vector(model: RecourseModel, x_bar: np.ndarray, dim: int) -> np.ndarray:
-    """Coefficients w with w.xi equal to the random part of the technology
-    rows applied to the incumbent; for the tail-risk model this is the
-    portfolio vector."""
-    a = np.zeros(dim)
-    for e in model.layout.tech_entries:
-        a[e.component] += e.scale * x_bar[e.col]
-    return a
 
 
 class HyperplaneRefiner(Refiner):
     """Cut every region cell along the dual-switch hyperplane(s) of the
-    incumbent; one-sided cells pass through unchanged."""
+    incumbent; one-sided cells (every cell, for a zero normal) pass through
+    unchanged."""
 
     name = "hyperplane"
     space_type = GaussianTechnologySpace
@@ -246,11 +235,14 @@ class HyperplaneRefiner(Refiner):
         return part
 
     def upper_bound(self, model, space, x_bar, bases=None):
-        """Closed-form normal tail expectation; tail-risk models only."""
+        """Pool-average cost, the exact objective of the sample problem whose
+        cells the master aggregates; tail-risk models only, whose recourse
+        value is q0 * max(0, d0 - a.xi) on their single row."""
         if model.cvar is None:
             return None
-        w = loss_vector(model, x_bar, space.dim)
-        return float(cvar_analytic_ub(space.mu, space.sigma, model.cvar.delta, w))
+        (a, d0), = dual_switch_hyperplanes(model, x_bar, space.dim)
+        shortfall = np.maximum(d0 - space.pool @ a, 0.0)
+        return float(model.c @ x_bar + model.q[0] * shortfall.mean())
 
 
 REFINERS = (DualClusteringRefiner, RangingRefiner, HyperplaneRefiner)

@@ -3,16 +3,18 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from adaptpart import engine
+from adaptpart import engine, refiners
 from adaptpart import lp as lplib
+from adaptpart.analytics import empirical_cvar
 from adaptpart.engine import (CONDITIONS, GAP, ITERATION_LIMIT, SolverConfig,
                               check_conditions, compute_upper_bound,
                               relative_gap, run)
+from adaptpart.errors import SolverFailure
 from adaptpart.instances import (cvar_document, document_to_model,
                                  document_to_space, lands_document)
 from adaptpart.model import evaluate_subproblem
-from adaptpart.refiners import (DualClusteringRefiner, RangingRefiner, auto_refiner,
-                                rhs_dual_breakpoints)
+from adaptpart.refiners import (DualClusteringRefiner, HyperplaneRefiner, RangingRefiner,
+                                auto_refiner, rhs_dual_breakpoints)
 from adaptpart.spaces import DiscreteSpace, UniformRhsSpace
 
 from _generators import random_discrete_space, random_recourse_model
@@ -87,6 +89,21 @@ class TestUpperBound:
         with pytest.raises(Exception):
             compute_upper_bound(model, space, x, "on")
 
+    def test_tail_risk_is_the_pool_tail_average(self):
+        # at the pool's value-at-risk threshold the bound is the pool's
+        # sample tail average of the portfolio loss
+        doc = cvar_document(seed=3, pool_size=5000)
+        model = document_to_model(doc)
+        space = document_to_space(doc, model)
+        w = np.array([0.3, 0.7])
+        losses = -(space.pool @ w)
+        tau = float(np.quantile(losses, 1.0 - model.cvar.delta))
+        ub = compute_upper_bound(model, space, np.array([*w, tau]), "on")
+        assert ub == pytest.approx(empirical_cvar(losses, model.cvar.delta), rel=1e-12)
+        # an empty portfolio has no random loss, so only the threshold shortfall is paid
+        ub = compute_upper_bound(model, space, np.array([0.0, 0.0, -0.5]), "on")
+        assert ub == pytest.approx(-0.5 + 0.5 / model.cvar.delta, rel=1e-12)
+
     def test_energy_instance_first_iteration_value(self):
         model, space = lands_pair()
         x_bar = np.array([5.0 / 6.0, 3.0, 25.0 / 6.0, 4.0])
@@ -131,6 +148,58 @@ class TestTermination:
                      SolverConfig(epsilon=1e-15, upper_bound="off"))
         assert result.termination == CONDITIONS
         assert result.best_upper is None
+
+    def test_negative_gap_is_an_error(self, monkeypatch):
+        class UnderBound(HyperplaneRefiner):
+            def upper_bound(self, model, space, x_bar, bases=None):
+                return super().upper_bound(model, space, x_bar, bases) - 1.0
+
+        # the run's upper bound is the backend refiner's rule
+        monkeypatch.setattr(refiners, "REFINERS",
+                            (DualClusteringRefiner, RangingRefiner, UnderBound))
+        doc = cvar_document(seed=0, pool_size=2000)
+        model = document_to_model(doc)
+        space = document_to_space(doc, model)
+        with pytest.raises(SolverFailure, match=r"below lower bound .* at iteration \d+ "):
+            run(model, space, auto_refiner(space), SolverConfig(epsilon=1e-4))
+
+
+def golden_minimum(f, lo=0.0, hi=1.0, iters=90):
+    """Minimum value of a convex function on [lo, hi] by golden-section search."""
+    ratio = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c, d = b - ratio * (b - a), a + ratio * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(iters):
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - ratio * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + ratio * (b - a)
+            fd = f(d)
+    return min(fc, fd, f(lo), f(hi))
+
+
+class TestPoolCertificates:
+    """The Gaussian backend bounds the sample-pool problem from both sides,
+    so a gap stop certifies the pool optimum."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_gap_stop_brackets_the_pool_optimum(self, seed):
+        eps = 1e-4
+        doc = cvar_document(seed=seed)
+        model = document_to_model(doc)
+        space = document_to_space(doc, model)
+        result = run(model, space, auto_refiner(space), SolverConfig(epsilon=eps))
+        assert result.termination == GAP
+        assert 0.0 <= result.records[-1].gap < eps
+        delta = model.cvar.delta
+        r1, r2 = space.pool[:, 0], space.pool[:, 1]
+        optimum = golden_minimum(lambda t: empirical_cvar(-(r2 + t * (r1 - r2)), delta))
+        assert result.objective <= optimum + 1e-9 * max(1.0, abs(optimum))
+        assert optimum - result.objective <= eps * result.best_upper
 
 
 class TestOracleEquivalence:

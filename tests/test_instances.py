@@ -103,6 +103,26 @@ class TestPortfolioDocument:
         with pytest.raises(ValidationError):
             document_to_space(doc, model, pool_size=50)
 
+    @pytest.mark.parametrize("field, value, path", [
+        ("senses", ["<="], "recourse.senses"),
+        ("W", [[2.0]], "recourse.W"),
+        ("q", [5.0], "recourse.q"),
+    ])
+    def test_cvar_marker_needs_the_tail_loss_recourse(self, field, value, path):
+        doc = cvar_document(pool_size=200)
+        doc["recourse"][field] = value
+        with pytest.raises(ValidationError, match=path):
+            document_to_model(doc)
+
+    def test_cvar_marker_needs_a_single_recourse_row(self):
+        doc = cvar_document(pool_size=200)
+        doc["recourse"].update(W=[[1.0], [1.0]], senses=[">=", ">="])
+        params = doc["uncertainty"]["parameters"]
+        params["h_base"] = [0.0, 0.0]
+        params["T_base"] = params["T_base"] * 2
+        with pytest.raises(ValidationError, match="recourse.senses"):
+            document_to_model(doc)
+
 
 class TestFirstStageFeasibility:
     def test_infeasible_first_stage_rejected(self):

@@ -1,4 +1,4 @@
-"""Two-stage structures: subproblems, aggregated master, dual extraction."""
+"""Two-stage structures: subproblems and the aggregated master."""
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -7,8 +7,7 @@ from adaptpart import instances
 from adaptpart import lp as lplib
 from adaptpart.errors import RecourseViolation, ValidationError
 from adaptpart.model import (RecourseModel, build_aggregated_master,
-                             evaluate_subproblem, extract_cell_duals,
-                             subproblem_lp)
+                             evaluate_subproblem)
 
 from _generators import (random_discrete_space, random_first_stage_point,
                          random_recourse_model)
@@ -189,43 +188,6 @@ class TestAggregatedMaster:
         with pytest.raises(ValidationError):
             build_aggregated_master(model, [(0.0, h, model.T_base),
                                             (1.0, h, model.T_base)])
-
-
-class TestCellDuals:
-    def test_extracted_duals_match_resolved_subproblems(self):
-        rng = np.random.default_rng(11)
-        hits = 0
-        for _ in range(25):
-            model = random_recourse_model(rng)
-            space = random_discrete_space(rng, model, n_scenarios=3)
-            triples = [(float(w), h, T)
-                       for w, h, T in zip(space.weights, space.hs, space.Ts)]
-            lp, cmap = build_aggregated_master(model, triples)
-            sol = lplib.solve(lp)
-            if sol.status != lplib.OPTIMAL:
-                continue
-            x = cmap.first_stage(sol)
-            cell_duals = extract_cell_duals(sol, cmap)
-            for k, (w, h, T) in enumerate(triples):
-                out = evaluate_subproblem(model, x, model.realization(h=h, T=T))
-                # master block value must price the same subproblem
-                rhs = h - T @ x
-                assert cell_duals[k] @ rhs == pytest.approx(out.value, abs=1e-6)
-                hits += 1
-        assert hits >= 30
-
-    def test_tail_model_master_duals_within_cost_cap(self):
-        model = tail_loss_model()
-        cells = []
-        for mass, returns in ((0.5, (0.09, 0.01)), (0.5, (-0.3, 0.12))):
-            T = model.T_base.copy()
-            T[0, :2] = returns
-            cells.append((mass, model.h_base, T))
-        lp, cmap = build_aggregated_master(model, cells)
-        sol = lplib.solve(lp)
-        assert sol.status == lplib.OPTIMAL
-        for lam in extract_cell_duals(sol, cmap):
-            assert -1e-9 <= lam[0] <= 1.0 + 1e-9
 
 
 class TestAveragingLemmas:

@@ -1,76 +1,8 @@
-"""Normal-distribution helpers and the closed-form tail-risk bound."""
+"""Sample tail average, the tail-risk reference value."""
 import numpy as np
 import pytest
 
-from adaptpart.analytics import (cvar_analytic_ub, empirical_cvar, norm_cdf,
-                                 norm_pdf, norm_ppf)
-
-
-class TestNormalInverse:
-    def test_matches_reference_quantiles(self):
-        from scipy.stats import norm
-        for p in np.concatenate([np.linspace(1e-6, 1 - 1e-6, 201),
-                                 [1e-9, 1 - 1e-9, 0.5]]):
-            assert abs(norm_ppf(p) - norm.ppf(p)) < 1e-8, p
-
-    def test_round_trips_through_cdf(self):
-        for p in (0.001, 0.1, 0.5, 0.9, 0.999):
-            assert norm_cdf(norm_ppf(p)) == pytest.approx(p, abs=1e-12)
-
-    def test_boundary_and_domain_handling(self):
-        assert norm_ppf(0.0) == -np.inf
-        assert norm_ppf(1.0) == np.inf
-        from adaptpart.errors import ValidationError
-        for p in (-0.2, 1.5, float("nan")):
-            with pytest.raises(ValidationError):
-                norm_ppf(p)
-
-
-class TestAnalyticTailBound:
-    def test_standard_normal_tail_value(self):
-        # CVaR_0.1 of -r with r ~ N(0, 1) along the first axis:
-        # pdf(ppf(0.1)) / 0.1 = 1.754983...
-        value = cvar_analytic_ub(np.zeros(2), np.eye(2), 0.1,
-                                 np.array([1.0, 0.0]))
-        expected = norm_pdf(norm_ppf(0.1)) / 0.1
-        assert value == pytest.approx(expected, abs=1e-12)
-        assert value == pytest.approx(1.754983, abs=1e-6)
-
-    def test_zero_covariance_reduces_to_mean_loss(self):
-        mu = np.array([0.05, 0.07])
-        x = np.array([0.3, 0.7])
-        value = cvar_analytic_ub(mu, np.zeros((2, 2)), 0.1, x)
-        assert value == pytest.approx(-float(mu @ x), abs=1e-12)
-
-    def test_full_tail_is_expected_loss(self):
-        mu = np.array([0.02, -0.01])
-        sigma = np.array([[0.1, 0.02], [0.02, 0.2]])
-        x = np.array([0.5, 0.5])
-        value = cvar_analytic_ub(mu, sigma, 1.0, x)
-        assert value == pytest.approx(-float(mu @ x), abs=1e-9)
-
-    def test_agrees_with_monte_carlo(self):
-        mu = np.array([0.05, 0.07])
-        sigma = np.array([[0.14, 0.053], [0.053, 0.23]])
-        x = np.array([0.4, 0.6])
-        delta = 0.1
-        analytic = cvar_analytic_ub(mu, sigma, delta, x)
-
-        rng = np.random.default_rng(12345)
-        returns = rng.multivariate_normal(mu, sigma, size=1_000_000)
-        losses = -(returns @ x)
-        k = int(np.ceil(delta * losses.size))
-        tail = np.sort(losses)[-k:]
-        se = tail.std(ddof=1) / np.sqrt(k)
-        assert abs(analytic - tail.mean()) <= 3.0 * se
-
-    def test_scales_linearly_in_position(self):
-        mu = np.array([0.05, 0.07])
-        sigma = np.array([[0.14, 0.053], [0.053, 0.23]])
-        x = np.array([0.4, 0.6])
-        one = cvar_analytic_ub(mu, sigma, 0.1, x)
-        three = cvar_analytic_ub(mu, sigma, 0.1, 3.0 * x)
-        assert three == pytest.approx(3.0 * one, rel=1e-12)
+from adaptpart.analytics import empirical_cvar
 
 
 class TestEmpiricalTail:
@@ -80,7 +12,8 @@ class TestEmpiricalTail:
         assert empirical_cvar(np.array([5.0]), 0.3) == pytest.approx(5.0)
 
     def test_converges_to_analytic_value(self):
+        from scipy.stats import norm
         rng = np.random.default_rng(777)
         samples = rng.standard_normal(400_000)
         est = empirical_cvar(-samples, 0.1)
-        assert est == pytest.approx(norm_pdf(norm_ppf(0.1)) / 0.1, abs=0.02)
+        assert est == pytest.approx(norm.pdf(norm.ppf(0.1)) / 0.1, abs=0.02)
