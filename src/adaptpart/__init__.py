@@ -20,9 +20,8 @@ from .instances import (cvar_document, document_to_model, document_to_space,
 from .model import (CvarMarker, MasterMap, RandomLayout, Realization,
                     RecourseModel, SubproblemOutcome, TechEntry,
                     build_aggregated_master, evaluate_subproblem, subproblem_lp)
-from .refiners import (REFINERS, DualClusteringRefiner, HyperplaneRefiner,
-                       RangingRefiner, RefineContext, Refiner, auto_refiner,
-                       refiner_by_name, rhs_dual_breakpoints)
+from .refiners import (DualClusteringRefiner, HyperplaneRefiner, RangingRefiner,
+                       RefineContext, Refiner, refiner_by_name, rhs_dual_breakpoints)
 from .reporting import iteration_csv_text, partition_trace, run_summary, write_run_report
 from .spaces import (Cell, DiscreteSpace, GaussianTechnologySpace, Partition,
                      UncertaintySpace, UniformRhsSpace)
@@ -35,7 +34,7 @@ __all__ = [
     "TechEntry", "CvarMarker", "MasterMap", "build_aggregated_master",
     "subproblem_lp", "evaluate_subproblem",
     "Refiner", "RefineContext", "DualClusteringRefiner", "RangingRefiner",
-    "HyperplaneRefiner", "REFINERS", "auto_refiner", "refiner_by_name", "rhs_dual_breakpoints",
+    "HyperplaneRefiner", "refiner_by_name", "rhs_dual_breakpoints",
     "SolverConfig", "SolveResult", "IterationRecord", "run", "check_conditions",
     "compute_upper_bound", "relative_gap",
     "GAP", "CONDITIONS", "STABILIZED", "ITERATION_LIMIT",

@@ -11,7 +11,7 @@ from . import lp as lplib
 from .engine import CONDITIONS, GAP, SolverConfig, run
 from .errors import AdaptPartError
 from .model import build_aggregated_master
-from .refiners import auto_refiner
+from .refiners import refiner_by_name
 from .reporting import write_run_report
 
 EXIT_OK = 0
@@ -55,7 +55,7 @@ def cmd_run(args) -> int:
                                         pool_size=args.mc_pool)
     config = SolverConfig(epsilon=args.epsilon, max_iterations=args.max_iters,
                           upper_bound=args.upper_bound)
-    result = run(model, space, auto_refiner(space), config)
+    result = run(model, space, refiner_by_name("auto", space), config)
     _print_table(result.records)
     print("termination: %s after %d iterations (%.3f s, %d LP solves, %d from cached bases)" % (
         result.termination, result.stats["iterations"], result.stats["wall_time_s"],

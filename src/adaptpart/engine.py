@@ -13,7 +13,7 @@ from . import lp as lplib
 from .errors import SolverFailure, ValidationError
 from .model import RecourseModel, build_aggregated_master
 from .model import evaluate_subproblem  # noqa: F401  (perfbench/tracing.py wraps it here)
-from .refiners import RefineContext, Refiner, auto_refiner
+from .refiners import RefineContext, Refiner
 from .refiners import rhs_dual_breakpoints  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .spaces import Partition, UncertaintySpace
 
@@ -72,7 +72,7 @@ def relative_gap(lower: float, upper: float) -> float:
         return 0.0
     denom = abs(upper)
     if denom < 1e-300:
-        return math.inf
+        return math.copysign(math.inf, upper - lower)
     return (upper - lower) / denom
 
 
@@ -97,18 +97,16 @@ def check_conditions(weights, hs, techs, duals, x_bar, tol: float) -> bool:
     return abs(lhs_b - rhs_b) <= tol * (1.0 + abs(rhs_b))
 
 
-def compute_upper_bound(model: RecourseModel, space: UncertaintySpace,
-                        x_bar: np.ndarray, mode: str = "auto",
-                        bases: lplib.BasisCache | None = None) -> float | None:
-    """Exact expected cost of the incumbent by the backend's rule (see
-    Refiner.upper_bound).  Mode "off" skips it; "auto" returns None when the
-    backend has no rule for this model, and "on" raises instead.  The
-    recourse LPs go through `bases`."""
+def compute_upper_bound(refiner: Refiner, ctx: RefineContext,
+                        mode: str = "auto") -> float | None:
+    """Exact expected cost of the incumbent ctx.x_bar by the refiner's rule
+    (see Refiner.upper_bound).  Mode "off" skips it; "auto" returns None when
+    the backend has no rule for this model, and "on" raises instead."""
     if mode == "off":
         return None
-    value = auto_refiner(space).upper_bound(model, space, x_bar, bases)
+    value = refiner.upper_bound(ctx)
     if value is None and mode == "on":
-        raise ValidationError(f"no exact upper bound available for {space.kind} spaces")
+        raise ValidationError(f"no exact upper bound available for {ctx.space.kind} spaces")
     return value
 
 
@@ -125,15 +123,15 @@ def _conditions_hold(ctx: RefineContext) -> bool:
 def run(model: RecourseModel, space: UncertaintySpace, refiner: Refiner,
         config: SolverConfig = SolverConfig()) -> SolveResult:
     """Solve to the configured gap: master over the partition cells gives the
-    lower bound and incumbent, the backend's exact expectation (when
-    available) bounds from above, and the refiner splits cells between
-    iterations.  Stops on gap, on a partition that no longer changes (with
-    the optimality conditions deciding between converged and stalled), or on
-    the iteration limit.  Both bounds describe one problem, so a gap below
-    -max(epsilon, lp.DUALITY_TOL) raises SolverFailure.  Every recourse LP of
-    the run goes through one BasisCache, since only the rhs changes between
-    them (fixed recourse), so the LP solves are the masters plus the cache's
-    simplex calls."""
+    lower bound and incumbent; the refiner bounds it from above (when its
+    backend has an exact rule) and splits cells, both from the iteration's
+    one RefineContext.  Stops on gap, on a partition that no longer changes
+    (with the optimality conditions deciding between converged and stalled),
+    or on the iteration limit.  Both bounds describe one problem, so a gap
+    below -max(epsilon, lp.DUALITY_TOL) raises SolverFailure.  Every recourse
+    LP of the run goes through one BasisCache, since only the rhs changes
+    between them (fixed recourse), so the LP solves are the masters plus the
+    cache's simplex calls."""
     refiner.check(space)
     started = time.perf_counter()
     bases = lplib.BasisCache(model.q, model.W, model.recourse_senses)
@@ -150,11 +148,12 @@ def run(model: RecourseModel, space: UncertaintySpace, refiner: Refiner,
             raise SolverFailure(f"aggregated master {sol.status} at iteration {t}")
         lower = float(sol.objective)
         x_bar = cmap.first_stage(sol)
+        ctx = RefineContext(model, space, partition, x_bar, bases)
         if records and x_bar.tobytes() == records[-1].incumbent.tobytes():
             # the bound depends on the incumbent alone
             upper = records[-1].upper_bound
         else:
-            upper = compute_upper_bound(model, space, x_bar, config.upper_bound, bases)
+            upper = compute_upper_bound(refiner, ctx, config.upper_bound)
         if upper is not None:
             best_upper = upper if best_upper is None else min(best_upper, upper)
         gap = relative_gap(lower, best_upper) if best_upper is not None else None
@@ -168,7 +167,6 @@ def run(model: RecourseModel, space: UncertaintySpace, refiner: Refiner,
             break
         if t == config.max_iterations:
             break
-        ctx = RefineContext(model, space, partition, x_bar, bases)
         refined = refiner.refine(ctx)
         if refined is partition:
             termination = CONDITIONS if _conditions_hold(ctx) else STABILIZED

@@ -5,8 +5,8 @@ grouping scenarios by equal subproblem duals, splitting intervals at rhs
 ranging breakpoints, and cutting regions along the hyperplane where the
 recourse dual switches.  Each returns a refinement of the input partition and
 returns the partition object unchanged when nothing splits.  Each also
-carries its backend's exact upper bound rule, since the interval rule needs
-the breakpoint sweep defined here.
+carries its backend's exact upper bound rule, which reads the member solves
+and the breakpoint sweep of the same RefineContext as the split.
 """
 from __future__ import annotations
 
@@ -32,9 +32,9 @@ class RefineContext:
     """What a refiner may consult at one iteration: the incumbent and the
     partition it was computed on.
 
-    Member-level subproblem solves are cached so the refiner and any later
-    condition check share work; every recourse LP goes through `bases`, the
-    run's BasisCache (see evaluate_subproblem).
+    Member solves and the breakpoint sweep are cached, so the upper bound,
+    the refiner and the condition check share them; every recourse LP goes
+    through `bases`, the run's BasisCache (see evaluate_subproblem).
     """
 
     model: RecourseModel
@@ -43,6 +43,7 @@ class RefineContext:
     x_bar: np.ndarray
     bases: lplib.BasisCache | None = None
     _atoms: dict = field(default_factory=dict, repr=False)
+    _points: tuple | None = field(default=None, repr=False)
 
     def atomized(self, label: str):
         """(weights, realizations, outcomes) for one cell's members at the
@@ -53,6 +54,14 @@ class RefineContext:
             outs = [evaluate_subproblem(self.model, self.x_bar, r, self.bases) for r in reals]
             self._atoms[label] = (weights, reals, outs)
         return self._atoms[label]
+
+    def breakpoints(self) -> tuple[float, ...]:
+        """The interior dual breakpoints of an interval space's support at
+        the incumbent, from one rhs_dual_breakpoints sweep."""
+        if self._points is None:
+            self._points = tuple(rhs_dual_breakpoints(self.model, self.space, self.x_bar,
+                                                      self.bases))
+        return self._points
 
 
 class Refiner(ABC):
@@ -72,12 +81,9 @@ class Refiner(ABC):
         """A refinement of ctx.partition; the same object when no cell splits."""
 
     @abstractmethod
-    def upper_bound(self, model: RecourseModel, space: UncertaintySpace,
-                    x_bar: np.ndarray,
-                    bases: lplib.BasisCache | None = None) -> float | None:
-        """Exact expected cost c.x + E[Q(x, xi)] of the incumbent, or None
-        when the backend has no exact rule for this model.  The recourse
-        LPs go through `bases`."""
+    def upper_bound(self, ctx: RefineContext) -> float | None:
+        """Exact expected cost c.x + E[Q(x, xi)] of the incumbent ctx.x_bar,
+        or None when the backend has no exact rule for this model."""
 
 
 # ------------------------------------------------------------ dual clustering
@@ -120,11 +126,16 @@ class DualClusteringRefiner(Refiner):
                 part = ctx.space.split_cell(part, cell.label, splitter)
         return part
 
-    def upper_bound(self, model, space, x_bar, bases=None):
-        """Weighted sum of the per-scenario recourse values."""
-        value = float(model.c @ x_bar)
-        for w, real in zip(space.weights, space.realizations):
-            value += float(w) * evaluate_subproblem(model, x_bar, real, bases).value
+    def upper_bound(self, ctx):
+        """Weighted sum of the per-scenario recourse values, in scenario
+        order, from the members' solves that refine reads too."""
+        values = {}
+        for cell in ctx.partition.cells:
+            _, _, outs = ctx.atomized(cell.label)
+            values.update(zip(cell.geometry.indices, (o.value for o in outs)))
+        value = float(ctx.model.c @ ctx.x_bar)
+        for s, w in enumerate(ctx.space.weights):
+            value += float(w) * values[s]
         return value
 
 
@@ -173,23 +184,22 @@ class RangingRefiner(Refiner):
     space_type = UniformRhsSpace
 
     def refine(self, ctx: RefineContext) -> Partition:
-        splitter = Breakpoints(tuple(rhs_dual_breakpoints(ctx.model, ctx.space, ctx.x_bar,
-                                                          ctx.bases)))
+        splitter = Breakpoints(ctx.breakpoints())
         part = ctx.partition
         for cell in ctx.partition.cells:
             part = ctx.space.split_cell(part, cell.label, splitter)
         return part
 
-    def upper_bound(self, model, space, x_bar, bases=None):
+    def upper_bound(self, ctx):
         """Closed-form integration of the piecewise linear recourse value."""
-        points = rhs_dual_breakpoints(model, space, x_bar, bases)
-        edges = [space.lo] + points + [space.hi]
+        model, space, x_bar = ctx.model, ctx.space, ctx.x_bar
+        edges = [space.lo, *ctx.breakpoints(), space.hi]
         expected = 0.0
         # the recourse value is linear on each segment, so the midpoint
         # rule integrates it exactly against the uniform density
         for s, e in zip(edges, edges[1:]):
             mid = 0.5 * (s + e)
-            out = evaluate_subproblem(model, x_bar, space.realization_at(mid), bases)
+            out = evaluate_subproblem(model, x_bar, space.realization_at(mid), ctx.bases)
             expected += (e - s) / (space.hi - space.lo) * out.value
         return float(model.c @ x_bar + expected)
 
@@ -234,34 +244,27 @@ class HyperplaneRefiner(Refiner):
                 part = ctx.space.split_cell(part, label, splitter)
         return part
 
-    def upper_bound(self, model, space, x_bar, bases=None):
+    def upper_bound(self, ctx):
         """Pool-average cost, the exact objective of the sample problem whose
         cells the master aggregates; tail-risk models only, whose recourse
         value is q0 * max(0, d0 - a.xi) on their single row."""
-        if model.cvar is None:
+        if ctx.model.cvar is None:
             return None
-        (a, d0), = dual_switch_hyperplanes(model, x_bar, space.dim)
-        shortfall = np.maximum(d0 - space.pool @ a, 0.0)
-        return float(model.c @ x_bar + model.q[0] * shortfall.mean())
+        (a, d0), = dual_switch_hyperplanes(ctx.model, ctx.x_bar, ctx.space.dim)
+        shortfall = np.maximum(d0 - ctx.space.pool @ a, 0.0)
+        return float(ctx.model.c @ ctx.x_bar + ctx.model.q[0] * shortfall.mean())
 
 
 REFINERS = (DualClusteringRefiner, RangingRefiner, HyperplaneRefiner)
 
 
-def auto_refiner(space: UncertaintySpace) -> Refiner:
-    """The refiner matching the backend."""
-    for cls in REFINERS:
-        if isinstance(space, cls.space_type):
-            return cls()
-    raise ValidationError(f"no refiner available for {space.kind} spaces")
-
-
 def refiner_by_name(name: str, space: UncertaintySpace) -> Refiner:
-    if name == "auto":
-        return auto_refiner(space)
+    """The refiner called `name`; "auto" picks the one matching the backend."""
     for cls in REFINERS:
-        if cls.name == name:
+        if cls.name == name or (name == "auto" and isinstance(space, cls.space_type)):
             refiner = cls()
             refiner.check(space)
             return refiner
+    if name == "auto":
+        raise ValidationError(f"no refiner available for {space.kind} spaces")
     raise ValidationError(f"unknown refiner {name!r}")

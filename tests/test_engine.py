@@ -14,7 +14,7 @@ from adaptpart.instances import (cvar_document, document_to_model,
                                  document_to_space, lands_document)
 from adaptpart.model import evaluate_subproblem
 from adaptpart.refiners import (DualClusteringRefiner, HyperplaneRefiner, RangingRefiner,
-                                auto_refiner, rhs_dual_breakpoints)
+                                RefineContext, refiner_by_name, rhs_dual_breakpoints)
 from adaptpart.spaces import DiscreteSpace, UniformRhsSpace
 
 from _generators import random_discrete_space, random_recourse_model
@@ -27,6 +27,31 @@ def lands_pair(**kwargs):
     return model, document_to_space(doc, model)
 
 
+def bound_at(model, space, x, mode):
+    """compute_upper_bound of the backend's refiner at x on the trivial partition."""
+    ctx = RefineContext(model, space, space.trivial_partition(), x)
+    return compute_upper_bound(refiner_by_name("auto", space), ctx, mode)
+
+
+def count_per_iteration(monkeypatch, owner, name):
+    """Calls of owner.name in each iteration of a run, an iteration starting
+    at its master build."""
+    counts = []
+    build, fn = engine.build_aggregated_master, getattr(owner, name)
+
+    def building(*args, **kwargs):
+        counts.append(0)
+        return build(*args, **kwargs)
+
+    def counting(*args, **kwargs):
+        counts[-1] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "build_aggregated_master", building)
+    monkeypatch.setattr(owner, name, counting)
+    return counts
+
+
 class TestGapArithmetic:
     def test_frozen_values(self):
         assert relative_gap(378.667, 382.711) == pytest.approx(0.010567, abs=5e-6)
@@ -35,6 +60,7 @@ class TestGapArithmetic:
     def test_edge_cases(self):
         assert relative_gap(5.0, 5.0) == 0.0
         assert relative_gap(-1.0, 0.0) == np.inf
+        assert relative_gap(0.5, 0.0) == -np.inf
         assert relative_gap(-2.0, -1.0) == pytest.approx(1.0)
 
 
@@ -72,7 +98,7 @@ class TestUpperBound:
         model = random_recourse_model(rng)
         space = random_discrete_space(rng, model, n_scenarios=2)
         x = np.minimum(model.x_upper, 0.4)
-        ub = compute_upper_bound(model, space, x, "on")
+        ub = bound_at(model, space, x, "on")
         manual = float(model.c @ x) + sum(
             w * evaluate_subproblem(model, x, space.realizations[i]).value
             for i, w in enumerate(space.weights))
@@ -85,9 +111,9 @@ class TestUpperBound:
         model = document_to_model(doc)
         space = document_to_space(doc, model)
         x = np.zeros(model.n_first)
-        assert compute_upper_bound(model, space, x, "auto") is None
+        assert bound_at(model, space, x, "auto") is None
         with pytest.raises(Exception):
-            compute_upper_bound(model, space, x, "on")
+            bound_at(model, space, x, "on")
 
     def test_tail_risk_is_the_pool_tail_average(self):
         # at the pool's value-at-risk threshold the bound is the pool's
@@ -98,22 +124,22 @@ class TestUpperBound:
         w = np.array([0.3, 0.7])
         losses = -(space.pool @ w)
         tau = float(np.quantile(losses, 1.0 - model.cvar.delta))
-        ub = compute_upper_bound(model, space, np.array([*w, tau]), "on")
+        ub = bound_at(model, space, np.array([*w, tau]), "on")
         assert ub == pytest.approx(empirical_cvar(losses, model.cvar.delta), rel=1e-12)
         # an empty portfolio has no random loss, so only the threshold shortfall is paid
-        ub = compute_upper_bound(model, space, np.array([0.0, 0.0, -0.5]), "on")
+        ub = bound_at(model, space, np.array([0.0, 0.0, -0.5]), "on")
         assert ub == pytest.approx(-0.5 + 0.5 / model.cvar.delta, rel=1e-12)
 
     def test_energy_instance_first_iteration_value(self):
         model, space = lands_pair()
         x_bar = np.array([5.0 / 6.0, 3.0, 25.0 / 6.0, 4.0])
-        ub = compute_upper_bound(model, space, x_bar, "on")
+        ub = bound_at(model, space, x_bar, "on")
         assert ub == pytest.approx(382.7111, abs=0.01)
 
     def test_affine_value_function_integrates_exactly(self):
         model, space = lands_pair()
         x = np.array([12.0, 0.0, 0.0, 0.0])
-        ub = compute_upper_bound(model, space, x, "on")
+        ub = bound_at(model, space, x, "on")
         mean_q = evaluate_subproblem(model, x, space.realization_at(0.5 * (space.lo + space.hi))).value
         assert ub == pytest.approx(float(model.c @ x) + mean_q, abs=1e-8)
 
@@ -149,19 +175,17 @@ class TestTermination:
         assert result.termination == CONDITIONS
         assert result.best_upper is None
 
-    def test_negative_gap_is_an_error(self, monkeypatch):
+    def test_negative_gap_is_an_error(self):
         class UnderBound(HyperplaneRefiner):
-            def upper_bound(self, model, space, x_bar, bases=None):
-                return super().upper_bound(model, space, x_bar, bases) - 1.0
+            def upper_bound(self, ctx):
+                return super().upper_bound(ctx) - 1.0
 
-        # the run's upper bound is the backend refiner's rule
-        monkeypatch.setattr(refiners, "REFINERS",
-                            (DualClusteringRefiner, RangingRefiner, UnderBound))
+        # the run's upper bound is the rule of the refiner it is given
         doc = cvar_document(seed=0, pool_size=2000)
         model = document_to_model(doc)
         space = document_to_space(doc, model)
         with pytest.raises(SolverFailure, match=r"below lower bound .* at iteration \d+ "):
-            run(model, space, auto_refiner(space), SolverConfig(epsilon=1e-4))
+            run(model, space, UnderBound(), SolverConfig(epsilon=1e-4))
 
 
 def golden_minimum(f, lo=0.0, hi=1.0, iters=90):
@@ -192,7 +216,7 @@ class TestPoolCertificates:
         doc = cvar_document(seed=seed)
         model = document_to_model(doc)
         space = document_to_space(doc, model)
-        result = run(model, space, auto_refiner(space), SolverConfig(epsilon=eps))
+        result = run(model, space, refiner_by_name("auto", space), SolverConfig(epsilon=eps))
         assert result.termination == GAP
         assert 0.0 <= result.records[-1].gap < eps
         delta = model.cvar.delta
@@ -250,7 +274,7 @@ class TestOracleEquivalence:
     def test_auto_refiner_matches_explicit(self):
         model, space = lands_pair()
         cfg = SolverConfig(epsilon=1e-6, max_iterations=5)
-        a = run(model, space, auto_refiner(space), cfg)
+        a = run(model, space, refiner_by_name("auto", space), cfg)
         b = run(model, space, RangingRefiner(), cfg)
         assert [r.lower_bound for r in a.records] == \
                [r.lower_bound for r in b.records]
@@ -276,8 +300,8 @@ class TestBasisReuse:
     def test_repeat_runs_on_one_model_agree(self):
         for model, space in (self.discrete_pair(), lands_pair()):
             cfg = SolverConfig(epsilon=1e-9, max_iterations=8)
-            a = run(model, space, auto_refiner(space), cfg)
-            b = run(model, space, auto_refiner(space), cfg)
+            a = run(model, space, refiner_by_name("auto", space), cfg)
+            b = run(model, space, refiner_by_name("auto", space), cfg)
             assert [(r.lower_bound, r.upper_bound, r.gap, r.cell_count, r.incumbent.tobytes())
                     for r in a.records] == \
                    [(r.lower_bound, r.upper_bound, r.gap, r.cell_count, r.incumbent.tobytes())
@@ -290,9 +314,9 @@ class TestBasisReuse:
         seen = []
         original = engine.compute_upper_bound
 
-        def counting(model, space, x_bar, *args):
-            seen.append(x_bar.tobytes())
-            return original(model, space, x_bar, *args)
+        def counting(refiner, ctx, *args):
+            seen.append(ctx.x_bar.tobytes())
+            return original(refiner, ctx, *args)
 
         monkeypatch.setattr(engine, "compute_upper_bound", counting)
         result = run(model, space, DualClusteringRefiner(), SolverConfig(epsilon=1e-9))
@@ -304,13 +328,27 @@ class TestBasisReuse:
             if rec.incumbent.tobytes() == prev.incumbent.tobytes():
                 assert rec.upper_bound == prev.upper_bound
 
+    def test_bound_and_refiner_share_one_member_pass(self, monkeypatch):
+        model, space = self.discrete_pair()
+        counts = count_per_iteration(monkeypatch, refiners, "evaluate_subproblem")
+        result = run(model, space, DualClusteringRefiner(), SolverConfig(epsilon=1e-9))
+        assert len(counts) == len(result.records) > 1
+        assert 0 < max(counts) <= space.n_scenarios
+
+    def test_bound_and_refiner_share_one_sweep(self, monkeypatch):
+        model, space = lands_pair()
+        counts = count_per_iteration(monkeypatch, refiners, "rhs_dual_breakpoints")
+        result = run(model, space, RangingRefiner(), SolverConfig(epsilon=1e-9, max_iterations=6))
+        assert len(counts) == len(result.records) == 6
+        assert max(counts) == 1
+
     def test_gap_stop_without_refiner_solves_takes_only_masters(self):
         # the hyperplane refiner solves no subproblem and a gap stop skips
         # the condition check, so only the masters reach the simplex
         doc = cvar_document(seed=0, pool_size=2000)
         model = document_to_model(doc)
         space = document_to_space(doc, model)
-        result = run(model, space, auto_refiner(space), SolverConfig(epsilon=0.01))
+        result = run(model, space, refiner_by_name("auto", space), SolverConfig(epsilon=0.01))
         assert result.termination == GAP
         assert len(result.records) == 7
         assert result.stats["lp_solves"] == len(result.records)

@@ -7,7 +7,7 @@ from adaptpart import refiners
 from adaptpart.errors import ValidationError
 from adaptpart.model import RandomLayout, RecourseModel, TechEntry
 from adaptpart.refiners import (DualClusteringRefiner, HyperplaneRefiner,
-                                RangingRefiner, RefineContext, auto_refiner,
+                                RangingRefiner, RefineContext,
                                 dual_switch_hyperplanes, group_scenarios_by_dual,
                                 refiner_by_name, rhs_dual_breakpoints)
 from adaptpart.spaces import (Breakpoints, DiscreteSpace, GaussianTechnologySpace,
@@ -237,8 +237,8 @@ class TestSelection:
         rng = np.random.default_rng(21)
         model = random_recourse_model(rng)
         disc = random_discrete_space(rng, model, n_scenarios=4)
-        assert isinstance(auto_refiner(disc), DualClusteringRefiner)
-        assert isinstance(auto_refiner(UniformRhsSpace(shortage_model(), 0, 0, 5)),
+        assert isinstance(refiner_by_name("auto", disc), DualClusteringRefiner)
+        assert isinstance(refiner_by_name("auto", UniformRhsSpace(shortage_model(), 0, 0, 5)),
                           RangingRefiner)
 
     def test_named_selection_and_mismatch(self):
