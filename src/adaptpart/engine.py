@@ -111,8 +111,12 @@ def compute_upper_bound(refiner: Refiner, ctx: RefineContext,
 
 
 def _conditions_hold(ctx: RefineContext) -> bool:
+    """The optimality conditions on every cell; a cell of which cell_samples
+    gave fewer members than its sample_count was not checked, so it fails."""
     for cell in ctx.partition.cells:
         weights, reals, outs = ctx.atomized(cell.label)
+        if cell.sample_count is not None and len(reals) < cell.sample_count:
+            return False
         ok = check_conditions(weights, [r.h for r in reals], [r.T for r in reals],
                               [o.duals for o in outs], ctx.x_bar, CONDITION_TOL)
         if not ok:

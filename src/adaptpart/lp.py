@@ -1,4 +1,8 @@
-"""Dense two-phase simplex kernel with dual recovery and right-hand-side ranging.
+"""Two-phase tableau simplex kernel with dual recovery and right-hand-side ranging.
+
+A pivot updates only the tableau columns in which the pivot row is nonzero, a
+small share on block-angular programs such as the aggregated master, whose
+columns are the first stage plus one copy of W per partition cell.
 
 Problems are stated as  min q.y  subject to  M y (<=|=|>=) b  with per-variable
 bounds (default y >= 0).  Reported duals follow the max-form convention: the
@@ -136,49 +140,35 @@ def _canonicalize(lp: StandardLp) -> _Canonical:
     lower, upper = lp.lower, lp.upper
     shift = np.where(np.isfinite(lower), lower, 0.0)
 
-    col_kind: list[tuple[str, int, float]] = []
-    for j in range(n):
-        col_kind.append(("var", j, 1.0))
-        if not np.isfinite(lower[j]):
-            col_kind.append(("var", j, -1.0))
-    n_var_cols = len(col_kind)
+    # one column per variable, followed by a negated copy when it is free
+    var = np.repeat(np.arange(n), np.where(np.isfinite(lower), 1, 2))
+    sign = np.ones(var.size)
+    sign[1:][var[1:] == var[:-1]] = -1.0
+    n_var = var.size
+    bounded = np.flatnonzero(np.isfinite(upper))
+    bound_row = np.full(n, -1)
+    bound_row[bounded] = m + np.arange(bounded.size)
+    senses = np.array(lp.senses + (LE,) * bounded.size, dtype=str)
+    ineq = np.flatnonzero(senses != EQ)
 
-    bounded = [j for j in range(n) if np.isfinite(upper[j])]
-    m_c = m + len(bounded)
-
-    A = np.zeros((m_c, n_var_cols))
-    for k, (_, j, sgn) in enumerate(col_kind):
-        A[:m, k] = sgn * lp.matrix[:, j]
-    b = np.empty(m_c)
-    b[:m] = lp.rhs - lp.matrix @ shift
-    senses = list(lp.senses)
-    for t, j in enumerate(bounded):
-        r = m + t
-        for k, (_, jj, sgn) in enumerate(col_kind):
-            if jj == j:
-                A[r, k] = sgn
-        b[r] = upper[j] - shift[j]
-        senses.append(LE)
-
-    ineq = [i for i in range(m_c) if senses[i] != EQ]
-    S = np.zeros((m_c, len(ineq)))
-    for t, i in enumerate(ineq):
-        S[i, t] = 1.0 if senses[i] == LE else -1.0
-        col_kind.append(("slack", i, 0.0))
-    A = np.hstack([A, S]) if ineq else A
-
+    A = np.zeros((senses.size, n_var + ineq.size))
+    A[:m, :n_var] = lp.matrix[:, var] * sign
+    on = np.flatnonzero(bound_row[var] >= 0)
+    A[bound_row[var[on]], on] = sign[on]
+    A[ineq, n_var + np.arange(ineq.size)] = np.where(senses[ineq] == LE, 1.0, -1.0)
+    b = np.concatenate([lp.rhs - lp.matrix @ shift, upper[bounded] - shift[bounded]])
     c = np.zeros(A.shape[1])
-    for k, (kind, j, sgn) in enumerate(col_kind):
-        if kind == "var":
-            c[k] = sgn * lp.objective[j]
+    c[:n_var] = sign * lp.objective[var]
 
-    row_sign = np.ones(m_c)
+    row_sign = np.ones(senses.size)
     neg = b < 0
     row_sign[neg] = -1.0
     A[neg] *= -1.0
     b[neg] *= -1.0
 
-    row_origin = np.concatenate([np.arange(m), -np.ones(len(bounded), dtype=int)]).astype(int)
+    col_kind = ([("var", j, s) for j, s in zip(var.tolist(), sign.tolist())]
+                + [("slack", i, 0.0) for i in ineq.tolist()])
+    row_origin = np.concatenate([np.arange(m), np.full(bounded.size, -1)])
     offset = float(lp.objective @ shift)
     return _Canonical(A, b, c, offset, row_sign, row_origin, col_kind, shift)
 
@@ -256,15 +246,22 @@ class BasisCache:
 
 
 def _apply_pivot(tab: np.ndarray, row: int, col: int) -> None:
+    """Pivot on tab[row, col], updating only the columns where the scaled
+    pivot row is nonzero.  Any other entry would have +-0.0 subtracted from
+    it, so every value, ratio test, basis, x, dual and objective is bitwise
+    that of the dense  tab -= outer(factors, tab[row])  (a zero's sign aside),
+    and column col becomes the unit vector exactly, as f - f*1.0 is +0.0."""
     piv = tab[row, col]
     if abs(piv) < PIVOT_TOL:
         raise SolverFailure("pivot element below tolerance")
     tab[row] = tab[row] / piv
     factors = tab[:, col].copy()
     factors[row] = 0.0
-    tab -= np.outer(factors, tab[row])
-    tab[:, col] = 0.0
-    tab[row, col] = 1.0
+    cols = np.flatnonzero(tab[row])
+    # take and a plain assignment cost less than a fancy-indexed -=
+    touched = tab.take(cols, axis=1)
+    touched -= np.outer(factors, touched[row])
+    tab[:, cols] = touched
 
 
 def _pivot_loop(tab: np.ndarray, basis: list[int], label: str) -> str:
@@ -351,11 +348,11 @@ def solve(lp: StandardLp) -> LpSolution:
                 else:
                     keep[i] = False
         kept = np.flatnonzero(keep)
-        tab = np.hstack([tab[np.append(kept, m_c), :n_c], tab[np.append(kept, m_c), -1:]])
         basis = [basis[i] for i in kept]
     else:
         kept = np.arange(m_c)
-        tab = np.hstack([tab[:, :n_c], tab[:, -1:]])
+    rows = np.append(kept, m_c)
+    tab = np.hstack([tab[rows, :n_c], tab[rows, -1:]])
 
     # Phase 2: rebuild the cost row for the true objective.
     cost2 = np.append(canon.c, 0.0)

@@ -3,7 +3,9 @@
 These deliberately avoid the library's own canonicalization and solve paths:
 vertex enumeration works on its own equality form, the ranging oracle re-solves
 on a grid, and the extensive-form builder assembles the deterministic
-equivalent directly.
+equivalent directly.  `dense_apply_pivot` and `loop_canonicalize` are the
+kernel's earlier dense pivot and per-column canonical form, kept as references
+for the column-sparse and array-built versions in `adaptpart.lp`.
 """
 from __future__ import annotations
 
@@ -12,6 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from adaptpart import lp as lplib
+from adaptpart.errors import SolverFailure
 
 
 def vertex_enumerate(c, M, b, senses):
@@ -113,3 +116,70 @@ def trapezoid_integral(f, lo, hi, n=20001):
     xs = np.linspace(lo, hi, n)
     ys = np.array([f(x) for x in xs])
     return float(np.trapezoid(ys, xs))
+
+
+def dense_apply_pivot(tab: np.ndarray, row: int, col: int) -> None:
+    """Reference pivot: update every entry of the tableau."""
+    piv = tab[row, col]
+    if abs(piv) < lplib.PIVOT_TOL:
+        raise SolverFailure("pivot element below tolerance")
+    tab[row] = tab[row] / piv
+    factors = tab[:, col].copy()
+    factors[row] = 0.0
+    tab -= np.outer(factors, tab[row])
+    tab[:, col] = 0.0
+    tab[row, col] = 1.0
+
+
+def loop_canonicalize(lp: lplib.StandardLp) -> lplib._Canonical:
+    """Reference canonical form, built one column and one row at a time."""
+    LE, EQ = lplib.LE, lplib.EQ
+    m, n = lp.matrix.shape
+    lower, upper = lp.lower, lp.upper
+    shift = np.where(np.isfinite(lower), lower, 0.0)
+
+    col_kind: list[tuple[str, int, float]] = []
+    for j in range(n):
+        col_kind.append(("var", j, 1.0))
+        if not np.isfinite(lower[j]):
+            col_kind.append(("var", j, -1.0))
+    n_var_cols = len(col_kind)
+
+    bounded = [j for j in range(n) if np.isfinite(upper[j])]
+    m_c = m + len(bounded)
+
+    A = np.zeros((m_c, n_var_cols))
+    for k, (_, j, sgn) in enumerate(col_kind):
+        A[:m, k] = sgn * lp.matrix[:, j]
+    b = np.empty(m_c)
+    b[:m] = lp.rhs - lp.matrix @ shift
+    senses = list(lp.senses)
+    for t, j in enumerate(bounded):
+        r = m + t
+        for k, (_, jj, sgn) in enumerate(col_kind):
+            if jj == j:
+                A[r, k] = sgn
+        b[r] = upper[j] - shift[j]
+        senses.append(LE)
+
+    ineq = [i for i in range(m_c) if senses[i] != EQ]
+    S = np.zeros((m_c, len(ineq)))
+    for t, i in enumerate(ineq):
+        S[i, t] = 1.0 if senses[i] == LE else -1.0
+        col_kind.append(("slack", i, 0.0))
+    A = np.hstack([A, S]) if ineq else A
+
+    c = np.zeros(A.shape[1])
+    for k, (kind, j, sgn) in enumerate(col_kind):
+        if kind == "var":
+            c[k] = sgn * lp.objective[j]
+
+    row_sign = np.ones(m_c)
+    neg = b < 0
+    row_sign[neg] = -1.0
+    A[neg] *= -1.0
+    b[neg] *= -1.0
+
+    row_origin = np.concatenate([np.arange(m), -np.ones(len(bounded), dtype=int)]).astype(int)
+    offset = float(lp.objective @ shift)
+    return lplib._Canonical(A, b, c, offset, row_sign, row_origin, col_kind, shift)

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from adaptpart import cli
-from adaptpart.instances import (document_to_model, load_document,
-                                 validate_document)
+from adaptpart.instances import (cvar_document, document_to_model, load_document,
+                                 validate_document, write_document)
 
 
 def run_cli(argv):
@@ -155,6 +155,17 @@ class TestPortfolioRuns:
             assert code in (0, 2)
             csvs.append((out_dir / "iterations.csv").read_bytes())
         assert csvs[0] != csvs[1]
+
+    def test_sampled_conditions_do_not_certify(self, tmp_path, capsys):
+        # without the tail-risk marker there is no upper bound, and the final
+        # partition has cells of hundreds of members, of which the condition
+        # check sees at most CONDITION_SAMPLE_CAP
+        doc = cvar_document(seed=0, pool_size=2000)
+        del doc["uncertainty"]["parameters"]["cvar"]
+        path = tmp_path / "normal.json"
+        write_document(doc, path)
+        assert run_cli(["run", "--instance", path]) == 2
+        assert "partition-stabilized" in capsys.readouterr().out
 
 
 class TestReports:

@@ -1,4 +1,5 @@
-"""Tests for the dense simplex kernel: solve, duals, ranging, determinism."""
+"""Tests for the simplex kernel: solve, duals, ranging, determinism, and the
+column-sparse pivot against the dense reference."""
 from __future__ import annotations
 
 import numpy as np
@@ -6,10 +7,13 @@ import numpy.testing as npt
 import pytest
 
 from adaptpart import lp as lplib
-from adaptpart.errors import ValidationError
+from adaptpart.errors import SolverFailure, ValidationError
+from adaptpart.instances import document_to_model, document_to_space, lands_document
 from adaptpart.lp import GE, LE, EQ, OPTIMAL, INFEASIBLE, UNBOUNDED, StandardLp
+from adaptpart.model import build_aggregated_master
 
-from _oracles import vertex_enumerate, grid_dual_breakpoints
+from _oracles import (dense_apply_pivot, grid_dual_breakpoints, loop_canonicalize,
+                      vertex_enumerate)
 
 
 def test_single_bound_row():
@@ -194,3 +198,98 @@ def test_input_validation():
         StandardLp([1.0], [[np.nan]], [1.0], (LE,))
     with pytest.raises(ValidationError):
         StandardLp([1.0], [[1.0]], [1.0], (LE,), lower=[2.0], upper=[1.0])
+
+
+def energy_master(K):
+    """The aggregated master of the energy instance with demand on [3, 7]
+    over K equal-width cells."""
+    doc = lands_document(3.0, 7.0)
+    model = document_to_model(doc)
+    space = document_to_space(doc, model)
+    edges = np.linspace(space.lo, space.hi, K + 1)
+    cells = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        h = model.h_base.copy()
+        h[space.row] = 0.5 * (lo + hi)
+        cells.append((1.0 / K, h, model.T_base))
+    return build_aggregated_master(model, cells)[0]
+
+
+def shaped_lp(rng):
+    """A random LP with all three senses, free and upper-bounded columns, and
+    degenerate right-hand sides (zeros and repeated rows)."""
+    n = int(rng.integers(2, 7))
+    m = int(rng.integers(1, 7))
+    M = rng.normal(size=(m, n)).round(2)
+    M[rng.random((m, n)) < 0.2] = 0.0
+    b = rng.normal(scale=2.0, size=m).round(2)
+    b[rng.random(m) < 0.3] = 0.0
+    if m > 1 and rng.random() < 0.3:
+        M[-1], b[-1] = M[0], b[0]
+    q = rng.uniform(-0.5, 2.0, size=n).round(2)
+    lower = np.where(rng.random(n) < 0.25, -np.inf, 0.0)
+    lower[rng.random(n) < 0.2] = round(rng.uniform(-1.0, 1.0), 2)
+    upper = np.full(n, np.inf)
+    capped = rng.random(n) < 0.4
+    upper[capped] = np.where(np.isfinite(lower), lower, 0.0)[capped] + rng.uniform(0.5, 3.0)
+    senses = tuple(rng.choice([LE, EQ, GE], size=m))
+    return StandardLp(q, M, b, senses, lower, upper)
+
+
+def solve_outcome(lp):
+    try:
+        return lplib.solve(lp)
+    except SolverFailure as exc:
+        return str(exc)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_sparse_pivot_and_array_canonical_form_match_the_references(monkeypatch):
+    rng = np.random.default_rng(11)
+    lps = [shaped_lp(rng) for _ in range(200)] + [energy_master(45)]
+    seen = {"free": 0, "capped": 0, "zero rhs": 0, "optimal": 0}
+    for lp in lps:
+        fast, slow = lplib._canonicalize(lp), loop_canonicalize(lp)
+        for name in ("A", "b", "c", "row_sign", "row_origin", "shift"):
+            assert same_bits(getattr(fast, name), getattr(slow, name)), name
+        assert fast.offset.hex() == slow.offset.hex()
+        assert fast.col_kind == slow.col_kind
+
+        kernel = solve_outcome(lp)
+        with monkeypatch.context() as patch:
+            patch.setattr(lplib, "_apply_pivot", dense_apply_pivot)
+            patch.setattr(lplib, "_canonicalize", loop_canonicalize)
+            reference = solve_outcome(lp)
+        if isinstance(kernel, str):
+            assert kernel == reference
+            continue
+        assert kernel.status == reference.status
+        assert kernel.basis == reference.basis
+        assert kernel.kept_rows == reference.kept_rows
+        if kernel.status == OPTIMAL:
+            assert same_bits(kernel.x, reference.x)
+            assert same_bits(kernel.duals, reference.duals)
+            assert kernel.objective.hex() == reference.objective.hex()
+            seen["optimal"] += 1
+            seen["free"] += bool(np.any(np.isinf(lp.lower)))
+            seen["capped"] += bool(np.any(np.isfinite(lp.upper)))
+            seen["zero rhs"] += bool(np.any(lp.rhs == 0.0))
+    assert min(seen.values()) >= 30, seen
+
+
+def test_large_master_against_highs():
+    from scipy.optimize import linprog
+
+    lp = energy_master(150)
+    sol = lplib.solve(lp)
+    assert sol.status == OPTIMAL
+    le = np.array([s == LE for s in lp.senses])
+    ref = linprog(lp.objective, A_ub=np.vstack([lp.matrix[le], -lp.matrix[~le]]),
+                  b_ub=np.concatenate([lp.rhs[le], -lp.rhs[~le]]),
+                  bounds=list(zip(lp.lower, lp.upper)), method="highs")
+    assert ref.status == 0
+    assert abs(sol.objective - ref.fun) <= 1e-9 * abs(ref.fun)
+    assert abs(float(sol.duals @ lp.rhs) - sol.objective) <= 1e-7 * abs(sol.objective)
