@@ -12,7 +12,7 @@ from .engine import CONDITIONS, GAP, SolverConfig, run
 from .errors import AdaptPartError
 from .model import build_aggregated_master
 from .refiners import refiner_by_name
-from .reporting import write_run_report
+from .reporting import partition_trace_json, run_summary, write_run_report
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -69,11 +69,9 @@ def cmd_run(args) -> int:
         paths = write_run_report(args.out_dir, result, space, model)
         print("report: %s" % ", ".join(sorted(paths.values())))
     if args.verbose >= 1:
-        from .reporting import run_summary
         print(json.dumps(run_summary(result), indent=2))
     if args.verbose >= 2:
-        from .reporting import partition_trace
-        print(json.dumps(partition_trace(result.partitions, space), indent=2))
+        print(partition_trace_json(result.partitions, space), end="")
     if result.termination in (GAP, CONDITIONS):
         return EXIT_OK
     return EXIT_NOT_CONVERGED

@@ -32,9 +32,10 @@ class RefineContext:
     """What a refiner may consult at one iteration: the incumbent and the
     partition it was computed on.
 
-    Member solves and the breakpoint sweep are cached, so the upper bound,
-    the refiner and the condition check share them; every recourse LP goes
-    through `bases`, the run's BasisCache (see evaluate_subproblem).
+    Member solves, the breakpoint sweep and the pool projections are
+    cached, so the upper bound, the refiner and the condition check share
+    them; every recourse LP goes through `bases`, the run's BasisCache (see
+    evaluate_subproblem).
     """
 
     model: RecourseModel
@@ -44,6 +45,7 @@ class RefineContext:
     bases: lplib.BasisCache | None = None
     _atoms: dict = field(default_factory=dict, repr=False)
     _points: tuple | None = field(default=None, repr=False)
+    _cuts: tuple | None = field(default=None, repr=False)
 
     def atomized(self, label: str):
         """(weights, realizations, outcomes) for one cell's members at the
@@ -62,6 +64,16 @@ class RefineContext:
             self._points = tuple(rhs_dual_breakpoints(self.model, self.space, self.x_bar,
                                                       self.bases))
         return self._points
+
+    def cuts(self) -> tuple:
+        """(a, d0, pool @ a) for each dual-switch hyperplane a.xi = d0 of a
+        Gaussian space at the incumbent: one projection of the pool per cut,
+        shared by the upper bound and the split."""
+        if self._cuts is None:
+            pool = self.space.pool
+            self._cuts = tuple((a, d0, pool @ a) for a, d0 in
+                               dual_switch_hyperplanes(self.model, self.x_bar, self.space.dim))
+        return self._cuts
 
 
 class Refiner(ABC):
@@ -236,10 +248,10 @@ class HyperplaneRefiner(Refiner):
     space_type = GaussianTechnologySpace
 
     def refine(self, ctx: RefineContext) -> Partition:
-        cuts = dual_switch_hyperplanes(ctx.model, ctx.x_bar, ctx.space.dim)
         part = ctx.partition
-        for normal, offset in cuts:
-            splitter = HyperplaneSplit(tuple(float(v) for v in normal), float(offset))
+        for normal, offset, proj in ctx.cuts():
+            splitter = HyperplaneSplit(tuple(float(v) for v in normal), offset,
+                                       proj <= offset)
             for label in [c.label for c in part.cells]:
                 part = ctx.space.split_cell(part, label, splitter)
         return part
@@ -250,8 +262,8 @@ class HyperplaneRefiner(Refiner):
         value is q0 * max(0, d0 - a.xi) on their single row."""
         if ctx.model.cvar is None:
             return None
-        (a, d0), = dual_switch_hyperplanes(ctx.model, ctx.x_bar, ctx.space.dim)
-        shortfall = np.maximum(d0 - ctx.space.pool @ a, 0.0)
+        (_, d0, proj), = ctx.cuts()
+        shortfall = np.maximum(d0 - proj, 0.0)
         return float(ctx.model.c @ ctx.x_bar + ctx.model.q[0] * shortfall.mean())
 
 

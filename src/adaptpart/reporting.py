@@ -46,6 +46,28 @@ def partition_trace(partitions, space: UncertaintySpace) -> list[dict]:
             for t, part in enumerate(partitions)]
 
 
+def partition_trace_json(partitions, space: UncertaintySpace) -> str:
+    """The text `json.dumps(partition_trace(...), indent=2)` gives, plus a
+    newline, for the partitions of a run (never empty, nor is any of them).
+    Consecutive partitions share most of their Cell objects, so each
+    distinct cell is encoded once and its text spliced in wherever it
+    recurs."""
+    encode = json.JSONEncoder(indent=2).encode
+    texts: dict[int, str] = {}
+    blocks = []
+    for t, part in enumerate(partitions):
+        cells = []
+        for c in part.cells:
+            text = texts.get(id(c))
+            if text is None:
+                # a cell entry sits three levels deep in the trace
+                text = texts[id(c)] = encode(_cell_entry(c, space)).replace("\n", "\n      ")
+            cells.append(text)
+        blocks.append('{\n    "iteration": %d,\n    "cells": [\n      %s\n    ]\n  }'
+                      % (t + 1, ",\n      ".join(cells)))
+    return "[\n  " + ",\n  ".join(blocks) + "\n]\n"
+
+
 def run_summary(result: SolveResult) -> dict:
     last = result.records[-1]
     return {
@@ -76,8 +98,7 @@ def write_run_report(out_dir: str, result: SolveResult,
     with open(paths["iterations"], "w", encoding="utf-8") as fh:
         fh.write(iteration_csv_text(result.records, model.n_first))
     with open(paths["partitions"], "w", encoding="utf-8") as fh:
-        json.dump(partition_trace(result.partitions, space), fh, indent=2)
-        fh.write("\n")
+        fh.write(partition_trace_json(result.partitions, space))
     with open(paths["summary"], "w", encoding="utf-8") as fh:
         json.dump(run_summary(result), fh, indent=2)
         fh.write("\n")

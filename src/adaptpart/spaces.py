@@ -73,10 +73,13 @@ class Breakpoints:
 
 @dataclass(frozen=True)
 class HyperplaneSplit:
-    """Split a region cell by the hyperplane normal.xi = offset."""
+    """Split a region cell by the hyperplane normal.xi = offset.  `side` is
+    the pool-wide mask of normal.xi <= offset when the caller has projected
+    the pool already; without it the space projects the pool once per split."""
 
     normal: tuple[float, ...]
     offset: float
+    side: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,19 +342,20 @@ class GaussianTechnologySpace(UncertaintySpace):
     def dim(self) -> int:
         return self.mu.size
 
-    def realization_at(self, xi) -> Realization:
+    def _technology(self, xi) -> np.ndarray:
         T = self.model.T_base.copy()
         for e in self.model.layout.tech_entries:
             T[e.row, e.col] = e.scale * xi[e.component]
-        return Realization(self.model.h_base, T)
+        return T
 
-    def _make_cell(self, label: str, halfspaces, members: np.ndarray) -> Cell | None:
-        if members.size == 0:
-            return None
+    def realization_at(self, xi) -> Realization:
+        return Realization(self.model.h_base, self._technology(xi))
+
+    def _make_cell(self, label: str, halfspaces, members: np.ndarray) -> Cell:
         xi_mean = self.pool[members].mean(axis=0)
         return Cell(label, HalfspaceRegion(halfspaces, members, xi_mean),
                     members.size / self.pool_size, self.model.h_base.copy(),
-                    self.realization_at(xi_mean).T, MONTE_CARLO, int(members.size))
+                    self._technology(xi_mean), MONTE_CARLO, int(members.size))
 
     def trivial_partition(self) -> Partition:
         cell = self._make_cell("0", (), np.arange(self.pool_size))
@@ -362,20 +366,18 @@ class GaussianTechnologySpace(UncertaintySpace):
             raise ValidationError("region cells split by hyperplanes")
         a = np.asarray(splitter.normal, dtype=float)
         beta = float(splitter.offset)
+        side = splitter.side if splitter.side is not None else self.pool @ a <= beta
         members = cell.geometry.members
-        side = self.pool[members] @ a <= beta
-        inside, outside = members[side], members[~side]
-        if inside.size == 0 or outside.size == 0:
+        below = side[members]
+        inside = members[below]
+        if inside.size in (0, members.size):
             return None
+        outside = members[~below]
         norm_a = tuple(float(v) for v in a)
         first = cell.geometry.halfspaces + ((norm_a, beta),)
         second = cell.geometry.halfspaces + ((tuple(-v for v in norm_a), -beta),)
-        children = [self._make_cell(f"{cell.label}.0", first, inside),
-                    self._make_cell(f"{cell.label}.1", second, outside)]
-        children = [c for c in children if c is not None]
-        if len(children) <= 1:
-            return None
-        return children
+        return [self._make_cell(f"{cell.label}.0", first, inside),
+                self._make_cell(f"{cell.label}.1", second, outside)]
 
     def cell_samples(self, cell: Cell, cap: int):
         members = cell.geometry.members

@@ -274,7 +274,8 @@ def test_lp_core_against_vertex_enumeration():
 
 
 def test_repeat_runs_are_byte_identical(tmp_path):
-    """Identical instance and seed produce byte-identical iteration logs."""
+    """Identical instance and seed produce byte-identical iteration logs and
+    partition traces."""
     problems = []
     for maker, extra in (("make-lands", []),
                          ("make-cvar", ["--mc-pool", "20000"])):
@@ -287,8 +288,11 @@ def test_repeat_runs_are_byte_identical(tmp_path):
                              "--out-dir", str(out_dir), "--max-iters", "8"])
             if code not in (0, 2):
                 problems.append(f"{maker}: exit {code}")
-            blobs.append((out_dir / "iterations.csv").read_bytes())
-        if blobs[0] != blobs[1]:
+            blobs.append(tuple((out_dir / name).read_bytes()
+                               for name in ("iterations.csv", "partitions.json")))
+        if blobs[0][0] != blobs[1][0]:
             problems.append(f"{maker}: iteration logs differ between runs")
+        if blobs[0][1] != blobs[1][1]:
+            problems.append(f"{maker}: partition traces differ between runs")
     verdict("byte-identical repeat runs", not problems,
             "; ".join(problems) or "energy + portfolio instances")

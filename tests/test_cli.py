@@ -200,6 +200,15 @@ class TestReports:
             expected = 100.0 * (best - float(row["lb"])) / abs(best)
             assert float(row["gap_pct"]) == pytest.approx(expected, abs=5e-4)
 
+    def test_very_verbose_prints_the_partition_trace(self, tmp_path, capsys):
+        path = make_cvar(tmp_path, "--mc-pool", 2000)
+        out_dir = tmp_path / "report"
+        code = run_cli(["run", "--instance", path, "--out-dir", out_dir, "-vv"])
+        assert code == 0
+        text = (out_dir / "partitions.json").read_text()
+        assert text.count('"iteration"') > 1
+        assert capsys.readouterr().out.endswith(text)
+
     def test_runs_are_deterministic(self, tmp_path):
         for maker, extra in ((make_lands, ()),
                              (make_cvar, ("--mc-pool", 5000))):

@@ -212,6 +212,29 @@ class TestHyperplane:
             assert np.all(space.pool[members] @ np.asarray(normal)
                           <= offset + 1e-12)
 
+    def test_bound_and_split_share_one_projection(self, monkeypatch):
+        model = self.cvar_like_model()
+        space = GaussianTechnologySpace(
+            model, np.array([0.05, 0.07]),
+            np.array([[0.14, 0.053], [0.053, 0.23]]), seed=5, pool_size=8000)
+        x_bar = np.array([0.4, 0.6, 0.1])
+        ctx = context_for(model, space, x_bar)
+        calls = []
+        cut_planes = refiners.dual_switch_hyperplanes
+
+        def counting(*args):
+            calls.append(args)
+            return cut_planes(*args)
+
+        monkeypatch.setattr(refiners, "dual_switch_hyperplanes", counting)
+        refiner = HyperplaneRefiner()
+        bound = refiner.upper_bound(ctx)
+        part = refiner.refine(ctx)
+        assert len(calls) == 1 and len(part) == 2
+        (a, d0), = cut_planes(model, x_bar, space.dim)
+        expected = model.c @ x_bar + model.q[0] * np.maximum(d0 - space.pool @ a, 0.0).mean()
+        assert bound == float(expected)
+
     def test_zero_direction_is_identity(self):
         model = self.cvar_like_model()
         space = GaussianTechnologySpace(

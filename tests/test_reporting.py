@@ -4,11 +4,16 @@ import json
 import numpy as np
 import pytest
 
-from adaptpart.instances import cvar_document, document_to_model, document_to_space
+from adaptpart.engine import SolverConfig, run
+from adaptpart.instances import (cvar_document, document_to_model, document_to_space,
+                                 lands_document)
 from adaptpart.model import RandomLayout, RecourseModel
-from adaptpart.reporting import partition_trace
+from adaptpart.refiners import refiner_by_name
+from adaptpart.reporting import partition_trace, write_run_report
 from adaptpart.spaces import (Breakpoints, DiscreteSpace, HyperplaneSplit,
                               ScenarioRegroup, UniformRhsSpace)
+
+from _generators import random_discrete_space, random_recourse_model
 
 
 def shortage_model() -> RecourseModel:
@@ -68,3 +73,38 @@ def test_region_cell_entry():
     assert entry["geometry"] == {"type": "region",
                                  "halfspaces": [{"normal": [1.0, 0.0], "offset": 0.05}]}
     assert entry["xi_mean"] == pytest.approx(list(inside.mean(axis=0)), rel=1e-12)
+
+
+def discrete_pair():
+    rng = np.random.default_rng(3)
+    model = random_recourse_model(rng, n_first=3, m=2)
+    return model, random_discrete_space(rng, model, n_scenarios=30)
+
+
+def document_pair(doc):
+    model = document_to_model(doc)
+    return model, document_to_space(doc, model)
+
+
+@pytest.mark.parametrize("make", [
+    discrete_pair,
+    lambda: document_pair(lands_document()),
+    lambda: document_pair(cvar_document(seed=0, pool_size=2000)),
+], ids=["discrete", "interval", "region"])
+def test_partitions_file_is_the_trace_dump(tmp_path, make):
+    model, space = make()
+    result = run(model, space, refiner_by_name("auto", space), SolverConfig())
+    assert len(result.partitions) > 1
+    paths = write_run_report(str(tmp_path), result, space, model)
+    expected = json.dumps(partition_trace(result.partitions, space), indent=2) + "\n"
+    with open(paths["partitions"], "rb") as fh:
+        assert fh.read() == expected.encode("utf-8")
+
+
+def test_region_partitions_reuse_cells():
+    # the encoder memo is keyed by Cell object, so its worth rests on
+    # consecutive partitions sharing the cells that did not split
+    model, space = document_pair(cvar_document(seed=0, pool_size=2000))
+    result = run(model, space, refiner_by_name("auto", space), SolverConfig())
+    entries = [c for part in result.partitions for c in part.cells]
+    assert len({id(c) for c in entries}) < len(entries)

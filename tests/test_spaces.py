@@ -164,6 +164,39 @@ class TestGaussian:
         part = space.trivial_partition()
         assert space.split_cell(part, "0", HyperplaneSplit((1.0, 0.0), 50.0)) is part
 
+    def test_shared_side_mask_matches_member_projection(self):
+        # three successive cuts, each applied to every cell through one
+        # pool-wide mask the way HyperplaneRefiner.refine applies them
+        space = GaussianTechnologySpace(gaussian_model(), np.array([0.05, 0.07]),
+                                        np.array([[0.14, 0.053], [0.053, 0.23]]),
+                                        seed=11, pool_size=20000)
+        part = space.trivial_partition()
+        for normal, beta in (((0.0, 1.0), 0.07), ((0.4, 0.6), 0.02), ((1.0, -0.5), -0.1)):
+            a = np.asarray(normal)
+            splitter = HyperplaneSplit(normal, beta, space.pool @ a <= beta)
+            for parent in part.cells:
+                members = parent.geometry.members
+                side = space.pool[members] @ a <= beta
+                split = space.split_cell(part, parent.label, splitter)
+                plain = space.split_cell(part, parent.label, HyperplaneSplit(normal, beta))
+                if side.all() or not side.any():
+                    assert split is part and plain is part
+                    continue
+                for kids in (split, plain):
+                    for suffix, expected in ((".0", members[side]), (".1", members[~side])):
+                        kid = kids.find(parent.label + suffix)
+                        npt.assert_array_equal(kid.geometry.members, expected)
+                        assert kid.mass == expected.size / space.pool_size
+                        npt.assert_array_equal(kid.geometry.xi_mean,
+                                               space.pool[expected].mean(axis=0))
+                        npt.assert_array_equal(kid.t_mean,
+                                               space.realization_at(kid.geometry.xi_mean).T)
+                part = split
+        assert len(part) > 4
+        assert space.split_cell(part, part.cells[0].label,
+                                HyperplaneSplit((1.0, 0.0), 50.0,
+                                                space.pool[:, 0] <= 50.0)) is part
+
     def test_law_of_total_expectation_on_pool(self):
         model = gaussian_model()
         space = GaussianTechnologySpace(model, np.array([0.1, -0.3]),
