@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sample pool seed (overrides the instance)")
     p_run.add_argument("--mc-pool", type=int, default=None,
                        help="sample pool size (overrides the instance)")
-    p_run.add_argument("--upper-bound", default="auto", choices=["auto", "on", "off"])
+    p_run.add_argument("--upper-bound", default="auto", choices=["auto", "off"])
     p_run.add_argument("--oracle", action="store_true",
                        help="also solve the extensive form (discrete instances)")
     p_run.add_argument("--out-dir", default=None, help="write report files here")

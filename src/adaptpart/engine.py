@@ -13,16 +13,16 @@ from . import lp as lplib
 from .errors import SolverFailure, ValidationError
 from .model import RecourseModel, build_aggregated_master
 from .model import evaluate_subproblem  # noqa: F401  (perfbench/tracing.py wraps it here)
-from .refiners import RefineContext, Refiner
+from .refiners import CONDITION_SAMPLE_CAP, RefineContext, Refiner
 from .refiners import rhs_dual_breakpoints  # noqa: F401  (perfbench/tracing.py wraps it here)
-from .spaces import Partition, UncertaintySpace
+from .spaces import MONTE_CARLO, Partition, UncertaintySpace
 
 GAP = "gap"
 CONDITIONS = "conditions-satisfied"
 STABILIZED = "partition-stabilized"
 ITERATION_LIMIT = "iteration-limit"
 
-UPPER_BOUND_MODES = ("auto", "on", "off")
+UPPER_BOUND_MODES = ("auto", "off")
 CONDITION_TOL = 1e-6
 
 
@@ -101,22 +101,20 @@ def compute_upper_bound(refiner: Refiner, ctx: RefineContext,
                         mode: str = "auto") -> float | None:
     """Exact expected cost of the incumbent ctx.x_bar by the refiner's rule
     (see Refiner.upper_bound).  Mode "off" skips it; "auto" returns None when
-    the backend has no rule for this model, and "on" raises instead."""
-    if mode == "off":
-        return None
-    value = refiner.upper_bound(ctx)
-    if value is None and mode == "on":
-        raise ValidationError(f"no exact upper bound available for {ctx.space.kind} spaces")
-    return value
+    the backend has no rule for this model."""
+    return None if mode == "off" else refiner.upper_bound(ctx)
 
 
 def _conditions_hold(ctx: RefineContext) -> bool:
-    """The optimality conditions on every cell; a cell of which cell_samples
-    gave fewer members than its sample_count was not checked, so it fails."""
-    for cell in ctx.partition.cells:
-        weights, reals, outs = ctx.atomized(cell.label)
-        if cell.sample_count is not None and len(reals) < cell.sample_count:
-            return False
+    """The optimality conditions on every cell.  cell_samples gives a
+    Monte-Carlo cell at most CONDITION_SAMPLE_CAP of its members, so a cell
+    with more cannot be checked in full: it fails before any member solve."""
+    cells = ctx.partition.cells
+    if any(c.estimate == MONTE_CARLO and c.sample_count > CONDITION_SAMPLE_CAP
+           for c in cells):
+        return False
+    for cell in cells:
+        weights, reals, outs = ctx.atomized(cell)
         ok = check_conditions(weights, [r.h for r in reals], [r.T for r in reals],
                               [o.duals for o in outs], ctx.x_bar, CONDITION_TOL)
         if not ok:

@@ -134,8 +134,7 @@ def document_to_model(doc: dict) -> RecourseModel:
         b=np.array(fs["b"], dtype=float), senses=tuple(fs["senses"]),
         W=np.array(rc["W"], dtype=float), q=np.array(rc["q"], dtype=float),
         recourse_senses=tuple(rc["senses"]), h_base=h_base, T_base=t_base,
-        x_lower=lower, x_upper=upper, layout=layout, cvar=cvar,
-        name=doc.get("metadata", {}).get("name", ""))
+        x_lower=lower, x_upper=upper, layout=layout, cvar=cvar)
     model.assert_first_stage_feasible()
     return model
 

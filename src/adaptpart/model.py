@@ -87,7 +87,6 @@ class RecourseModel:
     x_upper: np.ndarray | None = None
     layout: RandomLayout = field(default_factory=RandomLayout)
     cvar: CvarMarker | None = None
-    name: str = ""
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.c, dtype=float))

@@ -3,8 +3,9 @@
 Three structure-aware disaggregation procedures, one per uncertainty backend:
 grouping scenarios by equal subproblem duals, splitting intervals at rhs
 ranging breakpoints, and cutting regions along the hyperplane where the
-recourse dual switches.  Each returns a refinement of the input partition and
-returns the partition object unchanged when nothing splits.  Each also
+recourse dual switches.  Each hands its space plain split arguments per
+cell, builds the refined partition once from the children in cell order,
+and returns the partition object unchanged when nothing splits.  Each also
 carries its backend's exact upper bound rule, which reads the member solves
 and the breakpoint sweep of the same RefineContext as the split.
 """
@@ -18,9 +19,8 @@ import numpy as np
 from . import lp as lplib
 from .errors import RecourseViolation, ValidationError
 from .model import RecourseModel, evaluate_subproblem, subproblem_lp
-from .spaces import (Breakpoints, DiscreteSpace, GaussianTechnologySpace,
-                     HyperplaneSplit, Partition, ScenarioRegroup, UncertaintySpace,
-                     UniformRhsSpace)
+from .spaces import (Cell, DiscreteSpace, GaussianTechnologySpace, Partition,
+                     UncertaintySpace, UniformRhsSpace)
 
 DUAL_TOL = 1e-6
 DEGENERACY_STEP_FRAC = 1e-7
@@ -47,15 +47,14 @@ class RefineContext:
     _points: tuple | None = field(default=None, repr=False)
     _cuts: tuple | None = field(default=None, repr=False)
 
-    def atomized(self, label: str):
+    def atomized(self, cell: Cell):
         """(weights, realizations, outcomes) for one cell's members at the
         incumbent; weights are cell-conditional and sum to one."""
-        if label not in self._atoms:
-            cell = self.partition.find(label)
+        if cell not in self._atoms:
             weights, reals = self.space.cell_samples(cell, CONDITION_SAMPLE_CAP)
             outs = [evaluate_subproblem(self.model, self.x_bar, r, self.bases) for r in reals]
-            self._atoms[label] = (weights, reals, outs)
-        return self._atoms[label]
+            self._atoms[cell] = (weights, reals, outs)
+        return self._atoms[cell]
 
     def breakpoints(self) -> tuple[float, ...]:
         """The interior dual breakpoints of an interval space's support at
@@ -80,13 +79,12 @@ class Refiner(ABC):
     """Disaggregation procedure for the backend `space_type`, with that
     backend's exact upper bound rule."""
 
-    name: str = ""
     space_type: type = UncertaintySpace
 
     def check(self, space: UncertaintySpace) -> None:
         if not isinstance(space, self.space_type):
             raise ValidationError(
-                f"{self.name} refiner does not support {space.kind} spaces")
+                f"{type(self).__name__} does not support {space.kind} spaces")
 
     @abstractmethod
     def refine(self, ctx: RefineContext) -> Partition:
@@ -96,6 +94,11 @@ class Refiner(ABC):
     def upper_bound(self, ctx: RefineContext) -> float | None:
         """Exact expected cost c.x + E[Q(x, xi)] of the incumbent ctx.x_bar,
         or None when the backend has no exact rule for this model."""
+
+
+def _refined(partition: Partition, cells: list) -> Partition:
+    """The partition of `cells`, or `partition` itself when no cell split."""
+    return partition if len(cells) == len(partition) else Partition(tuple(cells))
 
 
 # ------------------------------------------------------------ dual clustering
@@ -122,28 +125,27 @@ def group_scenarios_by_dual(indices, duals, tol: float = DUAL_TOL):
 class DualClusteringRefiner(Refiner):
     """Split each scenario cell into groups of equal-dual members."""
 
-    name = "dual-cluster"
     space_type = DiscreteSpace
 
     def refine(self, ctx: RefineContext) -> Partition:
-        part = ctx.partition
+        cells = []
         for cell in ctx.partition.cells:
             indices = cell.geometry.indices
-            if len(indices) <= 1:
-                continue
-            _, _, outs = ctx.atomized(cell.label)
-            groups = group_scenarios_by_dual(indices, [o.duals for o in outs])
-            if len(groups) > 1:
-                splitter = ScenarioRegroup(tuple(tuple(g) for g in groups))
-                part = ctx.space.split_cell(part, cell.label, splitter)
-        return part
+            if len(indices) > 1:
+                _, _, outs = ctx.atomized(cell)
+                groups = group_scenarios_by_dual(indices, [o.duals for o in outs])
+                if len(groups) > 1:
+                    cells.extend(ctx.space.split_cell(cell, groups))
+                    continue
+            cells.append(cell)
+        return _refined(ctx.partition, cells)
 
     def upper_bound(self, ctx):
         """Weighted sum of the per-scenario recourse values, in scenario
         order, from the members' solves that refine reads too."""
         values = {}
         for cell in ctx.partition.cells:
-            _, _, outs = ctx.atomized(cell.label)
+            _, _, outs = ctx.atomized(cell)
             values.update(zip(cell.geometry.indices, (o.value for o in outs)))
         value = float(ctx.model.c @ ctx.x_bar)
         for s, w in enumerate(ctx.space.weights):
@@ -192,15 +194,12 @@ class RangingRefiner(Refiner):
     located by one rhs ranging sweep over the support; each cell keeps the
     points inside it."""
 
-    name = "ranging"
     space_type = UniformRhsSpace
 
     def refine(self, ctx: RefineContext) -> Partition:
-        splitter = Breakpoints(ctx.breakpoints())
-        part = ctx.partition
-        for cell in ctx.partition.cells:
-            part = ctx.space.split_cell(part, cell.label, splitter)
-        return part
+        points = ctx.breakpoints()
+        cells = [c for cell in ctx.partition.cells for c in ctx.space.split_cell(cell, points)]
+        return _refined(ctx.partition, cells)
 
     def upper_bound(self, ctx):
         """Closed-form integration of the piecewise linear recourse value."""
@@ -244,16 +243,15 @@ class HyperplaneRefiner(Refiner):
     incumbent; one-sided cells (every cell, for a zero normal) pass through
     unchanged."""
 
-    name = "hyperplane"
     space_type = GaussianTechnologySpace
 
     def refine(self, ctx: RefineContext) -> Partition:
         part = ctx.partition
         for normal, offset, proj in ctx.cuts():
-            splitter = HyperplaneSplit(tuple(float(v) for v in normal), offset,
-                                       proj <= offset)
-            for label in [c.label for c in part.cells]:
-                part = ctx.space.split_cell(part, label, splitter)
+            side = proj <= offset
+            cells = [c for cell in part.cells
+                     for c in ctx.space.split_cell(cell, normal, offset, side)]
+            part = _refined(part, cells)
         return part
 
     def upper_bound(self, ctx):
@@ -271,12 +269,10 @@ REFINERS = (DualClusteringRefiner, RangingRefiner, HyperplaneRefiner)
 
 
 def refiner_by_name(name: str, space: UncertaintySpace) -> Refiner:
-    """The refiner called `name`; "auto" picks the one matching the backend."""
+    """The refiner of `space`'s backend; "auto" is the only name."""
+    if name != "auto":
+        raise ValidationError(f"unknown refiner {name!r}; only 'auto' is defined")
     for cls in REFINERS:
-        if cls.name == name or (name == "auto" and isinstance(space, cls.space_type)):
-            refiner = cls()
-            refiner.check(space)
-            return refiner
-    if name == "auto":
-        raise ValidationError(f"no refiner available for {space.kind} spaces")
-    raise ValidationError(f"unknown refiner {name!r}")
+        if isinstance(space, cls.space_type):
+            return cls()
+    raise ValidationError(f"no refiner available for {space.kind} spaces")

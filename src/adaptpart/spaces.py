@@ -4,6 +4,10 @@ A partition is a list of disjoint cells covering the support.  Each cell
 caches its probability mass and the conditional means of (h, T); discrete and
 interval backends compute these exactly, the Gaussian backend estimates them
 over a common-random-numbers sample pool drawn once per space instance.
+
+A space splits one cell at a time, from plain arguments its backend's
+refiner computes: scenario index groups (discrete), interior points
+(interval), or a hyperplane with its pool-wide side mask (Gaussian).
 """
 from __future__ import annotations
 
@@ -55,33 +59,6 @@ class HalfspaceRegion:
         return hash(self.halfspaces)
 
 
-# ------------------------------------------------------------------ splitters
-
-@dataclass(frozen=True)
-class ScenarioRegroup:
-    """Split a discrete cell into the given index groups."""
-
-    groups: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class Breakpoints:
-    """Split an interval cell at the given interior points."""
-
-    points: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class HyperplaneSplit:
-    """Split a region cell by the hyperplane normal.xi = offset.  `side` is
-    the pool-wide mask of normal.xi <= offset when the caller has projected
-    the pool already; without it the space projects the pool once per split."""
-
-    normal: tuple[float, ...]
-    offset: float
-    side: np.ndarray | None = field(default=None, compare=False, repr=False)
-
-
 @dataclass(frozen=True, eq=False)
 class Cell:
     """One partition cell with cached mass and conditional means."""
@@ -110,16 +87,12 @@ class Partition:
     def total_mass(self) -> float:
         return float(sum(c.mass for c in self.cells))
 
-    def find(self, label: str) -> Cell:
-        for c in self.cells:
-            if c.label == label:
-                return c
-        raise ValidationError(f"no cell labeled {label!r}")
-
 
 class UncertaintySpace(ABC):
     """Backend interface: cell construction, splitting, sampling, and the
-    report geometry of a cell.  `kind` is the instance document tag."""
+    report geometry of a cell.  `kind` is the instance document tag.
+    Splitting takes the backend's own arguments (see `_split` of each
+    subclass) and returns children; the caller assembles the partition."""
 
     kind: str = ""
 
@@ -128,8 +101,9 @@ class UncertaintySpace(ABC):
         """The single-cell partition covering the whole support."""
 
     @abstractmethod
-    def _split(self, cell: Cell, splitter) -> list[Cell] | None:
-        """Children of `cell` under `splitter`, or None for a no-op."""
+    def _split(self, cell: Cell, *how) -> list[Cell]:
+        """Children of `cell` with positive mass under the backend's split
+        arguments `how`."""
 
     @abstractmethod
     def cell_samples(self, cell: Cell, cap: int):
@@ -141,20 +115,11 @@ class UncertaintySpace(ABC):
     def cell_report(self, cell: Cell) -> dict:
         """The cell's geometry keys for the partition trace, in report order."""
 
-    def split_cell(self, partition: Partition, label: str, splitter) -> Partition:
-        """Replace one cell by its children.  Returns `partition` itself when
+    def split_cell(self, cell: Cell, *how) -> tuple[Cell, ...]:
+        """The children of `cell` under `how`, in order, or `(cell,)` when
         the split is a no-op (zero-mass children dropped; single survivor)."""
-        cell = partition.find(label)
-        children = self._split(cell, splitter)
-        if children is None or len(children) <= 1:
-            return partition
-        out: list[Cell] = []
-        for c in partition.cells:
-            if c.label == label:
-                out.extend(children)
-            else:
-                out.append(c)
-        return Partition(tuple(out))
+        children = self._split(cell, *how)
+        return tuple(children) if len(children) > 1 else (cell,)
 
 
 # ------------------------------------------------------------------- discrete
@@ -200,21 +165,16 @@ class DiscreteSpace(UncertaintySpace):
         cell = self._make_cell("0", tuple(range(self.n_scenarios)))
         return Partition((cell,))
 
-    def _split(self, cell: Cell, splitter) -> list[Cell] | None:
-        if not isinstance(splitter, ScenarioRegroup):
-            raise ValidationError("discrete cells split by scenario regrouping")
+    def _split(self, cell: Cell, groups) -> list[Cell]:
+        """One child per group of scenario indices; the groups must
+        partition the cell's scenarios."""
         parent = set(cell.geometry.indices)
-        flat = [i for g in splitter.groups for i in g]
+        flat = [i for g in groups for i in g]
         if set(flat) != parent or len(flat) != len(parent):
             raise ValidationError("groups must partition the cell's scenario set")
-        children = []
-        for t, group in enumerate(splitter.groups):
-            child = self._make_cell(f"{cell.label}.{t}", tuple(sorted(group)))
-            if child is not None:
-                children.append(child)
-        if len(children) <= 1:
-            return None
-        return children
+        children = (self._make_cell(f"{cell.label}.{t}", tuple(sorted(group)))
+                    for t, group in enumerate(groups))
+        return [c for c in children if c is not None]
 
     def cell_samples(self, cell: Cell, cap: int):
         idx = list(cell.geometry.indices)
@@ -263,27 +223,21 @@ class UniformRhsSpace(UncertaintySpace):
     def trivial_partition(self) -> Partition:
         return Partition((self._make_cell("0", self.lo, self.hi),))
 
-    def _split(self, cell: Cell, splitter) -> list[Cell] | None:
-        if not isinstance(splitter, Breakpoints):
-            raise ValidationError("interval cells split at breakpoints")
+    def _split(self, cell: Cell, points) -> list[Cell]:
+        """Split at the given points that lie inside the cell; points outside
+        it, or closer than 1e-12 of the support to a kept knot, are ignored."""
         lo, hi = cell.geometry.lo, cell.geometry.hi
         eps = 1e-12 * (self.hi - self.lo)
-        points = sorted(p for p in splitter.points if lo + eps < p < hi - eps)
-        dedup: list[float] = []
-        for p in points:
-            if not dedup or p - dedup[-1] > eps:
-                dedup.append(p)
-        if not dedup:
-            return None
-        knots = [lo] + dedup + [hi]
-        children = []
-        for t in range(len(knots) - 1):
-            child = self._make_cell(f"{cell.label}.{t}", knots[t], knots[t + 1])
-            if child is not None:
-                children.append(child)
-        if len(children) <= 1:
-            return None
-        return children
+        knots = [lo]
+        for p in sorted(p for p in points if lo + eps < p < hi - eps):
+            if len(knots) == 1 or p - knots[-1] > eps:
+                knots.append(p)
+        if len(knots) == 1:
+            return []
+        knots.append(hi)
+        children = (self._make_cell(f"{cell.label}.{t}", knots[t], knots[t + 1])
+                    for t in range(len(knots) - 1))
+        return [c for c in children if c is not None]
 
     def cell_samples(self, cell: Cell, cap: int):
         lo, hi = cell.geometry.lo, cell.geometry.hi
@@ -331,11 +285,9 @@ class GaussianTechnologySpace(UncertaintySpace):
             raise ValidationError("pool size must be at least 2")
         self.model = model
         self.mu = mu
-        self.sigma = sigma
-        self.seed = int(seed)
         self.pool_size = int(pool_size)
         root = evecs @ np.diag(np.sqrt(np.clip(evals, 0.0, None))) @ evecs.T
-        rng = np.random.default_rng(self.seed)
+        rng = np.random.default_rng(int(seed))
         self.pool = rng.standard_normal((self.pool_size, d)) @ root + mu
 
     @property
@@ -361,19 +313,17 @@ class GaussianTechnologySpace(UncertaintySpace):
         cell = self._make_cell("0", (), np.arange(self.pool_size))
         return Partition((cell,))
 
-    def _split(self, cell: Cell, splitter) -> list[Cell] | None:
-        if not isinstance(splitter, HyperplaneSplit):
-            raise ValidationError("region cells split by hyperplanes")
-        a = np.asarray(splitter.normal, dtype=float)
-        beta = float(splitter.offset)
-        side = splitter.side if splitter.side is not None else self.pool @ a <= beta
+    def _split(self, cell: Cell, normal, offset, side) -> list[Cell]:
+        """Cut the cell by the hyperplane normal.xi = offset; `side` is the
+        pool-wide mask of normal.xi <= offset, read at the cell's members."""
         members = cell.geometry.members
         below = side[members]
         inside = members[below]
         if inside.size in (0, members.size):
-            return None
+            return []
         outside = members[~below]
-        norm_a = tuple(float(v) for v in a)
+        norm_a = tuple(float(v) for v in normal)
+        beta = float(offset)
         first = cell.geometry.halfspaces + ((norm_a, beta),)
         second = cell.geometry.halfspaces + ((tuple(-v for v in norm_a), -beta),)
         return [self._make_cell(f"{cell.label}.0", first, inside),

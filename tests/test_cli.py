@@ -123,9 +123,11 @@ class TestDiscreteOracle:
         path = tmp_path / "five.json"
         path.write_text(json.dumps(doc))
         code = run_cli(["run", "--instance", path, "--oracle",
-                        "--epsilon", 1e-9, "--upper-bound", "on"])
+                        "--epsilon", 1e-9, "--upper-bound", "auto"])
         out = capsys.readouterr().out
         assert code == 0
+        first_row = out.splitlines()[1].split()
+        assert first_row[0] == "1" and first_row[2] != "-"  # the ub column
         assert "agree" in out
         assert "DISAGREE" not in out
 

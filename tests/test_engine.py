@@ -6,7 +6,7 @@ import pytest
 from adaptpart import engine, refiners
 from adaptpart import lp as lplib
 from adaptpart.analytics import empirical_cvar
-from adaptpart.engine import (CONDITIONS, GAP, ITERATION_LIMIT, SolverConfig,
+from adaptpart.engine import (CONDITIONS, GAP, ITERATION_LIMIT, STABILIZED, SolverConfig,
                               check_conditions, compute_upper_bound,
                               relative_gap, run)
 from adaptpart.errors import SolverFailure
@@ -98,7 +98,8 @@ class TestUpperBound:
         model = random_recourse_model(rng)
         space = random_discrete_space(rng, model, n_scenarios=2)
         x = np.minimum(model.x_upper, 0.4)
-        ub = bound_at(model, space, x, "on")
+        ub = bound_at(model, space, x, "auto")
+        assert ub is not None
         manual = float(model.c @ x) + sum(
             w * evaluate_subproblem(model, x, space.realizations[i]).value
             for i, w in enumerate(space.weights))
@@ -112,8 +113,6 @@ class TestUpperBound:
         space = document_to_space(doc, model)
         x = np.zeros(model.n_first)
         assert bound_at(model, space, x, "auto") is None
-        with pytest.raises(Exception):
-            bound_at(model, space, x, "on")
 
     def test_tail_risk_is_the_pool_tail_average(self):
         # at the pool's value-at-risk threshold the bound is the pool's
@@ -124,22 +123,26 @@ class TestUpperBound:
         w = np.array([0.3, 0.7])
         losses = -(space.pool @ w)
         tau = float(np.quantile(losses, 1.0 - model.cvar.delta))
-        ub = bound_at(model, space, np.array([*w, tau]), "on")
+        ub = bound_at(model, space, np.array([*w, tau]), "auto")
+        assert ub is not None
         assert ub == pytest.approx(empirical_cvar(losses, model.cvar.delta), rel=1e-12)
         # an empty portfolio has no random loss, so only the threshold shortfall is paid
-        ub = bound_at(model, space, np.array([0.0, 0.0, -0.5]), "on")
+        ub = bound_at(model, space, np.array([0.0, 0.0, -0.5]), "auto")
+        assert ub is not None
         assert ub == pytest.approx(-0.5 + 0.5 / model.cvar.delta, rel=1e-12)
 
     def test_energy_instance_first_iteration_value(self):
         model, space = lands_pair()
         x_bar = np.array([5.0 / 6.0, 3.0, 25.0 / 6.0, 4.0])
-        ub = bound_at(model, space, x_bar, "on")
+        ub = bound_at(model, space, x_bar, "auto")
+        assert ub is not None
         assert ub == pytest.approx(382.7111, abs=0.01)
 
     def test_affine_value_function_integrates_exactly(self):
         model, space = lands_pair()
         x = np.array([12.0, 0.0, 0.0, 0.0])
-        ub = bound_at(model, space, x, "on")
+        ub = bound_at(model, space, x, "auto")
+        assert ub is not None
         mean_q = evaluate_subproblem(model, x, space.realization_at(0.5 * (space.lo + space.hi))).value
         assert ub == pytest.approx(float(model.c @ x) + mean_q, abs=1e-8)
 
@@ -150,8 +153,9 @@ class TestTermination:
         model = random_recourse_model(rng)
         space = random_discrete_space(rng, model, n_scenarios=1)
         result = run(model, space, DualClusteringRefiner(),
-                     SolverConfig(epsilon=1e-9, upper_bound="on"))
+                     SolverConfig(epsilon=1e-9, upper_bound="auto"))
         assert result.termination == GAP
+        assert result.best_upper is not None
         assert len(result.records) == 1
         assert result.records[0].gap == pytest.approx(0.0, abs=1e-12)
         sol = lplib.solve(extensive_form(
@@ -174,6 +178,33 @@ class TestTermination:
                      SolverConfig(epsilon=1e-15, upper_bound="off"))
         assert result.termination == CONDITIONS
         assert result.best_upper is None
+
+    def test_oversized_sampled_cell_fails_before_member_solves(self, monkeypatch):
+        # without the tail-risk marker there is no upper bound, so the run
+        # ends in a condition check on cells of more pool members than the
+        # check can sample; it refuses them without solving any member
+        doc = cvar_document(seed=0, pool_size=2000)
+        del doc["uncertainty"]["parameters"]["cvar"]
+        model = document_to_model(doc)
+        space = document_to_space(doc, model)
+        checks = []
+        check, evaluate = engine._conditions_hold, refiners.evaluate_subproblem
+
+        def checking(ctx):
+            checks.append(0)
+            return check(ctx)
+
+        def counting(*args, **kwargs):
+            if checks:
+                checks[-1] += 1
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "_conditions_hold", checking)
+        monkeypatch.setattr(refiners, "evaluate_subproblem", counting)
+        result = run(model, space, refiner_by_name("auto", space), SolverConfig())
+        assert result.termination == STABILIZED
+        assert max(c.sample_count for c in result.partition.cells) > refiners.CONDITION_SAMPLE_CAP
+        assert checks == [0]
 
     def test_negative_gap_is_an_error(self):
         class UnderBound(HyperplaneRefiner):
@@ -255,10 +286,11 @@ class TestOracleEquivalence:
             space = random_discrete_space(rng, model, n_scenarios=10)
             result = run(model, space, DualClusteringRefiner(),
                          SolverConfig(epsilon=1e-12, max_iterations=30,
-                                      upper_bound="on"))
+                                      upper_bound="auto"))
             lbs = [r.lower_bound for r in result.records]
             assert all(b >= a - 1e-7 for a, b in zip(lbs, lbs[1:]))
             for rec in result.records:
+                assert rec.upper_bound is not None
                 assert rec.lower_bound <= rec.upper_bound + 1e-7
 
     def test_partition_history_tracks_records(self):

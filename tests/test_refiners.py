@@ -10,7 +10,7 @@ from adaptpart.refiners import (DualClusteringRefiner, HyperplaneRefiner,
                                 RangingRefiner, RefineContext,
                                 dual_switch_hyperplanes, group_scenarios_by_dual,
                                 refiner_by_name, rhs_dual_breakpoints)
-from adaptpart.spaces import (Breakpoints, DiscreteSpace, GaussianTechnologySpace,
+from adaptpart.spaces import (DiscreteSpace, GaussianTechnologySpace, Partition,
                               UniformRhsSpace)
 
 from _generators import random_discrete_space, random_recourse_model
@@ -148,7 +148,7 @@ class TestRanging:
     def test_one_sweep_serves_every_cell(self, monkeypatch):
         model = shortage_model()
         space = UniformRhsSpace(model, 0, 0.0, 5.0)
-        part = space.split_cell(space.trivial_partition(), "0", Breakpoints((1.0, 3.0)))
+        part = Partition(space.split_cell(space.trivial_partition().cells[0], (1.0, 3.0)))
         assert len(part) == 3
         calls = []
 
@@ -266,8 +266,56 @@ class TestSelection:
 
     def test_named_selection_and_mismatch(self):
         space = UniformRhsSpace(shortage_model(), 0, 0.0, 5.0)
-        assert isinstance(refiner_by_name("ranging", space), RangingRefiner)
         with pytest.raises(ValidationError):
             refiner_by_name("dual-cluster", space)
         with pytest.raises(ValidationError):
             refiner_by_name("no-such-refiner", space)
+        with pytest.raises(ValidationError, match="does not support uniform_rhs"):
+            DualClusteringRefiner().check(space)
+
+
+def discrete_pass():
+    # at x = 2 the demands above 2 bind: only the middle cell {4, 5} mixes
+    model = shortage_model()
+    reals = [model.realization(h=np.array([d]), weight=1.0 / 6.0)
+             for d in (1.0, 1.5, 3.0, 4.0, 0.5, 2.5)]
+    space = DiscreteSpace(reals)
+    cells = space.split_cell(space.trivial_partition().cells[0], ((0, 1), (4, 5), (2, 3)))
+    return model, space, Partition(cells), np.array([2.0]), DualClusteringRefiner()
+
+
+def interval_pass():
+    # the breakpoint at x = 2 lies inside the middle cell [1, 3] only
+    model = shortage_model()
+    space = UniformRhsSpace(model, 0, 0.0, 5.0)
+    cells = space.split_cell(space.trivial_partition().cells[0], (1.0, 3.0))
+    return model, space, Partition(cells), np.array([2.0]), RangingRefiner()
+
+
+def region_pass():
+    # the cut xi_1 = -0.3 of this incumbent crosses only the middle slab
+    model = TestHyperplane().cvar_like_model()
+    space = GaussianTechnologySpace(model, np.array([0.05, 0.07]),
+                                    np.array([[0.14, 0.053], [0.053, 0.23]]),
+                                    seed=9, pool_size=4000)
+    a = np.array([0.0, 1.0])
+    low, rest = space.split_cell(space.trivial_partition().cells[0], a, -1.0,
+                                 space.pool @ a <= -1.0)
+    cells = (low,) + space.split_cell(rest, a, 1.0, space.pool @ a <= 1.0)
+    return model, space, Partition(cells), np.array([0.0, 1.0, 0.3]), HyperplaneRefiner()
+
+
+@pytest.mark.parametrize("make", [discrete_pass, interval_pass, region_pass],
+                         ids=["discrete", "interval", "region"])
+def test_refinement_pass_keeps_cell_order(make):
+    model, space, part, x_bar, refiner = make()
+    assert len(part) == 3
+    refined = refiner.refine(RefineContext(model, space, part, x_bar))
+    first, middle, last = part.cells
+    assert refined.cells[0] is first and refined.cells[-1] is last
+    children = refined.cells[1:-1]
+    assert len(children) == 2
+    assert [c.label for c in children] == [middle.label + ".0", middle.label + ".1"]
+    assert sum(c.mass for c in children) == pytest.approx(middle.mass, rel=1e-12)
+    # the refined partition is a fixed point at the same incumbent
+    assert refiner.refine(RefineContext(model, space, refined, x_bar)) is refined

@@ -10,8 +10,7 @@ from adaptpart.instances import (cvar_document, document_to_model, document_to_s
 from adaptpart.model import RandomLayout, RecourseModel
 from adaptpart.refiners import refiner_by_name
 from adaptpart.reporting import partition_trace, write_run_report
-from adaptpart.spaces import (Breakpoints, DiscreteSpace, HyperplaneSplit,
-                              ScenarioRegroup, UniformRhsSpace)
+from adaptpart.spaces import DiscreteSpace, Partition, UniformRhsSpace
 
 from _generators import random_discrete_space, random_recourse_model
 
@@ -24,10 +23,9 @@ def shortage_model() -> RecourseModel:
         layout=RandomLayout(rhs_rows=(0,)))
 
 
-def split_entries(space, splitter):
+def split_entries(space, *how):
     """Report entries of the children after one split of the whole support."""
-    part = space.trivial_partition()
-    part = space.split_cell(part, part.cells[0].label, splitter)
+    part = Partition(space.split_cell(space.trivial_partition().cells[0], *how))
     trace = json.loads(json.dumps(partition_trace([part], space)))
     return trace[0]["cells"]
 
@@ -37,7 +35,7 @@ def test_discrete_cell_entry():
     reals = [model.realization(h=np.array([v]), weight=w)
              for v, w in ((1.0, 0.25), (2.0, 0.5), (5.0, 0.25))]
     space = DiscreteSpace(reals)
-    entry = split_entries(space, ScenarioRegroup(((0, 2), (1,))))[0]
+    entry = split_entries(space, ((0, 2), (1,)))[0]
     assert list(entry) == ["label", "mass", "estimate", "sample_count",
                            "geometry", "h_mean"]
     assert entry == {"label": "0.0", "mass": 0.5, "estimate": "exact",
@@ -49,7 +47,7 @@ def test_discrete_cell_entry():
 
 def test_interval_cell_entry():
     space = UniformRhsSpace(shortage_model(), 0, 1.0, 3.0)
-    entry = split_entries(space, Breakpoints((2.5,)))[1]
+    entry = split_entries(space, (2.5,))[1]
     assert list(entry) == ["label", "mass", "estimate", "geometry", "midpoint"]
     assert entry == {"label": "0.1", "mass": 0.25, "estimate": "exact",
                      "geometry": {"type": "interval", "lo": 2.5, "hi": 3.0},
@@ -61,7 +59,7 @@ def test_region_cell_entry():
     doc = cvar_document(pool_size=200)
     model = document_to_model(doc)
     space = document_to_space(doc, model)
-    entry = split_entries(space, HyperplaneSplit((1.0, 0.0), 0.05))[0]
+    entry = split_entries(space, (1.0, 0.0), 0.05, space.pool[:, 0] <= 0.05)[0]
     inside = space.pool[space.pool[:, 0] <= 0.05]
     assert list(entry) == ["label", "mass", "estimate", "sample_count",
                            "geometry", "xi_mean"]

@@ -5,8 +5,8 @@ import pytest
 
 from adaptpart.errors import ValidationError
 from adaptpart.model import RecourseModel
-from adaptpart.spaces import (Breakpoints, DiscreteSpace, GaussianTechnologySpace,
-                              HyperplaneSplit, ScenarioRegroup, UniformRhsSpace)
+from adaptpart.spaces import (DiscreteSpace, GaussianTechnologySpace, Partition,
+                              UniformRhsSpace)
 
 from _generators import random_discrete_space, random_recourse_model
 from _oracles import trapezoid_integral
@@ -30,6 +30,13 @@ def gaussian_model(dim: int = 2) -> RecourseModel:
         x_lower=np.array([0.0] * dim + [-np.inf]), layout=RandomLayout(tech_entries=entries))
 
 
+def cut(space, cell, normal, offset):
+    """Split a region cell by normal.xi <= offset, with the pool-wide side
+    mask computed here the way HyperplaneRefiner computes it."""
+    side = space.pool @ np.asarray(normal, dtype=float) <= offset
+    return space.split_cell(cell, normal, offset, side)
+
+
 class TestDiscrete:
     def test_weights_must_sum_to_one(self):
         model = random_recourse_model(np.random.default_rng(0))
@@ -42,32 +49,32 @@ class TestDiscrete:
         reals = [model.realization(h=np.full(model.m, v), weight=w)
                  for v, w in ((0.0, 0.5), (1.0, 0.5), (2.0, 0.0))]
         space = DiscreteSpace(reals)
-        part = space.trivial_partition()
-        split = space.split_cell(part, "0", ScenarioRegroup(((0,), (1,), (2,))))
+        cell, = space.trivial_partition().cells
+        split = space.split_cell(cell, ((0,), (1,), (2,)))
         assert len(split) == 2  # the zero-weight scenario carries no cell
-        assert split.total_mass() == pytest.approx(1.0)
+        assert sum(c.mass for c in split) == pytest.approx(1.0)
 
     def test_regroup_must_partition_the_cell(self):
         rng = np.random.default_rng(2)
         model = random_recourse_model(rng)
         space = random_discrete_space(rng, model, n_scenarios=4)
-        part = space.trivial_partition()
+        cell, = space.trivial_partition().cells
         with pytest.raises(ValidationError):
-            space.split_cell(part, "0", ScenarioRegroup(((0, 1), (2,))))
+            space.split_cell(cell, ((0, 1), (2,)))
 
     def test_single_group_is_identity(self):
         rng = np.random.default_rng(3)
         model = random_recourse_model(rng)
         space = random_discrete_space(rng, model, n_scenarios=3)
-        part = space.trivial_partition()
-        assert space.split_cell(part, "0", ScenarioRegroup(((0, 1, 2),))) is part
+        cell, = space.trivial_partition().cells
+        assert space.split_cell(cell, ((0, 1, 2),)) == (cell,)
 
     def test_law_of_total_expectation(self):
         rng = np.random.default_rng(4)
         model = random_recourse_model(rng)
         space = random_discrete_space(rng, model, n_scenarios=6)
-        part = space.trivial_partition()
-        part = space.split_cell(part, "0", ScenarioRegroup(((0, 3), (1, 2, 4), (5,))))
+        cell, = space.trivial_partition().cells
+        part = Partition(space.split_cell(cell, ((0, 3), (1, 2, 4), (5,))))
         total_h = sum(c.mass * c.h_mean for c in part.cells)
         npt.assert_allclose(total_h, space.weights @ space.hs, atol=1e-12)
         assert part.total_mass() == pytest.approx(1.0, abs=1e-12)
@@ -76,24 +83,24 @@ class TestDiscrete:
 class TestUniformRhs:
     def test_mass_and_midpoint_mean(self):
         space = UniformRhsSpace(interval_model(), 0, 3.0, 7.0)
-        part = space.trivial_partition()
-        split = space.split_cell(part, "0", Breakpoints((5.0,)))
-        cell = split.find("0.0")
+        whole, = space.trivial_partition().cells
+        cell = space.split_cell(whole, (5.0,))[0]
+        assert cell.label == "0.0"
         assert cell.geometry.lo == 3.0 and cell.geometry.hi == 5.0
         assert cell.mass == pytest.approx(0.5)
         assert cell.h_mean[0] == pytest.approx(4.0)
 
     def test_asymmetric_split_masses(self):
         space = UniformRhsSpace(interval_model(), 0, 3.0, 7.0)
-        part = space.split_cell(space.trivial_partition(), "0", Breakpoints((4.5,)))
+        part = Partition(space.split_cell(space.trivial_partition().cells[0], (4.5,)))
         masses = sorted(c.mass for c in part.cells)
         npt.assert_allclose(masses, [0.375, 0.625], atol=1e-12)
         assert part.total_mass() == pytest.approx(1.0)
 
     def test_breakpoints_outside_cell_are_identity(self):
         space = UniformRhsSpace(interval_model(), 0, 3.0, 7.0)
-        part = space.trivial_partition()
-        assert space.split_cell(part, "0", Breakpoints((2.0, 7.0, 9.0))) is part
+        cell, = space.trivial_partition().cells
+        assert space.split_cell(cell, (2.0, 7.0, 9.0)) == (cell,)
 
     def test_row_must_be_declared_random(self):
         model = interval_model()
@@ -133,9 +140,8 @@ class TestGaussian:
         model = gaussian_model()
         space = GaussianTechnologySpace(model, np.zeros(2), np.eye(2),
                                         seed=42, pool_size=60000)
-        part = space.split_cell(space.trivial_partition(), "0",
-                                HyperplaneSplit((1.0, 0.0), 0.0))
-        neg = part.find("0.0")
+        neg = cut(space, space.trivial_partition().cells[0], (1.0, 0.0), 0.0)[0]
+        assert neg.label == "0.0"
         assert neg.mass == pytest.approx(0.5, abs=3.0 * 0.5 / np.sqrt(space.pool_size))
         xi = space.cell_mean_xi(neg)
         # oracle: E[x | x <= 0] for a standard normal via direct quadrature
@@ -149,9 +155,7 @@ class TestGaussian:
         model = gaussian_model()
         space = GaussianTechnologySpace(model, np.zeros(2), np.eye(2),
                                         seed=7, pool_size=20000)
-        part = space.split_cell(space.trivial_partition(), "0",
-                                HyperplaneSplit((0.3, -1.2), 0.1))
-        kids = part.cells
+        kids = cut(space, space.trivial_partition().cells[0], (0.3, -1.2), 0.1)
         assert len(kids) == 2
         members = np.concatenate([k.geometry.members for k in kids])
         assert np.array_equal(np.sort(members), np.arange(space.pool_size))
@@ -161,8 +165,8 @@ class TestGaussian:
         model = gaussian_model()
         space = GaussianTechnologySpace(model, np.zeros(2), np.eye(2),
                                         seed=8, pool_size=5000)
-        part = space.trivial_partition()
-        assert space.split_cell(part, "0", HyperplaneSplit((1.0, 0.0), 50.0)) is part
+        cell, = space.trivial_partition().cells
+        assert cut(space, cell, (1.0, 0.0), 50.0) == (cell,)
 
     def test_shared_side_mask_matches_member_projection(self):
         # three successive cuts, each applied to every cell through one
@@ -173,38 +177,40 @@ class TestGaussian:
         part = space.trivial_partition()
         for normal, beta in (((0.0, 1.0), 0.07), ((0.4, 0.6), 0.02), ((1.0, -0.5), -0.1)):
             a = np.asarray(normal)
-            splitter = HyperplaneSplit(normal, beta, space.pool @ a <= beta)
+            shared = space.pool @ a <= beta
+            plain_side = space.pool @ np.array([float(v) for v in normal]) <= beta
+            cells = []
             for parent in part.cells:
                 members = parent.geometry.members
                 side = space.pool[members] @ a <= beta
-                split = space.split_cell(part, parent.label, splitter)
-                plain = space.split_cell(part, parent.label, HyperplaneSplit(normal, beta))
+                split = space.split_cell(parent, a, beta, shared)
+                plain = space.split_cell(parent, normal, beta, plain_side)
+                cells.extend(split)
                 if side.all() or not side.any():
-                    assert split is part and plain is part
+                    assert split == (parent,) and plain == (parent,)
                     continue
                 for kids in (split, plain):
-                    for suffix, expected in ((".0", members[side]), (".1", members[~side])):
-                        kid = kids.find(parent.label + suffix)
+                    assert [k.label for k in kids] == [parent.label + ".0", parent.label + ".1"]
+                    for kid, expected in zip(kids, (members[side], members[~side])):
                         npt.assert_array_equal(kid.geometry.members, expected)
                         assert kid.mass == expected.size / space.pool_size
                         npt.assert_array_equal(kid.geometry.xi_mean,
                                                space.pool[expected].mean(axis=0))
                         npt.assert_array_equal(kid.t_mean,
                                                space.realization_at(kid.geometry.xi_mean).T)
-                part = split
+            part = Partition(tuple(cells))
         assert len(part) > 4
-        assert space.split_cell(part, part.cells[0].label,
-                                HyperplaneSplit((1.0, 0.0), 50.0,
-                                                space.pool[:, 0] <= 50.0)) is part
+        first = part.cells[0]
+        assert space.split_cell(first, (1.0, 0.0), 50.0,
+                                space.pool[:, 0] <= 50.0) == (first,)
 
     def test_law_of_total_expectation_on_pool(self):
         model = gaussian_model()
         space = GaussianTechnologySpace(model, np.array([0.1, -0.3]),
                                         np.array([[0.4, 0.05], [0.05, 0.2]]),
                                         seed=17, pool_size=30000)
-        part = space.trivial_partition()
-        part = space.split_cell(part, "0", HyperplaneSplit((1.0, 1.0), 0.0))
-        part = space.split_cell(part, "0.0", HyperplaneSplit((1.0, -1.0), 0.2))
+        lower, upper = cut(space, space.trivial_partition().cells[0], (1.0, 1.0), 0.0)
+        part = Partition(cut(space, lower, (1.0, -1.0), 0.2) + (upper,))
         total = sum(c.mass * space.cell_mean_xi(c) for c in part.cells)
         npt.assert_allclose(total, space.pool.mean(axis=0), atol=1e-12)
         for c in part.cells:
