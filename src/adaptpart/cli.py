@@ -53,6 +53,9 @@ def cmd_run(args) -> int:
     model = instances.document_to_model(doc)
     space = instances.document_to_space(doc, model, seed=args.seed,
                                         pool_size=args.mc_pool)
+    if args.oracle and space.kind != "discrete":
+        print("--oracle requires a discrete instance", file=sys.stderr)
+        return EXIT_ERROR
     config = SolverConfig(epsilon=args.epsilon, max_iterations=args.max_iters,
                           upper_bound=args.upper_bound)
     result = run(model, space, refiner_by_name("auto", space), config)
@@ -61,9 +64,6 @@ def cmd_run(args) -> int:
         result.termination, result.stats["iterations"], result.stats["wall_time_s"],
         result.stats["lp_solves"], result.stats["basis_hits"]))
     if args.oracle:
-        if space.kind != "discrete":
-            print("--oracle requires a discrete instance", file=sys.stderr)
-            return EXIT_ERROR
         _print_oracle(model, space, result)
     if args.out_dir:
         paths = write_run_report(args.out_dir, result, space, model)

@@ -2,6 +2,7 @@
 builders for the two bundled problem families."""
 from __future__ import annotations
 
+import functools
 import json
 from importlib import resources
 
@@ -24,16 +25,56 @@ def instance_schema() -> dict:
     return json.loads(_data_text("instance.schema.json"))
 
 
+@functools.cache
+def _validator() -> jsonschema.Draft202012Validator:
+    return jsonschema.Draft202012Validator(instance_schema())
+
+
 def validate_document(doc: dict) -> None:
     """Schema-validate an instance document; raise ValidationError with a
     field path on the first violation."""
-    validator = jsonschema.Draft202012Validator(instance_schema())
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
+    errors = sorted(_validator().iter_errors(_schema_stand_in(doc)),
+                    key=lambda e: list(e.absolute_path))
     if errors:
         err = jsonschema.exceptions.best_match(errors)
         path = ".".join(str(p) for p in err.absolute_path) or "<root>"
         raise ValidationError(f"instance field {path}: {err.message}")
     _validate_dimensions(doc)
+
+
+_NUMBER_TYPES = frozenset((int, float))
+_SCENARIO_KEYS = frozenset(("weight", "h", "T"))
+
+
+def _plain_vector(values) -> bool:
+    return type(values) is list and _NUMBER_TYPES.issuperset(map(type, values))
+
+
+def _plain_scenario(sc) -> bool:
+    """A conservative check that the schema accepts one discrete scenario:
+    plain dicts, lists and int/float numbers only, weight >= 0."""
+    if type(sc) is not dict or not {"weight", "h"} <= sc.keys() <= _SCENARIO_KEYS:
+        return False
+    w = sc["weight"]
+    return (type(w) in _NUMBER_TYPES and w >= 0 and _plain_vector(sc["h"])
+            and ("T" not in sc or type(sc["T"]) is list and all(map(_plain_vector, sc["T"]))))
+
+
+def _schema_stand_in(doc):
+    """The document with its discrete scenario list cut to the first item
+    when the conservative check passes every item, else `doc` itself.
+
+    The schema checks each scenario alone, so when every item is valid the
+    cut list yields the same errors (and the same best match) as the full
+    one; anything the check is unsure of goes to the schema whole.
+    """
+    unc = doc.get("uncertainty") if type(doc) is dict else None
+    params = unc.get("parameters") if type(unc) is dict and unc.get("kind") == "discrete" else None
+    scenarios = params.get("scenarios") if type(params) is dict else None
+    if type(scenarios) is not list or len(scenarios) < 2 \
+            or not all(map(_plain_scenario, scenarios)):
+        return doc
+    return {**doc, "uncertainty": {**unc, "parameters": {**params, "scenarios": scenarios[:1]}}}
 
 
 def _validate_dimensions(doc: dict) -> None:

@@ -103,22 +103,36 @@ def _refined(partition: Partition, cells: list) -> Partition:
 
 # ------------------------------------------------------------ dual clustering
 
+def _agree(lam: np.ndarray, rep: np.ndarray, tol: float) -> bool:
+    return bool(np.all(np.abs(lam - rep) <= tol + tol * np.abs(rep)))
+
+
 def group_scenarios_by_dual(indices, duals, tol: float = DUAL_TOL):
     """First-fit grouping of scenario indices whose dual vectors agree
     componentwise within tol (absolute plus relative); deterministic because
-    members are visited in increasing scenario index."""
+    members are visited in increasing scenario index.
+
+    A member's group depends only on its vector and the groups opened before
+    it, so each distinct vector (by its bytes) is fitted once.  A vector
+    that does not agree with itself (an inf or NaN component) is fitted
+    anew at every repeat, as plain first-fit would.
+    """
     order = np.argsort(np.asarray(indices))
     groups: list[list[int]] = []
     reps: list[np.ndarray] = []
+    fitted: dict[bytes, int] = {}
     for k in order:
         lam = np.asarray(duals[k], dtype=float)
-        for g, rep in zip(groups, reps):
-            if np.all(np.abs(lam - rep) <= tol + tol * np.abs(rep)):
-                g.append(int(indices[k]))
-                break
-        else:
-            groups.append([int(indices[k])])
-            reps.append(lam)
+        key = lam.tobytes()
+        g = fitted.get(key)
+        if g is None:
+            g = next((j for j, rep in enumerate(reps) if _agree(lam, rep, tol)), len(reps))
+            if g == len(reps):
+                groups.append([])
+                reps.append(lam)
+            if _agree(lam, reps[g], tol):
+                fitted[key] = g
+        groups[g].append(int(indices[k]))
     return groups
 
 

@@ -88,7 +88,9 @@ class TestEnergyRuns:
     def test_oracle_rejected_for_continuous_uncertainty(self, tmp_path, capsys):
         path = make_lands(tmp_path)
         assert run_cli(["run", "--instance", path, "--oracle"]) == 1
-        assert "oracle" in capsys.readouterr().err.lower()
+        captured = capsys.readouterr()
+        assert "oracle" in captured.err.lower()
+        assert "termination:" not in captured.out  # refused before solving
 
 
 def read_csv_rows_from_report(tmp_path, instance):

@@ -1,15 +1,16 @@
 """Instance documents: schema validation, model construction, generators."""
 import json
 
+import jsonschema
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from adaptpart.errors import ValidationError
 from adaptpart.instances import (cvar_document, document_to_model,
-                                 document_to_space, lands_document,
-                                 load_document, validate_document,
-                                 write_document)
+                                 document_to_space, instance_schema,
+                                 lands_document, load_document,
+                                 validate_document, write_document)
 
 
 class TestValidation:
@@ -40,6 +41,108 @@ class TestValidation:
         write_document(doc, path)
         again = load_document(path)
         assert again == doc
+
+
+def discrete_document(n_scenarios: int) -> dict:
+    """A valid discrete instance with per-scenario T, like the benchmark's."""
+    rng = np.random.default_rng(n_scenarios)
+    scenarios = [{"weight": 1.0 / n_scenarios, "h": [float(v)],
+                  "T": [[1.0, float(t)]]}
+                 for v, t in zip(rng.uniform(0.0, 3.0, n_scenarios),
+                                 rng.uniform(0.0, 1.0, n_scenarios))]
+    return {
+        "first_stage": {"c": [1.0, 1.0], "A": [[1.0, 1.0]], "b": [1.0], "senses": ["<="]},
+        "recourse": {"W": [[1.0, -1.0]], "q": [2.0, 0.5], "senses": [">="]},
+        "uncertainty": {"kind": "discrete", "parameters": {"scenarios": scenarios}},
+    }
+
+
+def full_schema_message(doc: dict) -> str:
+    """The schema error text from validating the whole document: sort the
+    errors by path and report jsonschema's best match among them."""
+    validator = jsonschema.Draft202012Validator(instance_schema())
+    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
+    assert errors
+    err = jsonschema.exceptions.best_match(errors)
+    path = ".".join(str(p) for p in err.absolute_path) or "<root>"
+    return f"instance field {path}: {err.message}"
+
+
+def _set_scenario(index, key, value):
+    def edit(doc):
+        doc["uncertainty"]["parameters"]["scenarios"][index][key] = value
+    return edit
+
+
+def _drop_h(doc):
+    del doc["uncertainty"]["parameters"]["scenarios"][3]["h"]
+
+
+def _set_scenarios(value):
+    def edit(doc):
+        doc["uncertainty"]["parameters"]["scenarios"] = value
+    return edit
+
+
+def _bad_item_and_bad_q(doc):
+    _set_scenario(517, "weight", "heavy")(doc)
+    doc["recourse"]["q"] = [2.0, "cheap"]
+
+
+def _unusual_but_valid_then_bad(doc):
+    scenarios = doc["uncertainty"]["parameters"]["scenarios"]
+    scenarios[3]["weight"] = float("nan")
+    scenarios[4]["weight"] = np.float64(0.5)
+    scenarios[5]["h"] = [np.int64(2)]
+    scenarios[700]["h"] = ["2.0"]
+
+
+MALFORMED_DISCRETE = {
+    "bool weight": (20, _set_scenario(3, "weight", True)),
+    "negative weight": (20, _set_scenario(3, "weight", -0.5)),
+    "string in h": (20, _set_scenario(3, "h", ["1.5"])),
+    "extra scenario key": (20, _set_scenario(3, "name", "peak")),
+    "missing h": (20, _drop_h),
+    "T row not a list": (20, _set_scenario(3, "T", [1.0])),
+    "scenarios not a list": (20, _set_scenarios({"0": {"weight": 1.0, "h": [1.0]}})),
+    "scenarios empty": (20, _set_scenarios([])),
+    "bad item at 0": (1000, _set_scenario(0, "weight", -1.0)),
+    "bad item at 517": (1000, _set_scenario(517, "h", [None])),
+    "bad item and bad recourse.q": (1000, _bad_item_and_bad_q),
+    "NaN and NumPy items before a bad one": (1000, _unusual_but_valid_then_bad),
+}
+
+
+class TestDiscreteValidation:
+    @pytest.mark.parametrize("n_scenarios, edit", MALFORMED_DISCRETE.values(),
+                             ids=list(MALFORMED_DISCRETE))
+    def test_message_matches_whole_document_schema(self, n_scenarios, edit):
+        doc = discrete_document(n_scenarios)
+        edit(doc)
+        expected = full_schema_message(doc)
+        with pytest.raises(ValidationError) as caught:
+            validate_document(doc)
+        assert str(caught.value) == expected
+
+    def test_valid_list_reaches_the_schema_as_one_scenario(self, monkeypatch):
+        seen = []
+        iter_errors = jsonschema.Draft202012Validator.iter_errors
+
+        def spy(self, instance, *args, **kwargs):
+            seen.append(instance)
+            return iter_errors(self, instance, *args, **kwargs)
+
+        monkeypatch.setattr(jsonschema.Draft202012Validator, "iter_errors", spy)
+        doc = discrete_document(1000)
+        validate_document(doc)
+        assert len(seen[0]["uncertainty"]["parameters"]["scenarios"]) == 1
+        assert len(doc["uncertainty"]["parameters"]["scenarios"]) == 1000
+
+    def test_dimensions_are_checked_on_every_scenario(self):
+        doc = discrete_document(1000)
+        doc["uncertainty"]["parameters"]["scenarios"][517]["h"] = [1.0, 2.0]
+        with pytest.raises(ValidationError, match=r"scenarios\.517\.h: expected 1 entries"):
+            validate_document(doc)
 
 
 class TestEnergyDocument:

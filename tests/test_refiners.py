@@ -47,7 +47,59 @@ def context_for(model, space, x_bar):
                          x_bar=np.asarray(x_bar, dtype=float))
 
 
+def first_fit_reference(indices, duals, tol):
+    """Plain first-fit over members in increasing index, one fit per member."""
+    order = np.argsort(np.asarray(indices))
+    groups, reps = [], []
+    for k in order:
+        lam = np.asarray(duals[k], dtype=float)
+        for g, rep in zip(groups, reps):
+            if np.all(np.abs(lam - rep) <= tol + tol * np.abs(rep)):
+                g.append(int(indices[k]))
+                break
+        else:
+            groups.append([int(indices[k])])
+            reps.append(lam)
+    return groups
+
+
+def repetitive_duals(rng, n, tol):
+    """Duals drawn from a few representatives: exact repeats, copies moved
+    within tol, copies moved just beyond it, and signed zeros, inf and NaN."""
+    reps = [np.array([0.0, 1.0, -2.5]), np.array([0.0, 1.0 + 0.9 * tol, -2.5]),
+            np.array([0.0, 1.0 + 1.8 * tol, -2.5]), np.array([0.0, 0.0, 0.0]),
+            np.array([3.0, -0.0, 0.0])]
+    duals = []
+    for _ in range(n):
+        lam = reps[rng.integers(len(reps))].copy()
+        kind = rng.integers(6)
+        j = rng.integers(lam.size)
+        if kind == 1:
+            lam[j] += rng.uniform(-0.9, 0.9) * tol * (1.0 + abs(lam[j]))
+        elif kind == 2:
+            lam[j] += rng.choice([-3.0, 3.0]) * tol * (1.0 + abs(lam[j]))
+        elif kind == 3:
+            lam = np.where(lam == 0.0, -lam, lam)
+        elif kind == 4 and rng.random() < 0.2:
+            lam[j] = rng.choice([np.inf, -np.inf, np.nan])
+        duals.append(lam)
+    return duals
+
+
 class TestDualGrouping:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_plain_first_fit(self, seed):
+        rng = np.random.default_rng(seed)
+        tol = refiners.DUAL_TOL
+        n = int(rng.integers(1, 400))
+        duals = repetitive_duals(rng, n, tol)
+        indices = rng.permutation(3 * n)[:n]
+        with np.errstate(invalid="ignore"):  # inf - inf in the comparisons
+            assert group_scenarios_by_dual(indices, duals) == \
+                first_fit_reference(indices, duals, tol)
+            assert group_scenarios_by_dual(indices, dict(enumerate(duals)), tol=10 * tol) == \
+                first_fit_reference(indices, duals, 10 * tol)
+
     def test_grouping_tolerance(self):
         duals = {0: np.array([0.0]), 1: np.array([0.0 + 5e-7]), 2: np.array([1.0])}
         groups = group_scenarios_by_dual((0, 1, 2), duals, tol=1e-6)
