@@ -33,8 +33,8 @@ class SolverConfig:
     upper_bound: str = "auto"
 
     def __post_init__(self):
-        if not self.epsilon > 0.0:
-            raise ValidationError("gap threshold must be positive")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValidationError(f"gap threshold must be positive and finite, got {self.epsilon}")
         if self.max_iterations < 1:
             raise ValidationError("iteration limit must be at least 1")
         if self.upper_bound not in UPPER_BOUND_MODES:

@@ -10,9 +10,9 @@ import jsonschema
 import numpy as np
 
 from .errors import ValidationError
-from .model import CvarMarker, RandomLayout, RecourseModel, TechEntry
-from .spaces import (DiscreteSpace, GaussianTechnologySpace, UncertaintySpace,
-                     UniformRhsSpace)
+from .model import Realization, RecourseModel
+from .spaces import (CvarMarker, DiscreteSpace, GaussianTechnologySpace, TechEntry,
+                     UncertaintySpace, UniformRhsSpace)
 
 DEFAULT_POOL_SIZE = 100_000
 
@@ -144,64 +144,48 @@ def _bounds_from(doc_fs: dict, n1: int):
 
 
 def document_to_model(doc: dict) -> RecourseModel:
-    """Build the RecourseModel (validating the document and that the
-    first-stage polyhedron is nonempty)."""
+    """Build the fixed-recourse program from the document's first_stage and
+    recourse blocks (validating the whole document and that the first-stage
+    polyhedron is nonempty)."""
     validate_document(doc)
-    fs, rc, unc = doc["first_stage"], doc["recourse"], doc["uncertainty"]
-    n1 = len(fs["c"])
-    m = len(rc["W"])
-    lower, upper = _bounds_from(fs, n1)
-    p = unc["parameters"]
-    kind = unc["kind"]
-    layout = RandomLayout()
-    cvar = None
-    if kind == "discrete":
-        h_base = np.zeros(m)
-        t_base = np.array(p.get("T_base", np.zeros((m, n1))), dtype=float)
-    elif kind == "uniform_rhs":
-        h_base = np.array(p["h_base"], dtype=float)
-        t_base = np.array(p["T"], dtype=float)
-        layout = RandomLayout(rhs_rows=(int(p["row"]),))
-    else:
-        h_base = np.array(p["h_base"], dtype=float)
-        t_base = np.array(p["T_base"], dtype=float)
-        layout = RandomLayout(tech_entries=tuple(
-            TechEntry(int(e["row"]), int(e["col"]), int(e["component"]),
-                      float(e.get("scale", 1.0))) for e in p["entries"]))
-        if "cvar" in p:
-            cvar = CvarMarker(float(p["cvar"]["delta"]), int(p["cvar"]["tau_col"]))
+    fs, rc = doc["first_stage"], doc["recourse"]
+    lower, upper = _bounds_from(fs, len(fs["c"]))
     model = RecourseModel(
         c=np.array(fs["c"], dtype=float), A=np.array(fs["A"], dtype=float),
         b=np.array(fs["b"], dtype=float), senses=tuple(fs["senses"]),
         W=np.array(rc["W"], dtype=float), q=np.array(rc["q"], dtype=float),
-        recourse_senses=tuple(rc["senses"]), h_base=h_base, T_base=t_base,
-        x_lower=lower, x_upper=upper, layout=layout, cvar=cvar)
+        recourse_senses=tuple(rc["senses"]), x_lower=lower, x_upper=upper)
     model.assert_first_stage_feasible()
     return model
 
 
 def document_to_space(doc: dict, model: RecourseModel, seed: int | None = None,
                       pool_size: int | None = None) -> UncertaintySpace:
-    """Build the uncertainty space; seed/pool_size override the document."""
+    """Build the uncertainty space from the document's uncertainty block;
+    seed/pool_size override the document."""
     unc = doc["uncertainty"]
     p = unc["parameters"]
     kind = unc["kind"]
     if kind == "discrete":
-        t_base = model.T_base
-        reals = [model.realization(h=np.array(s["h"], dtype=float),
-                                   T=np.array(s["T"], dtype=float) if "T" in s else t_base,
-                                   weight=float(s["weight"]))
-                 for s in p["scenarios"]]
-        return DiscreteSpace(reals)
+        t_base = np.array(p["T_base"], dtype=float) if "T_base" in p \
+            else np.zeros((model.m, model.n_first))
+        return DiscreteSpace([Realization(s["h"], s.get("T", t_base), float(s["weight"]))
+                              for s in p["scenarios"]])
     if kind == "uniform_rhs":
-        return UniformRhsSpace(model, int(p["row"]), float(p["lo"]), float(p["hi"]))
+        return UniformRhsSpace(model, p["h_base"], p["T"], int(p["row"]),
+                               float(p["lo"]), float(p["hi"]))
     use_seed = seed if seed is not None else p.get("seed")
     if use_seed is None:
         raise ValidationError("gaussian uncertainty needs a seed (document or --seed)")
     use_pool = pool_size if pool_size is not None else p.get("pool_size", DEFAULT_POOL_SIZE)
-    return GaussianTechnologySpace(model, np.array(p["mu"], dtype=float),
+    entries = [TechEntry(int(e["row"]), int(e["col"]), int(e["component"]),
+                         float(e.get("scale", 1.0))) for e in p["entries"]]
+    cvar = CvarMarker(float(p["cvar"]["delta"]), int(p["cvar"]["tau_col"])) \
+        if "cvar" in p else None
+    return GaussianTechnologySpace(model, p["h_base"], p["T_base"], entries,
+                                   np.array(p["mu"], dtype=float),
                                    np.array(p["sigma"], dtype=float),
-                                   int(use_seed), int(use_pool))
+                                   int(use_seed), int(use_pool), cvar)
 
 
 def load_document(path) -> dict:

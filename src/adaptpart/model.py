@@ -2,11 +2,12 @@
 
 A model is  min c.x + E[Q(x, xi)]  over  x in X = {A x (senses) b, bounds},
 with recourse  Q(x, xi) = min{q.y : W y (senses) h(xi) - T(xi) x, y >= 0}.
-W and q are deterministic (fixed recourse); h and T carry the randomness.
+W and q are deterministic (fixed recourse) and live in RecourseModel; h and
+T carry the randomness and belong to the uncertainty space (see spaces.py).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,35 +15,6 @@ from . import lp as lplib
 from .errors import RecourseViolation, ValidationError
 
 MASS_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class TechEntry:
-    """One random technology-matrix entry: T[row, col] = scale * xi[component]."""
-
-    row: int
-    col: int
-    component: int
-    scale: float = 1.0
-
-
-@dataclass(frozen=True)
-class RandomLayout:
-    """Which parts of (h, T) are random and how they map to the random vector."""
-
-    rhs_rows: tuple[int, ...] = ()
-    tech_entries: tuple[TechEntry, ...] = ()
-
-
-@dataclass(frozen=True)
-class CvarMarker:
-    """Marks a model as a tail-risk portfolio problem: first-stage variable
-    `tau_col` is the threshold and `delta` the tail probability.  The model's
-    recourse must then be the tail loss  z >= h - T x  priced at 1/delta:
-    one `>=` row, W = [[1]] and q = [1/delta]."""
-
-    delta: float
-    tau_col: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,7 +44,8 @@ class SubproblemOutcome:
 
 @dataclass(frozen=True, eq=False)
 class RecourseModel:
-    """Deterministic structure of a two-stage program."""
+    """The fixed-recourse program every scenario shares: first stage
+    (c, A, b, senses, bounds) and recourse (W, q, senses)."""
 
     c: np.ndarray
     A: np.ndarray
@@ -81,12 +54,8 @@ class RecourseModel:
     W: np.ndarray
     q: np.ndarray
     recourse_senses: tuple[str, ...]
-    h_base: np.ndarray
-    T_base: np.ndarray
     x_lower: np.ndarray | None = None
     x_upper: np.ndarray | None = None
-    layout: RandomLayout = field(default_factory=RandomLayout)
-    cvar: CvarMarker | None = None
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.c, dtype=float))
@@ -94,28 +63,18 @@ class RecourseModel:
         b = np.atleast_1d(np.asarray(self.b, dtype=float)) if np.size(self.b) else np.zeros(0)
         W = np.atleast_2d(np.asarray(self.W, dtype=float))
         q = np.atleast_1d(np.asarray(self.q, dtype=float))
-        h_base = np.atleast_1d(np.asarray(self.h_base, dtype=float))
-        T_base = np.asarray(self.T_base, dtype=float).reshape(W.shape[0], c.size)
         senses = tuple(self.senses)
         rsenses = tuple(self.recourse_senses)
         if len(senses) != A.shape[0] or b.size != A.shape[0]:
             raise ValidationError("first-stage rows, senses, and rhs sizes disagree")
         if W.shape[1] != q.size:
             raise ValidationError("recourse cost does not match W columns")
-        if len(rsenses) != W.shape[0] or h_base.size != W.shape[0]:
-            raise ValidationError("recourse rows, senses, and h sizes disagree")
+        if len(rsenses) != W.shape[0]:
+            raise ValidationError("recourse rows and senses disagree")
         lower = self.x_lower
         upper = self.x_upper
         lower = np.zeros(c.size) if lower is None else np.asarray(lower, dtype=float)
         upper = np.full(c.size, np.inf) if upper is None else np.asarray(upper, dtype=float)
-        for entry in self.layout.tech_entries:
-            if not (0 <= entry.row < W.shape[0] and 0 <= entry.col < c.size):
-                raise ValidationError(f"technology entry {entry} out of range")
-        for row in self.layout.rhs_rows:
-            if not 0 <= row < W.shape[0]:
-                raise ValidationError(f"random rhs row {row} out of range")
-        if self.cvar is not None:
-            _check_tail_loss(W, q, rsenses, self.cvar.delta)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
@@ -123,8 +82,6 @@ class RecourseModel:
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "recourse_senses", rsenses)
-        object.__setattr__(self, "h_base", h_base)
-        object.__setattr__(self, "T_base", T_base)
         object.__setattr__(self, "x_lower", lower)
         object.__setattr__(self, "x_upper", upper)
 
@@ -149,23 +106,6 @@ class RecourseModel:
         sol = lplib.solve(self.first_stage_lp(np.zeros(self.n_first)))
         if sol.status != lplib.OPTIMAL:
             raise ValidationError(f"first-stage polyhedron is empty ({sol.status})")
-
-    def realization(self, h=None, T=None, weight=1.0) -> Realization:
-        return Realization(self.h_base if h is None else h,
-                           self.T_base if T is None else T, weight)
-
-
-def _check_tail_loss(W, q, senses, delta: float) -> None:
-    """Reject a cvar marker on any recourse but the tail loss it promises."""
-    if not 0.0 < delta <= 1.0:
-        raise ValidationError(f"cvar marker needs delta in (0, 1], got {delta}")
-    if senses != (">=",):
-        raise ValidationError(f"cvar marker needs recourse.senses = ['>='], got {list(senses)}")
-    if W.shape != (1, 1) or W[0, 0] != 1.0:
-        raise ValidationError(f"cvar marker needs recourse.W = [[1]], got {W.tolist()}")
-    if abs(q[0] * delta - 1.0) > 1e-12:
-        raise ValidationError(f"cvar marker needs recourse.q = [1/delta] = [{1.0 / delta!r}], "
-                              f"got {q.tolist()}")
 
 
 def subproblem_lp(model: RecourseModel, x, realization: Realization) -> lplib.StandardLp:

@@ -71,7 +71,7 @@ class RefineContext:
         if self._cuts is None:
             pool = self.space.pool
             self._cuts = tuple((a, d0, pool @ a) for a, d0 in
-                               dual_switch_hyperplanes(self.model, self.x_bar, self.space.dim))
+                               dual_switch_hyperplanes(self.space, self.x_bar))
         return self._cuts
 
 
@@ -182,7 +182,7 @@ def rhs_dual_breakpoints(model: RecourseModel, space: UniformRhsSpace, x_bar: np
     lo, hi = space.lo, space.hi
     step = DEGENERACY_STEP_FRAC * (hi - lo)
     # the LP rhs at the random row is xi - T[row] @ x_bar
-    offset = float(model.T_base[space.row] @ x_bar)
+    offset = float(space.T[space.row] @ x_bar)
     points: list[float] = []
     xi = lo
     while xi < hi - step:
@@ -231,24 +231,24 @@ class RangingRefiner(Refiner):
 
 # -------------------------------------------------------- hyperplane cutting
 
-def dual_switch_hyperplanes(model: RecourseModel, x_bar: np.ndarray,
-                            dim: int) -> list[tuple[np.ndarray, float]]:
+def dual_switch_hyperplanes(space: GaussianTechnologySpace,
+                            x_bar: np.ndarray) -> list[tuple[np.ndarray, float]]:
     """One pair (a, d0) per recourse row carrying random technology entries,
     such that the row's subproblem rhs at the incumbent is d0 - a.xi.  The
     hyperplane a.xi = d0 is where that rhs crosses zero, which is where the
     row's optimal dual switches value; a zero normal is kept."""
     by_row: dict[int, list] = {}
-    for e in model.layout.tech_entries:
+    for e in space.entries:
         by_row.setdefault(e.row, []).append(e)
     cuts: list[tuple[np.ndarray, float]] = []
     for row in sorted(by_row):
-        a = np.zeros(dim)
-        base_det = float(model.T_base[row] @ x_bar)
+        a = np.zeros(space.dim)
+        base_det = float(space.T_base[row] @ x_bar)
         for e in by_row[row]:
             a[e.component] += e.scale * x_bar[e.col]
             # realizations replace (not add to) the base entry
-            base_det -= model.T_base[e.row, e.col] * x_bar[e.col]
-        cuts.append((a, float(model.h_base[row]) - base_det))
+            base_det -= space.T_base[e.row, e.col] * x_bar[e.col]
+        cuts.append((a, float(space.h_base[row]) - base_det))
     return cuts
 
 
@@ -272,7 +272,7 @@ class HyperplaneRefiner(Refiner):
         """Pool-average cost, the exact objective of the sample problem whose
         cells the master aggregates; tail-risk models only, whose recourse
         value is q0 * max(0, d0 - a.xi) on their single row."""
-        if ctx.model.cvar is None:
+        if ctx.space.cvar is None:
             return None
         (_, d0, proj), = ctx.cuts()
         shortfall = np.maximum(d0 - proj, 0.0)

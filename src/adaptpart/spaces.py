@@ -1,5 +1,10 @@
 """Uncertainty spaces and partitions of their support.
 
+Each space owns the random data of its backend: the realizations h(xi),
+T(xi) and whatever maps xi onto them (a random rhs row, technology
+entries).  The RecourseModel it is built against holds only the
+fixed-recourse program the space's data must fit.
+
 A partition is a list of disjoint cells covering the support.  Each cell
 caches its probability mass and the conditional means of (h, T); discrete and
 interval backends compute these exactly, the Gaussian backend estimates them
@@ -21,6 +26,50 @@ from .model import MASS_TOL, Realization, RecourseModel
 
 EXACT = "exact"
 MONTE_CARLO = "monte-carlo"
+
+
+@dataclass(frozen=True)
+class TechEntry:
+    """One random technology-matrix entry: T[row, col] = scale * xi[component]."""
+
+    row: int
+    col: int
+    component: int
+    scale: float = 1.0
+
+
+@dataclass(frozen=True)
+class CvarMarker:
+    """Marks a Gaussian space as a tail-risk portfolio problem: first-stage
+    variable `tau_col` is the threshold and `delta` the tail probability.
+    The model's recourse must then be the tail loss  z >= h - T x  priced at
+    1/delta: one `>=` row, W = [[1]] and q = [1/delta]."""
+
+    delta: float
+    tau_col: int
+
+
+def _check_tail_loss(W, q, senses, delta: float) -> None:
+    """Reject a cvar marker on any recourse but the tail loss it promises."""
+    if not 0.0 < delta <= 1.0:
+        raise ValidationError(f"cvar marker needs delta in (0, 1], got {delta}")
+    if senses != (">=",):
+        raise ValidationError(f"cvar marker needs recourse.senses = ['>='], got {list(senses)}")
+    if W.shape != (1, 1) or W[0, 0] != 1.0:
+        raise ValidationError(f"cvar marker needs recourse.W = [[1]], got {W.tolist()}")
+    if abs(q[0] * delta - 1.0) > 1e-12:
+        raise ValidationError(f"cvar marker needs recourse.q = [1/delta] = [{1.0 / delta!r}], "
+                              f"got {q.tolist()}")
+
+
+def _base_data(model: RecourseModel, h, T) -> tuple[np.ndarray, np.ndarray]:
+    """(h, T) as float arrays shaped (m,) and (m, n1) for `model`."""
+    h = np.atleast_1d(np.asarray(h, dtype=float))
+    T = np.asarray(T, dtype=float)
+    if h.shape != (model.m,) or T.shape != (model.m, model.n_first):
+        raise ValidationError(f"base h {h.shape} and T {T.shape} do not match the model's "
+                              f"({model.m},) and ({model.m}, {model.n_first})")
+    return h, T
 
 
 # ---------------------------------------------------------------- geometries
@@ -80,12 +129,6 @@ class Partition:
 
     def __len__(self) -> int:
         return len(self.cells)
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(c.label for c in self.cells)
-
-    def total_mass(self) -> float:
-        return float(sum(c.mass for c in self.cells))
 
 
 class UncertaintySpace(ABC):
@@ -189,24 +232,25 @@ class DiscreteSpace(UncertaintySpace):
 # ------------------------------------------------------------ 1-D uniform rhs
 
 class UniformRhsSpace(UncertaintySpace):
-    """One rhs component uniform on [lo, hi]; everything else deterministic."""
+    """Component `row` of h uniform on [lo, hi]; the rest of h (`h_base`)
+    and the technology matrix `T` are deterministic."""
 
     kind = "uniform_rhs"
 
-    def __init__(self, model: RecourseModel, row: int, lo: float, hi: float):
-        if row not in model.layout.rhs_rows:
-            raise ValidationError(f"row {row} is not a random rhs row of the model")
+    def __init__(self, model: RecourseModel, h_base, T, row: int, lo: float, hi: float):
+        self.h_base, self.T = _base_data(model, h_base, T)
+        if not 0 <= row < model.m:
+            raise ValidationError(f"random rhs row {row} out of range")
         if not lo < hi:
             raise ValidationError("uniform support needs lo < hi")
-        self.model = model
         self.row = int(row)
         self.lo = float(lo)
         self.hi = float(hi)
 
     def realization_at(self, xi: float) -> Realization:
-        h = self.model.h_base.copy()
+        h = self.h_base.copy()
         h[self.row] = xi
-        return Realization(h, self.model.T_base)
+        return Realization(h, self.T)
 
     def _make_cell(self, label: str, lo: float, hi: float) -> Cell | None:
         span = self.hi - self.lo
@@ -215,10 +259,10 @@ class UniformRhsSpace(UncertaintySpace):
         mass = (hi - lo) / span
         if mass <= 0.0:
             return None
-        h_mean = self.model.h_base.copy()
+        h_mean = self.h_base.copy()
         h_mean[self.row] = 0.5 * (lo + hi)
         return Cell(label, Interval(float(lo), float(hi)), float(mass),
-                    h_mean, self.model.T_base.copy(), EXACT)
+                    h_mean, self.T.copy(), EXACT)
 
     def trivial_partition(self) -> Partition:
         return Partition((self._make_cell("0", self.lo, self.hi),))
@@ -253,7 +297,10 @@ class UniformRhsSpace(UncertaintySpace):
 # ------------------------------------------------- Gaussian technology matrix
 
 class GaussianTechnologySpace(UncertaintySpace):
-    """Multivariate normal random vector feeding technology-matrix entries.
+    """Multivariate normal random vector feeding technology-matrix entries:
+    h is `h_base`, and T is `T_base` with each of `entries` replaced by its
+    scaled component of xi.  A `cvar` marker declares the tail-risk recourse,
+    whose exact pool-average bound HyperplaneRefiner computes.
 
     Masses and conditional means are estimated over a fixed pool of
     `pool_size` common-random-numbers samples drawn once at construction; the
@@ -263,9 +310,13 @@ class GaussianTechnologySpace(UncertaintySpace):
 
     kind = "gaussian_technology"
 
-    def __init__(self, model: RecourseModel, mu, sigma, seed: int, pool_size: int = 100_000):
+    def __init__(self, model: RecourseModel, h_base, T_base, entries, mu, sigma, seed: int,
+                 pool_size: int = 100_000, cvar: CvarMarker | None = None):
         if seed is None:
             raise ValidationError("a seed is required for the sample pool")
+        if seed < 0:
+            raise ValidationError(f"the sample pool seed must be nonnegative, got {seed}")
+        self.h_base, self.T_base = _base_data(model, h_base, T_base)
         mu = np.atleast_1d(np.asarray(mu, dtype=float))
         sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
         d = mu.size
@@ -276,14 +327,20 @@ class GaussianTechnologySpace(UncertaintySpace):
         evals, evecs = np.linalg.eigh(sigma)
         if evals.min(initial=0.0) < -1e-9 * max(1.0, evals.max(initial=0.0)):
             raise ValidationError("covariance must be positive semidefinite")
-        if not model.layout.tech_entries:
-            raise ValidationError("model declares no random technology entries")
-        for entry in model.layout.tech_entries:
+        entries = tuple(entries)
+        if not entries:
+            raise ValidationError("space declares no random technology entries")
+        for entry in entries:
+            if not (0 <= entry.row < model.m and 0 <= entry.col < model.n_first):
+                raise ValidationError(f"technology entry {entry} out of range")
             if not 0 <= entry.component < d:
                 raise ValidationError(f"entry component {entry.component} out of range")
+        if cvar is not None:
+            _check_tail_loss(model.W, model.q, model.recourse_senses, cvar.delta)
         if pool_size < 2:
             raise ValidationError("pool size must be at least 2")
-        self.model = model
+        self.entries = entries
+        self.cvar = cvar
         self.mu = mu
         self.pool_size = int(pool_size)
         root = evecs @ np.diag(np.sqrt(np.clip(evals, 0.0, None))) @ evecs.T
@@ -295,18 +352,18 @@ class GaussianTechnologySpace(UncertaintySpace):
         return self.mu.size
 
     def _technology(self, xi) -> np.ndarray:
-        T = self.model.T_base.copy()
-        for e in self.model.layout.tech_entries:
+        T = self.T_base.copy()
+        for e in self.entries:
             T[e.row, e.col] = e.scale * xi[e.component]
         return T
 
     def realization_at(self, xi) -> Realization:
-        return Realization(self.model.h_base, self._technology(xi))
+        return Realization(self.h_base, self._technology(xi))
 
     def _make_cell(self, label: str, halfspaces, members: np.ndarray) -> Cell:
         xi_mean = self.pool[members].mean(axis=0)
         return Cell(label, HalfspaceRegion(halfspaces, members, xi_mean),
-                    members.size / self.pool_size, self.model.h_base.copy(),
+                    members.size / self.pool_size, self.h_base.copy(),
                     self._technology(xi_mean), MONTE_CARLO, int(members.size))
 
     def trivial_partition(self) -> Partition:
@@ -337,10 +394,7 @@ class GaussianTechnologySpace(UncertaintySpace):
         w = np.full(members.size, 1.0 / members.size)
         return w, [self.realization_at(self.pool[i]) for i in members]
 
-    def cell_mean_xi(self, cell: Cell) -> np.ndarray:
-        return cell.geometry.xi_mean
-
     def cell_report(self, cell: Cell) -> dict:
         halfspaces = [{"normal": list(a), "offset": b} for a, b in cell.geometry.halfspaces]
         return {"geometry": {"type": "region", "halfspaces": halfspaces},
-                "xi_mean": [float(v) for v in self.cell_mean_xi(cell)]}
+                "xi_mean": [float(v) for v in cell.geometry.xi_mean]}

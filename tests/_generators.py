@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from adaptpart.model import RecourseModel
+from adaptpart.model import Realization, RecourseModel
 from adaptpart.spaces import DiscreteSpace
 
 
 def random_recourse_model(rng: np.random.Generator, n_first: int | None = None,
                           m: int | None = None, extra_cols: int | None = None):
+    """(model, T): a random fixed-recourse model and a base technology
+    matrix for its scenarios."""
     n1 = int(n_first if n_first is not None else rng.integers(2, 5))
     mm = int(m if m is not None else rng.integers(1, 4))
     extra = int(extra_cols if extra_cols is not None else rng.integers(0, 3))
@@ -25,12 +27,12 @@ def random_recourse_model(rng: np.random.Generator, n_first: int | None = None,
     A = np.ones((1, n1))
     b = np.array([0.5 * n1])
     T = rng.uniform(-0.5, 0.5, (mm, n1))
-    return RecourseModel(c=c, A=A, b=b, senses=("<=",), W=W, q=q,
-                         recourse_senses=senses, h_base=np.zeros(mm), T_base=T,
-                         x_upper=rng.uniform(0.5, 1.5, n1))
+    model = RecourseModel(c=c, A=A, b=b, senses=("<=",), W=W, q=q,
+                          recourse_senses=senses, x_upper=rng.uniform(0.5, 1.5, n1))
+    return model, T
 
 
-def random_discrete_space(rng: np.random.Generator, model: RecourseModel,
+def random_discrete_space(rng: np.random.Generator, model: RecourseModel, T_base,
                           n_scenarios: int | None = None,
                           vary_technology: bool = True) -> DiscreteSpace:
     S = int(n_scenarios if n_scenarios is not None else rng.integers(5, 21))
@@ -40,10 +42,10 @@ def random_discrete_space(rng: np.random.Generator, model: RecourseModel,
     for s in range(S):
         h = rng.uniform(-1.5, 1.5, model.m)
         if vary_technology and rng.random() < 0.5:
-            T = model.T_base + rng.uniform(-0.3, 0.3, model.T_base.shape)
+            T = T_base + rng.uniform(-0.3, 0.3, T_base.shape)
         else:
-            T = model.T_base
-        reals.append(model.realization(h=h, T=T, weight=float(weights[s])))
+            T = T_base
+        reals.append(Realization(h, T, float(weights[s])))
     return DiscreteSpace(reals)
 
 

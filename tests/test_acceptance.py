@@ -16,7 +16,7 @@ from adaptpart.engine import (CONDITIONS, GAP, SolverConfig, check_conditions,
                               run)
 from adaptpart.instances import (cvar_document, document_to_model,
                                  document_to_space, lands_document)
-from adaptpart.model import build_aggregated_master, evaluate_subproblem
+from adaptpart.model import Realization, build_aggregated_master, evaluate_subproblem
 from adaptpart.refiners import DualClusteringRefiner, HyperplaneRefiner
 
 from _generators import (random_discrete_space, random_first_stage_point,
@@ -81,9 +81,9 @@ def test_discrete_aggregation_is_exact():
     problems = []
     for trial in range(200):
         m, extra = shapes[rng.integers(len(shapes))]
-        model = random_recourse_model(rng, m=m, extra_cols=extra)
+        model, T = random_recourse_model(rng, m=m, extra_cols=extra)
         assert 3 <= model.n_second <= 6 and 2 <= model.n_first <= 4
-        space = random_discrete_space(rng, model)
+        space = random_discrete_space(rng, model, T)
         sol = lplib.solve(extensive_form(model, space.weights, space.hs,
                                          space.Ts))
         assert sol.status == lplib.OPTIMAL
@@ -125,8 +125,8 @@ def test_cell_averaging_lemmas():
     rng = np.random.default_rng(7321)
     problems = []
     for trial in range(100):
-        model = random_recourse_model(rng)
-        space = random_discrete_space(rng, model)
+        model, T = random_recourse_model(rng)
+        space = random_discrete_space(rng, model, T)
         x_bar = random_first_stage_point(rng, model)
         w = space.weights
         outs = [evaluate_subproblem(model, x_bar, r) for r in space.realizations]
@@ -150,7 +150,7 @@ def test_cell_averaging_lemmas():
             problems.append(f"trial {trial}: dual violation {slack.max():.2e}")
             break
         mean_q = evaluate_subproblem(
-            model, x_bar, model.realization(h=h_mean, T=t_mean)).value
+            model, x_bar, Realization(h_mean, t_mean)).value
         expect_q = float(sum(wi * o.value for wi, o in zip(w, outs)))
         if mean_q > expect_q + 1e-7:
             problems.append(f"trial {trial}: mean-value bound off by "
@@ -183,7 +183,7 @@ def test_tail_risk_portfolio_properties():
     if not all(b > a for a, b in zip(sizes, sizes[1:])):
         problems.append(f"partition sizes not strictly increasing: {sizes}")
     for t in range(1, len(result.partitions)):
-        prev = set(result.partitions[t - 1].labels())
+        prev = {c.label for c in result.partitions[t - 1].cells}
         x_prev = result.records[t - 1].incumbent
         for cell in result.partitions[t].cells:
             if cell.label in prev:

@@ -160,6 +160,25 @@ class TestPortfolioRuns:
             csvs.append((out_dir / "iterations.csv").read_bytes())
         assert csvs[0] != csvs[1]
 
+    def test_negative_seed_is_an_error(self, tmp_path, capsys):
+        path = make_cvar(tmp_path, "--mc-pool", 200)
+        assert run_cli(["run", "--instance", path, "--seed", -1]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "seed" in captured.err
+        assert "termination:" not in captured.out
+        doc = load_document(path)
+        doc["uncertainty"]["parameters"]["seed"] = -5
+        path.write_text(json.dumps(doc))
+        assert run_cli(["run", "--instance", path]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_infinite_gap_threshold_is_an_error(self, tmp_path, capsys):
+        path = make_cvar(tmp_path, "--mc-pool", 200)
+        assert run_cli(["run", "--instance", path, "--epsilon", "inf"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: gap threshold")
+        assert "termination:" not in captured.out
+
     def test_sampled_conditions_do_not_certify(self, tmp_path, capsys):
         # without the tail-risk marker there is no upper bound, and the final
         # partition has cells of hundreds of members, of which the condition

@@ -9,7 +9,7 @@ from adaptpart.analytics import empirical_cvar
 from adaptpart.engine import (CONDITIONS, GAP, ITERATION_LIMIT, STABILIZED, SolverConfig,
                               check_conditions, compute_upper_bound,
                               relative_gap, run)
-from adaptpart.errors import SolverFailure
+from adaptpart.errors import SolverFailure, ValidationError
 from adaptpart.instances import (cvar_document, document_to_model,
                                  document_to_space, lands_document)
 from adaptpart.model import evaluate_subproblem
@@ -64,6 +64,13 @@ class TestGapArithmetic:
         assert relative_gap(-2.0, -1.0) == pytest.approx(1.0)
 
 
+class TestSolverConfig:
+    @pytest.mark.parametrize("epsilon", [0.0, -1e-4, float("inf"), float("nan")])
+    def test_gap_threshold_must_be_positive_and_finite(self, epsilon):
+        with pytest.raises(ValidationError, match="gap threshold"):
+            SolverConfig(epsilon=epsilon)
+
+
 class TestConditionCheck:
     def test_varying_dual_fails(self):
         weights = np.array([0.5, 0.5])
@@ -95,8 +102,8 @@ class TestConditionCheck:
 class TestUpperBound:
     def test_discrete_is_weighted_scenario_average(self):
         rng = np.random.default_rng(31)
-        model = random_recourse_model(rng)
-        space = random_discrete_space(rng, model, n_scenarios=2)
+        model, T = random_recourse_model(rng)
+        space = random_discrete_space(rng, model, T, n_scenarios=2)
         x = np.minimum(model.x_upper, 0.4)
         ub = bound_at(model, space, x, "auto")
         assert ub is not None
@@ -122,14 +129,14 @@ class TestUpperBound:
         space = document_to_space(doc, model)
         w = np.array([0.3, 0.7])
         losses = -(space.pool @ w)
-        tau = float(np.quantile(losses, 1.0 - model.cvar.delta))
+        tau = float(np.quantile(losses, 1.0 - space.cvar.delta))
         ub = bound_at(model, space, np.array([*w, tau]), "auto")
         assert ub is not None
-        assert ub == pytest.approx(empirical_cvar(losses, model.cvar.delta), rel=1e-12)
+        assert ub == pytest.approx(empirical_cvar(losses, space.cvar.delta), rel=1e-12)
         # an empty portfolio has no random loss, so only the threshold shortfall is paid
         ub = bound_at(model, space, np.array([0.0, 0.0, -0.5]), "auto")
         assert ub is not None
-        assert ub == pytest.approx(-0.5 + 0.5 / model.cvar.delta, rel=1e-12)
+        assert ub == pytest.approx(-0.5 + 0.5 / space.cvar.delta, rel=1e-12)
 
     def test_energy_instance_first_iteration_value(self):
         model, space = lands_pair()
@@ -150,8 +157,8 @@ class TestUpperBound:
 class TestTermination:
     def test_single_scenario_converges_immediately(self):
         rng = np.random.default_rng(41)
-        model = random_recourse_model(rng)
-        space = random_discrete_space(rng, model, n_scenarios=1)
+        model, T = random_recourse_model(rng)
+        space = random_discrete_space(rng, model, T, n_scenarios=1)
         result = run(model, space, DualClusteringRefiner(),
                      SolverConfig(epsilon=1e-9, upper_bound="auto"))
         assert result.termination == GAP
@@ -172,8 +179,8 @@ class TestTermination:
 
     def test_conditions_reason_on_exact_aggregation(self):
         rng = np.random.default_rng(42)
-        model = random_recourse_model(rng)
-        space = random_discrete_space(rng, model, n_scenarios=6)
+        model, T = random_recourse_model(rng)
+        space = random_discrete_space(rng, model, T, n_scenarios=6)
         result = run(model, space, DualClusteringRefiner(),
                      SolverConfig(epsilon=1e-15, upper_bound="off"))
         assert result.termination == CONDITIONS
@@ -250,7 +257,7 @@ class TestPoolCertificates:
         result = run(model, space, refiner_by_name("auto", space), SolverConfig(epsilon=eps))
         assert result.termination == GAP
         assert 0.0 <= result.records[-1].gap < eps
-        delta = model.cvar.delta
+        delta = space.cvar.delta
         r1, r2 = space.pool[:, 0], space.pool[:, 1]
         optimum = golden_minimum(lambda t: empirical_cvar(-(r2 + t * (r1 - r2)), delta))
         assert result.objective <= optimum + 1e-9 * max(1.0, abs(optimum))
@@ -262,8 +269,8 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(2024)
         hits = 0
         for trial in range(25):
-            model = random_recourse_model(rng)
-            space = random_discrete_space(rng, model)
+            model, T = random_recourse_model(rng)
+            space = random_discrete_space(rng, model, T)
             sol = lplib.solve(extensive_form(
                 model, space.weights, space.hs, space.Ts))
             if sol.status != lplib.OPTIMAL:
@@ -282,8 +289,8 @@ class TestOracleEquivalence:
     def test_lower_bounds_monotone_and_sandwiched(self):
         rng = np.random.default_rng(77)
         for _ in range(8):
-            model = random_recourse_model(rng)
-            space = random_discrete_space(rng, model, n_scenarios=10)
+            model, T = random_recourse_model(rng)
+            space = random_discrete_space(rng, model, T, n_scenarios=10)
             result = run(model, space, DualClusteringRefiner(),
                          SolverConfig(epsilon=1e-12, max_iterations=30,
                                       upper_bound="auto"))
@@ -318,8 +325,8 @@ class TestBasisReuse:
     @staticmethod
     def discrete_pair(n_scenarios=200):
         rng = np.random.default_rng(6)
-        model = random_recourse_model(rng)
-        return model, random_discrete_space(rng, model, n_scenarios=n_scenarios)
+        model, T = random_recourse_model(rng)
+        return model, random_discrete_space(rng, model, T, n_scenarios=n_scenarios)
 
     def test_fewer_lp_solves_than_scenarios(self):
         model, space = self.discrete_pair()

@@ -1,4 +1,5 @@
 """Instance documents: schema validation, model construction, generators."""
+import dataclasses
 import json
 
 import jsonschema
@@ -179,6 +180,14 @@ class TestEnergyDocument:
         assert space.n_scenarios == 1
         assert space.hs[0][-3] == pytest.approx(5.0)
 
+    def test_model_is_the_same_for_either_uncertainty(self):
+        # the two documents differ only in their uncertainty block
+        interval = document_to_model(lands_document())
+        fixed = document_to_model(lands_document(d1_fixed=5.0))
+        for field in dataclasses.fields(interval):
+            a, b = getattr(interval, field.name), getattr(fixed, field.name)
+            assert np.array_equal(a, b), field.name
+
 
 class TestPortfolioDocument:
     def test_default_parameters(self):
@@ -188,8 +197,9 @@ class TestPortfolioDocument:
         npt.assert_allclose(params["sigma"], [[0.14, 0.053], [0.053, 0.23]])
         assert params["pool_size"] == 100_000
         model = document_to_model(doc)
-        assert model.cvar is not None
-        assert model.cvar.delta == pytest.approx(0.1)
+        space = document_to_space(doc, model)
+        assert space.cvar is not None
+        assert space.cvar.delta == pytest.approx(0.1)
 
     def test_seed_is_required_for_sampling(self):
         doc = cvar_document()
@@ -214,8 +224,9 @@ class TestPortfolioDocument:
     def test_cvar_marker_needs_the_tail_loss_recourse(self, field, value, path):
         doc = cvar_document(pool_size=200)
         doc["recourse"][field] = value
+        model = document_to_model(doc)
         with pytest.raises(ValidationError, match=path):
-            document_to_model(doc)
+            document_to_space(doc, model)
 
     def test_cvar_marker_needs_a_single_recourse_row(self):
         doc = cvar_document(pool_size=200)
@@ -223,8 +234,9 @@ class TestPortfolioDocument:
         params = doc["uncertainty"]["parameters"]
         params["h_base"] = [0.0, 0.0]
         params["T_base"] = params["T_base"] * 2
+        model = document_to_model(doc)
         with pytest.raises(ValidationError, match="recourse.senses"):
-            document_to_model(doc)
+            document_to_space(doc, model)
 
 
 class TestFirstStageFeasibility:

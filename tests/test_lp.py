@@ -209,9 +209,9 @@ def energy_master(K):
     edges = np.linspace(space.lo, space.hi, K + 1)
     cells = []
     for lo, hi in zip(edges[:-1], edges[1:]):
-        h = model.h_base.copy()
+        h = space.h_base.copy()
         h[space.row] = 0.5 * (lo + hi)
-        cells.append((1.0 / K, h, model.T_base))
+        cells.append((1.0 / K, h, space.T))
     return build_aggregated_master(model, cells)[0]
 
 

@@ -6,7 +6,7 @@ import pytest
 from adaptpart import instances
 from adaptpart import lp as lplib
 from adaptpart.errors import RecourseViolation, ValidationError
-from adaptpart.model import (RecourseModel, build_aggregated_master,
+from adaptpart.model import (Realization, RecourseModel, build_aggregated_master,
                              evaluate_subproblem)
 
 from _generators import (random_discrete_space, random_first_stage_point,
@@ -20,14 +20,13 @@ def tail_loss_model(tail_cost: float = 1.0) -> RecourseModel:
         c=np.array([0.0, 0.0, 1.0]), A=np.array([[1.0, 1.0, 0.0]]),
         b=np.array([1.0]), senses=("=",),
         W=np.array([[1.0]]), q=np.array([tail_cost]), recourse_senses=(">=",),
-        h_base=np.zeros(1), T_base=np.array([[0.0, 0.0, 1.0]]),
         x_lower=np.array([0.0, 0.0, -np.inf]))
 
 
-def tail_realization(model: RecourseModel, returns) -> "Realization":
-    T = model.T_base.copy()
+def tail_realization(model: RecourseModel, returns) -> Realization:
+    T = np.array([[0.0, 0.0, 1.0]])
     T[0, :2] = returns
-    return model.realization(T=T)
+    return Realization(np.zeros(1), T)
 
 
 class TestSubproblem:
@@ -53,10 +52,9 @@ class TestSubproblem:
         model = RecourseModel(
             c=np.array([1.0]), A=np.array([[1.0]]), b=np.array([20.0]), senses=("<=",),
             W=np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]]),
-            q=np.array([5.0, 1.0]), recourse_senses=("<=", ">=", ">="),
-            h_base=np.array([0.0, 3.0, 3.0]), T_base=np.array([[-1.0], [0.0], [0.0]]))
+            q=np.array([5.0, 1.0]), recourse_senses=("<=", ">=", ">="))
         out = evaluate_subproblem(model, np.array([10.0]),
-                                  model.realization())
+                                  Realization([0.0, 3.0, 3.0], [[-1.0], [0.0], [0.0]]))
         assert out.value == pytest.approx(18.0, abs=1e-9)
         npt.assert_allclose(out.duals, [0.0, 5.0, 1.0], atol=1e-9)
 
@@ -65,10 +63,9 @@ class TestSubproblem:
         model = RecourseModel(
             c=np.array([1.0]), A=np.array([[1.0]]), b=np.array([5.0]), senses=("<=",),
             W=np.array([[1.0], [1.0]]), q=np.array([1.0]),
-            recourse_senses=("<=", ">="),
-            h_base=np.array([0.0, 4.0]), T_base=np.array([[-0.0], [0.0]]))
+            recourse_senses=("<=", ">="))
         with pytest.raises(RecourseViolation):
-            evaluate_subproblem(model, np.array([1.0]), model.realization())
+            evaluate_subproblem(model, np.array([1.0]), Realization([0.0, 4.0], [[-0.0], [0.0]]))
 
 
 def primal_feasible(model: RecourseModel, y, rhs, tol: float = 1e-7) -> bool:
@@ -89,8 +86,8 @@ class TestBasisCache:
         rng = np.random.default_rng(5)
         total_hits = 0
         for _ in range(6):
-            model = random_recourse_model(rng)
-            space = random_discrete_space(rng, model, n_scenarios=200)
+            model, T = random_recourse_model(rng)
+            space = random_discrete_space(rng, model, T, n_scenarios=200)
             x = random_first_stage_point(rng, model)
             bases = lplib.BasisCache(model.q, model.W, model.recourse_senses)
             for real in space.realizations:
@@ -133,27 +130,27 @@ class TestBasisCache:
         model = RecourseModel(
             c=np.array([1.0]), A=np.array([[1.0]]), b=np.array([5.0]), senses=("<=",),
             W=np.array([[1.0], [1.0]]), q=np.array([1.0]),
-            recourse_senses=("<=", ">="),
-            h_base=np.array([0.0, 4.0]), T_base=np.array([[-1.0], [0.0]]))
+            recourse_senses=("<=", ">="))
+        real = Realization([0.0, 4.0], [[-1.0], [0.0]])
         bases = lplib.BasisCache(model.q, model.W, model.recourse_senses)
-        evaluate_subproblem(model, np.array([5.0]), model.realization(), bases)
+        evaluate_subproblem(model, np.array([5.0]), real, bases)
         with pytest.raises(RecourseViolation) as cached:
-            evaluate_subproblem(model, np.array([1.0]), model.realization(), bases)
+            evaluate_subproblem(model, np.array([1.0]), real, bases)
         with pytest.raises(RecourseViolation) as plain:
-            evaluate_subproblem(model, np.array([1.0]), model.realization())
+            evaluate_subproblem(model, np.array([1.0]), real)
         assert str(cached.value) == str(plain.value)
 
 
 class TestAggregatedMaster:
     def test_single_deterministic_cell_is_mean_value_lp(self):
-        model = random_recourse_model(np.random.default_rng(7))
+        model, T = random_recourse_model(np.random.default_rng(7))
         h = np.full(model.m, 0.3)
-        lp, cmap = build_aggregated_master(model, [(1.0, h, model.T_base)])
+        lp, cmap = build_aggregated_master(model, [(1.0, h, T)])
         sol = lplib.solve(lp)
         assert sol.status == lplib.OPTIMAL
         # same answer as gluing the single scenario onto the first stage directly
         x = cmap.first_stage(sol)
-        out = evaluate_subproblem(model, x, model.realization(h=h))
+        out = evaluate_subproblem(model, x, Realization(h, T))
         assert sol.objective == pytest.approx(model.c @ x + out.value, abs=1e-7)
 
     def test_lands_one_cell_master_matches_published_mean_value(self):
@@ -169,8 +166,8 @@ class TestAggregatedMaster:
         # averaging two equiprobable scenarios can only lower the optimum
         rng = np.random.default_rng(21)
         for _ in range(20):
-            model = random_recourse_model(rng)
-            space = random_discrete_space(rng, model, n_scenarios=2)
+            model, T = random_recourse_model(rng)
+            space = random_discrete_space(rng, model, T, n_scenarios=2)
             h_mean = 0.5 * (space.hs[0] + space.hs[1])
             t_mean = 0.5 * (space.Ts[0] + space.Ts[1])
             one, _ = build_aggregated_master(model, [(1.0, h_mean, t_mean)])
@@ -181,21 +178,21 @@ class TestAggregatedMaster:
             assert v1 <= v2 + 1e-7 * (1.0 + abs(v2))
 
     def test_master_requires_positive_masses_summing_to_one(self):
-        model = random_recourse_model(np.random.default_rng(3))
+        model, T = random_recourse_model(np.random.default_rng(3))
         h = np.zeros(model.m)
         with pytest.raises(ValidationError):
-            build_aggregated_master(model, [(0.7, h, model.T_base)])
+            build_aggregated_master(model, [(0.7, h, T)])
         with pytest.raises(ValidationError):
-            build_aggregated_master(model, [(0.0, h, model.T_base),
-                                            (1.0, h, model.T_base)])
+            build_aggregated_master(model, [(0.0, h, T),
+                                            (1.0, h, T)])
 
 
 class TestAveragingLemmas:
     def test_averaged_primal_dual_and_mean_bound(self):
         rng = np.random.default_rng(33)
         for _ in range(30):
-            model = random_recourse_model(rng)
-            space = random_discrete_space(rng, model, n_scenarios=int(rng.integers(2, 7)))
+            model, T = random_recourse_model(rng)
+            space = random_discrete_space(rng, model, T, n_scenarios=int(rng.integers(2, 7)))
             x = random_first_stage_point(rng, model)
             outs = [evaluate_subproblem(model, x, r) for r in space.realizations]
             w = space.weights
@@ -213,6 +210,6 @@ class TestAveragingLemmas:
                 else:
                     assert lhs[i] == pytest.approx(rhs[i], abs=1e-7)
             assert np.all(model.W.T @ lam_bar <= model.q + 1e-7)
-            mean_out = evaluate_subproblem(model, x, model.realization(h=h_bar, T=t_bar))
+            mean_out = evaluate_subproblem(model, x, Realization(h_bar, t_bar))
             expected = float(w @ [o.value for o in outs])
             assert mean_out.value <= expected + 1e-7

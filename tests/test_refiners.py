@@ -5,13 +5,13 @@ import pytest
 
 from adaptpart import refiners
 from adaptpart.errors import ValidationError
-from adaptpart.model import RandomLayout, RecourseModel, TechEntry
+from adaptpart.model import Realization, RecourseModel
 from adaptpart.refiners import (DualClusteringRefiner, HyperplaneRefiner,
                                 RangingRefiner, RefineContext,
                                 dual_switch_hyperplanes, group_scenarios_by_dual,
                                 refiner_by_name, rhs_dual_breakpoints)
-from adaptpart.spaces import (DiscreteSpace, GaussianTechnologySpace, Partition,
-                              UniformRhsSpace)
+from adaptpart.spaces import (CvarMarker, DiscreteSpace, GaussianTechnologySpace,
+                              Partition, TechEntry, UniformRhsSpace)
 
 from _generators import random_discrete_space, random_recourse_model
 from _oracles import grid_dual_breakpoints
@@ -21,9 +21,16 @@ def shortage_model() -> RecourseModel:
     """min y s.t. y >= d - x, y >= 0: dual is 1 when demand binds, else 0."""
     return RecourseModel(
         c=np.array([0.1]), A=np.array([[1.0]]), b=np.array([10.0]), senses=("<=",),
-        W=np.array([[1.0]]), q=np.array([1.0]), recourse_senses=(">=",),
-        h_base=np.array([0.0]), T_base=np.array([[1.0]]),
-        layout=RandomLayout(rhs_rows=(0,)))
+        W=np.array([[1.0]]), q=np.array([1.0]), recourse_senses=(">=",))
+
+
+def shortage_space(lo: float, hi: float) -> UniformRhsSpace:
+    """Demand d = xi uniform on [lo, hi] for shortage_model (h = 0, T = 1)."""
+    return UniformRhsSpace(shortage_model(), [0.0], [[1.0]], 0, lo, hi)
+
+
+def shortage_scenario(d: float, weight: float) -> Realization:
+    return Realization(np.array([d]), [[1.0]], weight)
 
 
 def two_piece_model() -> RecourseModel:
@@ -36,9 +43,12 @@ def two_piece_model() -> RecourseModel:
     return RecourseModel(
         c=np.array([0.0]), A=np.array([[1.0]]), b=np.array([1.0]), senses=("<=",),
         W=np.array([[1.0, 0.0], [1.0, 1.0]]), q=np.array([1.0, 3.0]),
-        recourse_senses=("<=", ">="),
-        h_base=np.array([2.0, 0.0]), T_base=np.zeros((2, 1)),
-        layout=RandomLayout(rhs_rows=(1,)))
+        recourse_senses=("<=", ">="))
+
+
+def two_piece_space() -> UniformRhsSpace:
+    """xi uniform on [0, 4] at row 1 of two_piece_model (h = (2, xi), T = 0)."""
+    return UniformRhsSpace(two_piece_model(), [2.0, 0.0], np.zeros((2, 1)), 1, 0.0, 4.0)
 
 
 def context_for(model, space, x_bar):
@@ -108,7 +118,7 @@ class TestDualGrouping:
     def test_clustering_on_shortage_duals(self):
         model = shortage_model()
         demands = [1.0, 1.5, 3.0]
-        reals = [model.realization(h=np.array([d]), weight=1.0 / 3.0)
+        reals = [shortage_scenario(d, 1.0 / 3.0)
                  for d in demands]
         space = DiscreteSpace(reals)
         ctx = context_for(model, space, [2.0])  # demands 1, 1.5 slack; 3 binds
@@ -122,8 +132,8 @@ class TestDualGrouping:
 
     def test_refine_is_idempotent_at_fixed_point(self):
         rng = np.random.default_rng(11)
-        model = random_recourse_model(rng)
-        space = random_discrete_space(rng, model, n_scenarios=8)
+        model, T = random_recourse_model(rng)
+        space = random_discrete_space(rng, model, T, n_scenarios=8)
         x_bar = np.minimum(model.x_upper, 0.3)
         refiner = DualClusteringRefiner()
         ctx = context_for(model, space, x_bar)
@@ -135,8 +145,8 @@ class TestDualGrouping:
 
     def test_children_cover_parent(self):
         rng = np.random.default_rng(12)
-        model = random_recourse_model(rng)
-        space = random_discrete_space(rng, model, n_scenarios=12)
+        model, T = random_recourse_model(rng)
+        space = random_discrete_space(rng, model, T, n_scenarios=12)
         ctx = context_for(model, space, np.minimum(model.x_upper, 0.5))
         part = DualClusteringRefiner().refine(ctx)
         members = sorted(i for c in part.cells for i in c.geometry.indices)
@@ -147,7 +157,7 @@ class TestDualGrouping:
 class TestRanging:
     def test_breakpoint_matches_grid_oracle(self):
         model = two_piece_model()
-        space = UniformRhsSpace(model, 1, 0.0, 4.0)
+        space = two_piece_space()
         x_bar = np.array([0.0])
         bps = rhs_dual_breakpoints(model, space, x_bar)
         assert len(bps) == 1
@@ -156,7 +166,7 @@ class TestRanging:
         def make_lp(xi):
             from adaptpart.model import subproblem_lp
             return subproblem_lp(model, x_bar,
-                                 model.realization(h=np.array([2.0, xi])))
+                                 Realization(np.array([2.0, xi]), np.zeros((2, 1))))
 
         grid = np.linspace(0.0, 4.0, 401)
         _, oracle_bps = grid_dual_breakpoints(make_lp, 1, grid)
@@ -165,7 +175,7 @@ class TestRanging:
 
     def test_breakpoint_shifts_with_incumbent(self):
         model = shortage_model()
-        space = UniformRhsSpace(model, 0, 0.0, 5.0)
+        space = shortage_space(0.0, 5.0)
         for xv in (1.0, 2.5, 4.0):
             bps = rhs_dual_breakpoints(model, space, np.array([xv]))
             assert len(bps) == 1
@@ -174,7 +184,7 @@ class TestRanging:
 
     def test_refiner_splits_cell_at_breakpoint(self):
         model = two_piece_model()
-        space = UniformRhsSpace(model, 1, 0.0, 4.0)
+        space = two_piece_space()
         ctx = context_for(model, space, [0.0])
         part = RangingRefiner().refine(ctx)
         los = sorted(c.geometry.lo for c in part.cells)
@@ -184,7 +194,7 @@ class TestRanging:
 
     def test_historical_boundaries_accumulate(self):
         model = shortage_model()
-        space = UniformRhsSpace(model, 0, 0.0, 5.0)
+        space = shortage_space(0.0, 5.0)
         refiner = RangingRefiner()
         part = space.trivial_partition()
         edges = set()
@@ -199,7 +209,7 @@ class TestRanging:
 
     def test_one_sweep_serves_every_cell(self, monkeypatch):
         model = shortage_model()
-        space = UniformRhsSpace(model, 0, 0.0, 5.0)
+        space = shortage_space(0.0, 5.0)
         part = Partition(space.split_cell(space.trivial_partition().cells[0], (1.0, 3.0)))
         assert len(part) == 3
         calls = []
@@ -218,7 +228,7 @@ class TestRanging:
 
     def test_no_breakpoint_means_identity(self):
         model = shortage_model()
-        space = UniformRhsSpace(model, 0, 0.0, 5.0)
+        space = shortage_space(0.0, 5.0)
         part = space.trivial_partition()
         ctx = RefineContext(model=model, space=space, partition=part,
                             x_bar=np.array([9.0]))
@@ -227,22 +237,23 @@ class TestRanging:
 
 class TestHyperplane:
     def cvar_like_model(self):
-        mu = np.array([0.05, 0.07])
-        entries = tuple(TechEntry(0, j, j, 1.0) for j in range(2))
-        from adaptpart.model import CvarMarker
         return RecourseModel(
             c=np.array([0.0, 0.0, 1.0]),
             A=np.array([[1.0, 1.0, 0.0]]), b=np.array([1.0]), senses=("=",),
             W=np.array([[1.0]]), q=np.array([10.0]), recourse_senses=(">=",),
-            h_base=np.zeros(1), T_base=np.array([[0.0, 0.0, 1.0]]),
-            x_lower=np.array([0.0, 0.0, -np.inf]),
-            layout=RandomLayout(tech_entries=entries),
-            cvar=CvarMarker(delta=0.1, tau_col=2))
+            x_lower=np.array([0.0, 0.0, -np.inf]))
+
+    def cvar_like_space(self, model, mu, sigma, seed, pool_size):
+        entries = tuple(TechEntry(0, j, j, 1.0) for j in range(2))
+        return GaussianTechnologySpace(model, np.zeros(1), [[0.0, 0.0, 1.0]], entries,
+                                       mu, sigma, seed=seed, pool_size=pool_size,
+                                       cvar=CvarMarker(delta=0.1, tau_col=2))
 
     def test_cut_geometry_from_incumbent(self):
         model = self.cvar_like_model()
+        space = self.cvar_like_space(model, np.zeros(2), np.eye(2), seed=1, pool_size=2)
         x_bar = np.array([0.0, 1.0, 0.3])
-        cuts = dual_switch_hyperplanes(model, x_bar, dim=2)
+        cuts = dual_switch_hyperplanes(space, x_bar)
         assert len(cuts) == 1
         a, d0 = cuts[0]
         npt.assert_allclose(a, [0.0, 1.0], atol=1e-12)
@@ -250,7 +261,7 @@ class TestHyperplane:
 
     def test_refiner_splits_pool_along_cut(self):
         model = self.cvar_like_model()
-        space = GaussianTechnologySpace(
+        space = self.cvar_like_space(
             model, np.array([0.05, 0.07]),
             np.array([[0.14, 0.053], [0.053, 0.23]]), seed=3, pool_size=8000)
         ctx = context_for(model, space, [0.4, 0.6, 0.1])
@@ -266,7 +277,7 @@ class TestHyperplane:
 
     def test_bound_and_split_share_one_projection(self, monkeypatch):
         model = self.cvar_like_model()
-        space = GaussianTechnologySpace(
+        space = self.cvar_like_space(
             model, np.array([0.05, 0.07]),
             np.array([[0.14, 0.053], [0.053, 0.23]]), seed=5, pool_size=8000)
         x_bar = np.array([0.4, 0.6, 0.1])
@@ -283,13 +294,13 @@ class TestHyperplane:
         bound = refiner.upper_bound(ctx)
         part = refiner.refine(ctx)
         assert len(calls) == 1 and len(part) == 2
-        (a, d0), = cut_planes(model, x_bar, space.dim)
+        (a, d0), = cut_planes(space, x_bar)
         expected = model.c @ x_bar + model.q[0] * np.maximum(d0 - space.pool @ a, 0.0).mean()
         assert bound == float(expected)
 
     def test_zero_direction_is_identity(self):
         model = self.cvar_like_model()
-        space = GaussianTechnologySpace(
+        space = self.cvar_like_space(
             model, np.zeros(2), np.eye(2), seed=4, pool_size=2000)
         part = space.trivial_partition()
         # incumbent with an empty portfolio produces a zero cut normal
@@ -299,7 +310,7 @@ class TestHyperplane:
 
     def test_cut_missing_every_member_is_identity(self):
         model = self.cvar_like_model()
-        space = GaussianTechnologySpace(
+        space = self.cvar_like_space(
             model, np.zeros(2), np.eye(2), seed=6, pool_size=2000)
         part = space.trivial_partition()
         ctx = RefineContext(model=model, space=space, partition=part,
@@ -310,14 +321,14 @@ class TestHyperplane:
 class TestSelection:
     def test_auto_matches_space_kind(self):
         rng = np.random.default_rng(21)
-        model = random_recourse_model(rng)
-        disc = random_discrete_space(rng, model, n_scenarios=4)
+        model, T = random_recourse_model(rng)
+        disc = random_discrete_space(rng, model, T, n_scenarios=4)
         assert isinstance(refiner_by_name("auto", disc), DualClusteringRefiner)
-        assert isinstance(refiner_by_name("auto", UniformRhsSpace(shortage_model(), 0, 0, 5)),
+        assert isinstance(refiner_by_name("auto", shortage_space(0, 5)),
                           RangingRefiner)
 
     def test_named_selection_and_mismatch(self):
-        space = UniformRhsSpace(shortage_model(), 0, 0.0, 5.0)
+        space = shortage_space(0.0, 5.0)
         with pytest.raises(ValidationError):
             refiner_by_name("dual-cluster", space)
         with pytest.raises(ValidationError):
@@ -329,7 +340,7 @@ class TestSelection:
 def discrete_pass():
     # at x = 2 the demands above 2 bind: only the middle cell {4, 5} mixes
     model = shortage_model()
-    reals = [model.realization(h=np.array([d]), weight=1.0 / 6.0)
+    reals = [shortage_scenario(d, 1.0 / 6.0)
              for d in (1.0, 1.5, 3.0, 4.0, 0.5, 2.5)]
     space = DiscreteSpace(reals)
     cells = space.split_cell(space.trivial_partition().cells[0], ((0, 1), (4, 5), (2, 3)))
@@ -339,7 +350,7 @@ def discrete_pass():
 def interval_pass():
     # the breakpoint at x = 2 lies inside the middle cell [1, 3] only
     model = shortage_model()
-    space = UniformRhsSpace(model, 0, 0.0, 5.0)
+    space = shortage_space(0.0, 5.0)
     cells = space.split_cell(space.trivial_partition().cells[0], (1.0, 3.0))
     return model, space, Partition(cells), np.array([2.0]), RangingRefiner()
 
@@ -347,9 +358,9 @@ def interval_pass():
 def region_pass():
     # the cut xi_1 = -0.3 of this incumbent crosses only the middle slab
     model = TestHyperplane().cvar_like_model()
-    space = GaussianTechnologySpace(model, np.array([0.05, 0.07]),
-                                    np.array([[0.14, 0.053], [0.053, 0.23]]),
-                                    seed=9, pool_size=4000)
+    space = TestHyperplane().cvar_like_space(model, np.array([0.05, 0.07]),
+                                             np.array([[0.14, 0.053], [0.053, 0.23]]),
+                                             seed=9, pool_size=4000)
     a = np.array([0.0, 1.0])
     low, rest = space.split_cell(space.trivial_partition().cells[0], a, -1.0,
                                  space.pool @ a <= -1.0)

@@ -7,7 +7,7 @@ import pytest
 from adaptpart.engine import SolverConfig, run
 from adaptpart.instances import (cvar_document, document_to_model, document_to_space,
                                  lands_document)
-from adaptpart.model import RandomLayout, RecourseModel
+from adaptpart.model import Realization, RecourseModel
 from adaptpart.refiners import refiner_by_name
 from adaptpart.reporting import partition_trace, write_run_report
 from adaptpart.spaces import DiscreteSpace, Partition, UniformRhsSpace
@@ -18,9 +18,7 @@ from _generators import random_discrete_space, random_recourse_model
 def shortage_model() -> RecourseModel:
     return RecourseModel(
         c=np.array([0.1]), A=np.array([[1.0]]), b=np.array([10.0]), senses=("<=",),
-        W=np.array([[1.0]]), q=np.array([1.0]), recourse_senses=(">=",),
-        h_base=np.array([0.0]), T_base=np.array([[1.0]]),
-        layout=RandomLayout(rhs_rows=(0,)))
+        W=np.array([[1.0]]), q=np.array([1.0]), recourse_senses=(">=",))
 
 
 def split_entries(space, *how):
@@ -31,8 +29,7 @@ def split_entries(space, *how):
 
 
 def test_discrete_cell_entry():
-    model = shortage_model()
-    reals = [model.realization(h=np.array([v]), weight=w)
+    reals = [Realization(np.array([v]), [[1.0]], w)
              for v, w in ((1.0, 0.25), (2.0, 0.5), (5.0, 0.25))]
     space = DiscreteSpace(reals)
     entry = split_entries(space, ((0, 2), (1,)))[0]
@@ -46,7 +43,7 @@ def test_discrete_cell_entry():
 
 
 def test_interval_cell_entry():
-    space = UniformRhsSpace(shortage_model(), 0, 1.0, 3.0)
+    space = UniformRhsSpace(shortage_model(), [0.0], [[1.0]], 0, 1.0, 3.0)
     entry = split_entries(space, (2.5,))[1]
     assert list(entry) == ["label", "mass", "estimate", "geometry", "midpoint"]
     assert entry == {"label": "0.1", "mass": 0.25, "estimate": "exact",
@@ -75,8 +72,8 @@ def test_region_cell_entry():
 
 def discrete_pair():
     rng = np.random.default_rng(3)
-    model = random_recourse_model(rng, n_first=3, m=2)
-    return model, random_discrete_space(rng, model, n_scenarios=30)
+    model, T = random_recourse_model(rng, n_first=3, m=2)
+    return model, random_discrete_space(rng, model, T, n_scenarios=30)
 
 
 def document_pair(doc):

@@ -1,12 +1,14 @@
 """Uncertainty backends: masses, conditional means, splits, determinism."""
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from adaptpart.errors import ValidationError
-from adaptpart.model import RecourseModel
-from adaptpart.spaces import (DiscreteSpace, GaussianTechnologySpace, Partition,
-                              UniformRhsSpace)
+from adaptpart.model import Realization, RecourseModel
+from adaptpart.spaces import (CvarMarker, DiscreteSpace, GaussianTechnologySpace,
+                              Partition, TechEntry, UniformRhsSpace)
 
 from _generators import random_discrete_space, random_recourse_model
 from _oracles import trapezoid_integral
@@ -15,19 +17,24 @@ from _oracles import trapezoid_integral
 def interval_model(lo_row: int = 0) -> RecourseModel:
     return RecourseModel(
         c=np.array([1.0]), A=np.array([[1.0]]), b=np.array([10.0]), senses=("<=",),
-        W=np.array([[1.0]]), q=np.array([1.0]), recourse_senses=(">=",),
-        h_base=np.array([0.0]), T_base=np.array([[0.0]]),
-        layout=__import__("adaptpart.model", fromlist=["RandomLayout"]).RandomLayout(rhs_rows=(0,)))
+        W=np.array([[1.0]]), q=np.array([1.0]), recourse_senses=(">=",))
+
+
+def interval_space(lo: float, hi: float, row: int = 0) -> UniformRhsSpace:
+    return UniformRhsSpace(interval_model(), [0.0], [[0.0]], row, lo, hi)
 
 
 def gaussian_model(dim: int = 2) -> RecourseModel:
-    from adaptpart.model import RandomLayout, TechEntry
-    entries = tuple(TechEntry(0, j, j, 1.0) for j in range(dim))
     return RecourseModel(
         c=np.zeros(dim + 1), A=np.array([[1.0] * dim + [0.0]]), b=np.array([1.0]),
         senses=("=",), W=np.array([[1.0]]), q=np.array([1.0]), recourse_senses=(">=",),
-        h_base=np.zeros(1), T_base=np.array([[0.0] * dim + [1.0]]),
-        x_lower=np.array([0.0] * dim + [-np.inf]), layout=RandomLayout(tech_entries=entries))
+        x_lower=np.array([0.0] * dim + [-np.inf]))
+
+
+def gaussian_space(mu, sigma, seed, pool_size=100_000, dim: int = 2) -> GaussianTechnologySpace:
+    entries = tuple(TechEntry(0, j, j, 1.0) for j in range(dim))
+    return GaussianTechnologySpace(gaussian_model(dim), np.zeros(1), [[0.0] * dim + [1.0]],
+                                   entries, mu, sigma, seed=seed, pool_size=pool_size)
 
 
 def cut(space, cell, normal, offset):
@@ -39,14 +46,14 @@ def cut(space, cell, normal, offset):
 
 class TestDiscrete:
     def test_weights_must_sum_to_one(self):
-        model = random_recourse_model(np.random.default_rng(0))
-        reals = [model.realization(h=np.zeros(model.m), weight=0.4)]
+        model, T = random_recourse_model(np.random.default_rng(0))
+        reals = [Realization(np.zeros(model.m), T, 0.4)]
         with pytest.raises(ValidationError):
             DiscreteSpace(reals)
 
     def test_regroup_and_zero_mass_drop(self):
-        model = random_recourse_model(np.random.default_rng(1))
-        reals = [model.realization(h=np.full(model.m, v), weight=w)
+        model, T = random_recourse_model(np.random.default_rng(1))
+        reals = [Realization(np.full(model.m, v), T, w)
                  for v, w in ((0.0, 0.5), (1.0, 0.5), (2.0, 0.0))]
         space = DiscreteSpace(reals)
         cell, = space.trivial_partition().cells
@@ -56,33 +63,33 @@ class TestDiscrete:
 
     def test_regroup_must_partition_the_cell(self):
         rng = np.random.default_rng(2)
-        model = random_recourse_model(rng)
-        space = random_discrete_space(rng, model, n_scenarios=4)
+        model, T = random_recourse_model(rng)
+        space = random_discrete_space(rng, model, T, n_scenarios=4)
         cell, = space.trivial_partition().cells
         with pytest.raises(ValidationError):
             space.split_cell(cell, ((0, 1), (2,)))
 
     def test_single_group_is_identity(self):
         rng = np.random.default_rng(3)
-        model = random_recourse_model(rng)
-        space = random_discrete_space(rng, model, n_scenarios=3)
+        model, T = random_recourse_model(rng)
+        space = random_discrete_space(rng, model, T, n_scenarios=3)
         cell, = space.trivial_partition().cells
         assert space.split_cell(cell, ((0, 1, 2),)) == (cell,)
 
     def test_law_of_total_expectation(self):
         rng = np.random.default_rng(4)
-        model = random_recourse_model(rng)
-        space = random_discrete_space(rng, model, n_scenarios=6)
+        model, T = random_recourse_model(rng)
+        space = random_discrete_space(rng, model, T, n_scenarios=6)
         cell, = space.trivial_partition().cells
         part = Partition(space.split_cell(cell, ((0, 3), (1, 2, 4), (5,))))
         total_h = sum(c.mass * c.h_mean for c in part.cells)
         npt.assert_allclose(total_h, space.weights @ space.hs, atol=1e-12)
-        assert part.total_mass() == pytest.approx(1.0, abs=1e-12)
+        assert sum(c.mass for c in part.cells) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestUniformRhs:
     def test_mass_and_midpoint_mean(self):
-        space = UniformRhsSpace(interval_model(), 0, 3.0, 7.0)
+        space = interval_space(3.0, 7.0)
         whole, = space.trivial_partition().cells
         cell = space.split_cell(whole, (5.0,))[0]
         assert cell.label == "0.0"
@@ -91,24 +98,23 @@ class TestUniformRhs:
         assert cell.h_mean[0] == pytest.approx(4.0)
 
     def test_asymmetric_split_masses(self):
-        space = UniformRhsSpace(interval_model(), 0, 3.0, 7.0)
+        space = interval_space(3.0, 7.0)
         part = Partition(space.split_cell(space.trivial_partition().cells[0], (4.5,)))
         masses = sorted(c.mass for c in part.cells)
         npt.assert_allclose(masses, [0.375, 0.625], atol=1e-12)
-        assert part.total_mass() == pytest.approx(1.0)
+        assert sum(c.mass for c in part.cells) == pytest.approx(1.0)
 
     def test_breakpoints_outside_cell_are_identity(self):
-        space = UniformRhsSpace(interval_model(), 0, 3.0, 7.0)
+        space = interval_space(3.0, 7.0)
         cell, = space.trivial_partition().cells
         assert space.split_cell(cell, (2.0, 7.0, 9.0)) == (cell,)
 
     def test_row_must_be_declared_random(self):
-        model = interval_model()
         with pytest.raises(ValidationError):
-            UniformRhsSpace(model, 1, 3.0, 7.0)
+            interval_space(3.0, 7.0, row=1)
 
     def test_cell_samples_average_to_cell_mean(self):
-        space = UniformRhsSpace(interval_model(), 0, 3.0, 7.0)
+        space = interval_space(3.0, 7.0)
         cell = space.trivial_partition().cells[0]
         w, reals = space.cell_samples(cell, cap=50)
         mean = sum(wi * r.h[0] for wi, r in zip(w, reals))
@@ -117,33 +123,30 @@ class TestUniformRhs:
 
 class TestGaussian:
     def test_pool_is_seed_deterministic(self):
-        model = gaussian_model()
         mu = np.array([0.05, 0.07])
         sigma = np.array([[0.14, 0.053], [0.053, 0.23]])
-        a = GaussianTechnologySpace(model, mu, sigma, seed=99, pool_size=5000)
-        b = GaussianTechnologySpace(model, mu, sigma, seed=99, pool_size=5000)
+        a = gaussian_space(mu, sigma, seed=99, pool_size=5000)
+        b = gaussian_space(mu, sigma, seed=99, pool_size=5000)
         assert np.array_equal(a.pool, b.pool)
-        c = GaussianTechnologySpace(model, mu, sigma, seed=100, pool_size=5000)
+        c = gaussian_space(mu, sigma, seed=100, pool_size=5000)
         assert not np.array_equal(a.pool, c.pool)
 
     def test_full_space_mean_near_mu(self):
-        model = gaussian_model()
         mu = np.array([0.3, -0.2])
         sigma = np.array([[0.5, 0.1], [0.1, 0.4]])
-        space = GaussianTechnologySpace(model, mu, sigma, seed=5, pool_size=40000)
-        xi = space.cell_mean_xi(space.trivial_partition().cells[0])
+        space = gaussian_space(mu, sigma, seed=5, pool_size=40000)
+        xi = space.trivial_partition().cells[0].geometry.xi_mean
         for j in range(2):
             se = np.sqrt(sigma[j, j] / space.pool_size)
             assert abs(xi[j] - mu[j]) <= 3.0 * se
 
     def test_halfspace_mass_and_truncated_mean(self):
-        model = gaussian_model()
-        space = GaussianTechnologySpace(model, np.zeros(2), np.eye(2),
-                                        seed=42, pool_size=60000)
+        space = gaussian_space(np.zeros(2), np.eye(2),
+                               seed=42, pool_size=60000)
         neg = cut(space, space.trivial_partition().cells[0], (1.0, 0.0), 0.0)[0]
         assert neg.label == "0.0"
         assert neg.mass == pytest.approx(0.5, abs=3.0 * 0.5 / np.sqrt(space.pool_size))
-        xi = space.cell_mean_xi(neg)
+        xi = neg.geometry.xi_mean
         # oracle: E[x | x <= 0] for a standard normal via direct quadrature
         density = lambda x: np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
         expected = trapezoid_integral(lambda x: x * density(x), -8.0, 0.0) / 0.5
@@ -152,9 +155,8 @@ class TestGaussian:
         assert abs(expected + np.sqrt(2.0 / np.pi)) < 1e-6
 
     def test_split_partitions_members_exactly(self):
-        model = gaussian_model()
-        space = GaussianTechnologySpace(model, np.zeros(2), np.eye(2),
-                                        seed=7, pool_size=20000)
+        space = gaussian_space(np.zeros(2), np.eye(2),
+                               seed=7, pool_size=20000)
         kids = cut(space, space.trivial_partition().cells[0], (0.3, -1.2), 0.1)
         assert len(kids) == 2
         members = np.concatenate([k.geometry.members for k in kids])
@@ -162,18 +164,17 @@ class TestGaussian:
         assert sum(k.mass for k in kids) == pytest.approx(1.0, abs=1e-12)
 
     def test_one_sided_split_is_identity(self):
-        model = gaussian_model()
-        space = GaussianTechnologySpace(model, np.zeros(2), np.eye(2),
-                                        seed=8, pool_size=5000)
+        space = gaussian_space(np.zeros(2), np.eye(2),
+                               seed=8, pool_size=5000)
         cell, = space.trivial_partition().cells
         assert cut(space, cell, (1.0, 0.0), 50.0) == (cell,)
 
     def test_shared_side_mask_matches_member_projection(self):
         # three successive cuts, each applied to every cell through one
         # pool-wide mask the way HyperplaneRefiner.refine applies them
-        space = GaussianTechnologySpace(gaussian_model(), np.array([0.05, 0.07]),
-                                        np.array([[0.14, 0.053], [0.053, 0.23]]),
-                                        seed=11, pool_size=20000)
+        space = gaussian_space(np.array([0.05, 0.07]),
+                               np.array([[0.14, 0.053], [0.053, 0.23]]),
+                               seed=11, pool_size=20000)
         part = space.trivial_partition()
         for normal, beta in (((0.0, 1.0), 0.07), ((0.4, 0.6), 0.02), ((1.0, -0.5), -0.1)):
             a = np.asarray(normal)
@@ -205,25 +206,78 @@ class TestGaussian:
                                 space.pool[:, 0] <= 50.0) == (first,)
 
     def test_law_of_total_expectation_on_pool(self):
-        model = gaussian_model()
-        space = GaussianTechnologySpace(model, np.array([0.1, -0.3]),
-                                        np.array([[0.4, 0.05], [0.05, 0.2]]),
-                                        seed=17, pool_size=30000)
+        space = gaussian_space(np.array([0.1, -0.3]),
+                               np.array([[0.4, 0.05], [0.05, 0.2]]),
+                               seed=17, pool_size=30000)
         lower, upper = cut(space, space.trivial_partition().cells[0], (1.0, 1.0), 0.0)
         part = Partition(cut(space, lower, (1.0, -1.0), 0.2) + (upper,))
-        total = sum(c.mass * space.cell_mean_xi(c) for c in part.cells)
+        total = sum(c.mass * c.geometry.xi_mean for c in part.cells)
         npt.assert_allclose(total, space.pool.mean(axis=0), atol=1e-12)
         for c in part.cells:
-            npt.assert_array_equal(space.cell_mean_xi(c),
+            npt.assert_array_equal(c.geometry.xi_mean,
                                    space.pool[c.geometry.members].mean(axis=0))
 
     def test_seed_required_and_covariance_validated(self):
-        model = gaussian_model()
         with pytest.raises(ValidationError):
-            GaussianTechnologySpace(model, np.zeros(2), np.eye(2), seed=None)
+            gaussian_space(np.zeros(2), np.eye(2), seed=None)
         with pytest.raises(ValidationError):
-            GaussianTechnologySpace(model, np.zeros(2),
-                                    np.array([[1.0, 0.9], [0.2, 1.0]]), seed=1)
+            gaussian_space(np.zeros(2),
+                           np.array([[1.0, 0.9], [0.2, 1.0]]), seed=1)
         with pytest.raises(ValidationError):
-            GaussianTechnologySpace(model, np.zeros(2),
-                                    np.array([[1.0, 0.0], [0.0, -0.5]]), seed=1)
+            gaussian_space(np.zeros(2),
+                           np.array([[1.0, 0.0], [0.0, -0.5]]), seed=1)
+
+
+class TestBaseDataChecks:
+    """A space built directly rejects random data that does not fit the
+    fixed-recourse program it is built against (m = 1, n1 = 3 here)."""
+
+    @staticmethod
+    def gaussian(model=None, h=(0.0,), T=((0.0, 0.0, 1.0),), entries=None, cvar=None, seed=1):
+        entries = entries if entries is not None else (TechEntry(0, 0, 0), TechEntry(0, 1, 1))
+        return GaussianTechnologySpace(model or gaussian_model(), h, T, entries, np.zeros(2),
+                                       np.eye(2), seed=seed, pool_size=10, cvar=cvar)
+
+    @pytest.mark.parametrize("entry, message", [
+        (TechEntry(1, 0, 0), "technology entry"),
+        (TechEntry(-1, 0, 0), "technology entry"),
+        (TechEntry(0, 3, 0), "technology entry"),
+        (TechEntry(0, 0, 2), "entry component 2"),
+    ], ids=["row", "negative-row", "col", "component"])
+    def test_technology_entry_out_of_range(self, entry, message):
+        with pytest.raises(ValidationError, match=message + ".* out of range"):
+            self.gaussian(entries=(entry,))
+
+    @pytest.mark.parametrize("row", [1, -1])
+    def test_random_rhs_row_out_of_range(self, row):
+        with pytest.raises(ValidationError, match=f"random rhs row {row} out of range"):
+            interval_space(3.0, 7.0, row=row)
+
+    @pytest.mark.parametrize("h, T", [
+        ([0.0, 0.0], [[0.0, 0.0, 1.0]]),
+        ([0.0], [[0.0, 1.0]]),
+        ([0.0], [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]),
+    ], ids=["h-size", "T-columns", "T-rows"])
+    def test_base_shape_must_match_the_model(self, h, T):
+        with pytest.raises(ValidationError, match="do not match the model"):
+            self.gaussian(h=h, T=T)
+        with pytest.raises(ValidationError, match="do not match the model"):
+            UniformRhsSpace(gaussian_model(), h, T, 0, 3.0, 7.0)
+
+    def test_cvar_marker_needs_the_tail_loss_recourse(self):
+        # gaussian_model prices the tail at q = 1, the recourse of delta = 1
+        assert self.gaussian(cvar=CvarMarker(1.0, 2)).cvar == CvarMarker(1.0, 2)
+        assert self.gaussian().cvar is None
+        with pytest.raises(ValidationError, match="recourse.q"):
+            self.gaussian(cvar=CvarMarker(0.1, 2))
+        with pytest.raises(ValidationError, match="delta"):
+            self.gaussian(cvar=CvarMarker(0.0, 2))
+        other = dataclasses.replace(gaussian_model(), recourse_senses=("<=",))
+        with pytest.raises(ValidationError, match="recourse.senses"):
+            self.gaussian(model=other, cvar=CvarMarker(1.0, 2))
+        assert self.gaussian(model=other).cvar is None
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed must be nonnegative, got -5"):
+            self.gaussian(seed=-5)
+        assert self.gaussian(seed=0).pool.shape == (10, 2)
