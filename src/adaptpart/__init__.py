@@ -17,19 +17,19 @@ from .errors import (AdaptPartError, RecourseViolation, SolverFailure,
 from .instances import (cvar_document, document_to_model, document_to_space,
                         lands_document, load_document, validate_document,
                         write_document)
-from .model import (MasterMap, Realization, RecourseModel, SubproblemOutcome,
-                    build_aggregated_master, evaluate_subproblem, subproblem_lp)
+from .model import (Realization, RecourseModel, build_aggregated_master,
+                    evaluate_subproblem, subproblem_lp)
 from .refiners import (DualClusteringRefiner, HyperplaneRefiner, RangingRefiner,
                        RefineContext, Refiner, refiner_by_name, rhs_dual_breakpoints)
 from .reporting import iteration_csv_text, partition_trace, run_summary, write_run_report
 from .spaces import (Cell, CvarMarker, DiscreteSpace, GaussianTechnologySpace,
-                     Partition, TechEntry, UncertaintySpace, UniformRhsSpace)
+                     TechEntry, UncertaintySpace, UniformRhsSpace)
 
 __all__ = [
     "AdaptPartError", "RecourseViolation", "SolverFailure", "ValidationError",
-    "Cell", "Partition", "UncertaintySpace", "DiscreteSpace", "UniformRhsSpace",
+    "Cell", "UncertaintySpace", "DiscreteSpace", "UniformRhsSpace",
     "GaussianTechnologySpace", "TechEntry", "CvarMarker",
-    "RecourseModel", "Realization", "SubproblemOutcome", "MasterMap",
+    "RecourseModel", "Realization",
     "build_aggregated_master", "subproblem_lp", "evaluate_subproblem",
     "Refiner", "RefineContext", "DualClusteringRefiner", "RangingRefiner",
     "HyperplaneRefiner", "refiner_by_name", "rhs_dual_breakpoints",

@@ -39,8 +39,7 @@ def _print_table(records) -> None:
 
 def _print_oracle(model, space, result) -> None:
     triples = [(float(w), r.h, r.T) for w, r in zip(space.weights, space.realizations)]
-    master, _ = build_aggregated_master(model, triples)
-    sol = lplib.solve(master)
+    sol = lplib.solve(build_aggregated_master(model, triples))
     diff = abs(sol.objective - result.objective)
     rel = diff / (1.0 + abs(sol.objective))
     print("extensive-form optimum = %.10f" % sol.objective)

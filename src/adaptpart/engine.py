@@ -4,6 +4,7 @@ refinement until the gap closes or the partition stabilizes."""
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -15,7 +16,7 @@ from .model import RecourseModel, build_aggregated_master
 from .model import evaluate_subproblem  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .refiners import CONDITION_SAMPLE_CAP, RefineContext, Refiner
 from .refiners import rhs_dual_breakpoints  # noqa: F401  (perfbench/tracing.py wraps it here)
-from .spaces import MONTE_CARLO, Partition, UncertaintySpace
+from .spaces import MONTE_CARLO, Cell, UncertaintySpace
 
 GAP = "gap"
 CONDITIONS = "conditions-satisfied"
@@ -35,8 +36,9 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.epsilon < math.inf:
             raise ValidationError(f"gap threshold must be positive and finite, got {self.epsilon}")
-        if self.max_iterations < 1:
-            raise ValidationError("iteration limit must be at least 1")
+        if not isinstance(self.max_iterations, numbers.Integral) or self.max_iterations < 1:
+            raise ValidationError(f"iteration limit must be an integer of at least 1, "
+                                  f"got {self.max_iterations!r}")
         if self.upper_bound not in UPPER_BOUND_MODES:
             raise ValidationError(f"upper_bound must be one of {UPPER_BOUND_MODES}")
 
@@ -59,9 +61,9 @@ class SolveResult:
     x_star: np.ndarray
     objective: float
     best_upper: float | None
-    partition: Partition
+    partition: tuple[Cell, ...]
     records: tuple[IterationRecord, ...]
-    partitions: tuple[Partition, ...]
+    partitions: tuple[tuple[Cell, ...], ...]
     termination: str
     stats: dict
 
@@ -109,11 +111,10 @@ def _conditions_hold(ctx: RefineContext) -> bool:
     """The optimality conditions on every cell.  cell_samples gives a
     Monte-Carlo cell at most CONDITION_SAMPLE_CAP of its members, so a cell
     with more cannot be checked in full: it fails before any member solve."""
-    cells = ctx.partition.cells
     if any(c.estimate == MONTE_CARLO and c.sample_count > CONDITION_SAMPLE_CAP
-           for c in cells):
+           for c in ctx.partition):
         return False
-    for cell in cells:
+    for cell in ctx.partition:
         weights, reals, outs = ctx.atomized(cell)
         ok = check_conditions(weights, [r.h for r in reals], [r.T for r in reals],
                               [o.duals for o in outs], ctx.x_bar, CONDITION_TOL)
@@ -140,16 +141,15 @@ def run(model: RecourseModel, space: UncertaintySpace, refiner: Refiner,
     partition = space.trivial_partition()
     best_upper: float | None = None
     records: list[IterationRecord] = []
-    partitions: list[Partition] = []
+    partitions: list[tuple[Cell, ...]] = []
     termination = ITERATION_LIMIT
     for t in range(1, config.max_iterations + 1):
-        triples = [(c.mass, c.h_mean, c.t_mean) for c in partition.cells]
-        master, cmap = build_aggregated_master(model, triples)
-        sol = lplib.solve(master)
+        triples = [(c.mass, c.h_mean, c.t_mean) for c in partition]
+        sol = lplib.solve(build_aggregated_master(model, triples))
         if sol.status != lplib.OPTIMAL:
             raise SolverFailure(f"aggregated master {sol.status} at iteration {t}")
         lower = float(sol.objective)
-        x_bar = cmap.first_stage(sol)
+        x_bar = np.array(sol.x[:model.n_first])
         ctx = RefineContext(model, space, partition, x_bar, bases)
         if records and x_bar.tobytes() == records[-1].incumbent.tobytes():
             # the bound depends on the incumbent alone

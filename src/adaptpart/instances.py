@@ -180,8 +180,7 @@ def document_to_space(doc: dict, model: RecourseModel, seed: int | None = None,
     use_pool = pool_size if pool_size is not None else p.get("pool_size", DEFAULT_POOL_SIZE)
     entries = [TechEntry(int(e["row"]), int(e["col"]), int(e["component"]),
                          float(e.get("scale", 1.0))) for e in p["entries"]]
-    cvar = CvarMarker(float(p["cvar"]["delta"]), int(p["cvar"]["tau_col"])) \
-        if "cvar" in p else None
+    cvar = CvarMarker(float(p["cvar"]["delta"])) if "cvar" in p else None
     return GaussianTechnologySpace(model, p["h_base"], p["T_base"], entries,
                                    np.array(p["mu"], dtype=float),
                                    np.array(p["sigma"], dtype=float),

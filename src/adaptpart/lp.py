@@ -115,7 +115,6 @@ class RangingInterval:
     dual vector) stays optimal.  Endpoints may be infinite; width may be zero
     under degeneracy."""
 
-    row: int
     lo: float
     hi: float
     duals: np.ndarray
@@ -452,7 +451,7 @@ def rhs_ranging(lp: StandardLp, sol: LpSolution, row: int) -> RangingInterval:
     base = float(lp.rhs[row])
     if pos.size == 0:
         # The row was dropped as redundant; any perturbation breaks consistency.
-        return RangingInterval(row, base, base, np.array(sol.duals, dtype=float))
+        return RangingInterval(base, base, np.array(sol.duals, dtype=float))
     k = int(pos[0])
     e = np.zeros(kept.size)
     e[k] = canon.row_sign[kept[k]]
@@ -465,4 +464,4 @@ def rhs_ranging(lp: StandardLp, sol: LpSolution, row: int) -> RangingInterval:
     d_hi = float((-x_b[dn] / w[dn]).min()) if np.any(dn) else np.inf
     d_lo = min(d_lo, 0.0)
     d_hi = max(d_hi, 0.0)
-    return RangingInterval(row, base + d_lo, base + d_hi, np.array(sol.duals, dtype=float))
+    return RangingInterval(base + d_lo, base + d_hi, np.array(sol.duals, dtype=float))

@@ -33,16 +33,6 @@ class Realization:
 
 
 @dataclass(frozen=True, eq=False)
-class SubproblemOutcome:
-    """Optimal value, recourse action, dual vector, and realized rhs h - T x."""
-
-    value: float
-    y: np.ndarray
-    duals: np.ndarray
-    rhs: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class RecourseModel:
     """The fixed-recourse program every scenario shares: first stage
     (c, A, b, senses, bounds) and recourse (W, q, senses)."""
@@ -59,13 +49,18 @@ class RecourseModel:
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.c, dtype=float))
-        A = np.asarray(self.A, dtype=float).reshape(-1, c.size)
+        A = _matrix("A", self.A)
         b = np.atleast_1d(np.asarray(self.b, dtype=float)) if np.size(self.b) else np.zeros(0)
-        W = np.atleast_2d(np.asarray(self.W, dtype=float))
+        W = _matrix("W", self.W)
         q = np.atleast_1d(np.asarray(self.q, dtype=float))
         senses = tuple(self.senses)
         rsenses = tuple(self.recourse_senses)
-        if len(senses) != A.shape[0] or b.size != A.shape[0]:
+        if A.size == 0:
+            A = np.zeros((0, c.size))
+        if A.shape != (b.size, c.size):
+            raise ValidationError(f"first-stage A has shape {A.shape}, expected "
+                                  f"({b.size}, {c.size}) from b and c")
+        if len(senses) != b.size:
             raise ValidationError("first-stage rows, senses, and rhs sizes disagree")
         if W.shape[1] != q.size:
             raise ValidationError("recourse cost does not match W columns")
@@ -97,15 +92,20 @@ class RecourseModel:
     def m(self) -> int:
         return self.W.shape[0]
 
-    def first_stage_lp(self, objective=None) -> lplib.StandardLp:
-        obj = self.c if objective is None else objective
-        return lplib.StandardLp(obj, self.A, self.b, self.senses, self.x_lower, self.x_upper)
-
     def assert_first_stage_feasible(self) -> None:
         """One LP solve proving X is nonempty; raises ValidationError otherwise."""
-        sol = lplib.solve(self.first_stage_lp(np.zeros(self.n_first)))
+        sol = lplib.solve(lplib.StandardLp(np.zeros(self.n_first), self.A, self.b, self.senses,
+                                           self.x_lower, self.x_upper))
         if sol.status != lplib.OPTIMAL:
             raise ValidationError(f"first-stage polyhedron is empty ({sol.status})")
+
+
+def _matrix(name: str, value) -> np.ndarray:
+    """`value` as a 2-D float array; a ragged nesting is a ValidationError."""
+    try:
+        return np.atleast_2d(np.asarray(value, dtype=float))
+    except ValueError as exc:
+        raise ValidationError(f"{name} is not a rectangular matrix: {exc}") from exc
 
 
 def subproblem_lp(model: RecourseModel, x, realization: Realization) -> lplib.StandardLp:
@@ -116,10 +116,12 @@ def subproblem_lp(model: RecourseModel, x, realization: Realization) -> lplib.St
 
 
 def evaluate_subproblem(model: RecourseModel, x, realization: Realization,
-                        bases: lplib.BasisCache | None = None) -> SubproblemOutcome:
+                        bases: lplib.BasisCache | None = None) -> lplib.LpSolution:
     """Solve the recourse problem at (x, realization) through `bases`, a
     BasisCache built from model.q, model.W and model.recourse_senses (see
-    BasisCache.solve).  Without it a fresh cache runs the simplex.
+    BasisCache.solve).  Without it a fresh cache runs the simplex.  Returns
+    the optimal LpSolution: `objective` is Q(x, xi), `x` the recourse action
+    y and `duals` the row duals.
 
     Raises RecourseViolation naming the offending realization if the
     subproblem is infeasible or unbounded.
@@ -133,32 +135,23 @@ def evaluate_subproblem(model: RecourseModel, x, realization: Realization,
         raise RecourseViolation(
             f"recourse subproblem {sol.status} at x={x} "
             f"for realization with h={realization.h}, rhs={rhs}")
-    return SubproblemOutcome(sol.objective, sol.x, sol.duals, rhs)
+    return sol
 
 
-@dataclass(frozen=True)
-class MasterMap:
-    """Where the first-stage columns sit in an aggregated master program."""
-
-    n_first: int
-
-    def first_stage(self, sol: lplib.LpSolution) -> np.ndarray:
-        return np.array(sol.x[: self.n_first])
-
-
-def build_aggregated_master(model: RecourseModel, cells) -> tuple[lplib.StandardLp, MasterMap]:
+def build_aggregated_master(model: RecourseModel, cells) -> lplib.StandardLp:
     """Extensive form over a partition's cells at their conditional means.
 
     ``cells`` is a sequence of (mass, h_mean, T_mean) triples.  Masses must be
-    positive and sum to one within 1e-9.
+    positive and sum to one within 1e-9.  The first model.n_first columns of
+    the master are the first-stage x.
     """
     cells = list(cells)
     if not cells:
         raise ValidationError("aggregated master needs at least one cell")
     masses = np.array([float(c[0]) for c in cells])
-    if np.any(masses <= 0):
+    if not np.all(masses > 0):
         raise ValidationError("cell masses must be positive")
-    if abs(masses.sum() - 1.0) > MASS_TOL:
+    if not abs(masses.sum() - 1.0) <= MASS_TOL:
         raise ValidationError(f"cell masses sum to {masses.sum():.12f}, expected 1")
 
     n1, n2, m = model.n_first, model.n_second, model.m
@@ -184,5 +177,4 @@ def build_aggregated_master(model: RecourseModel, cells) -> tuple[lplib.Standard
         obj[c0:c0 + n2] = float(mass) * model.q
     lower = np.concatenate([model.x_lower, np.zeros(K * n2)])
     upper = np.concatenate([model.x_upper, np.full(K * n2, np.inf)])
-    master = lplib.StandardLp(obj, M, rhs, tuple(senses), lower, upper)
-    return master, MasterMap(n1)
+    return lplib.StandardLp(obj, M, rhs, tuple(senses), lower, upper)

@@ -1,13 +1,14 @@
-"""Partition refiners.
+"""Refiners of the partition of the uncertainty space.
 
 Three structure-aware disaggregation procedures, one per uncertainty backend:
 grouping scenarios by equal subproblem duals, splitting intervals at rhs
 ranging breakpoints, and cutting regions along the hyperplane where the
 recourse dual switches.  Each hands its space plain split arguments per
-cell, builds the refined partition once from the children in cell order,
-and returns the partition object unchanged when nothing splits.  Each also
-carries its backend's exact upper bound rule, which reads the member solves
-and the breakpoint sweep of the same RefineContext as the split.
+cell, builds the refined partition (a tuple of cells) once from the
+children in cell order, and returns the same tuple object when nothing
+splits.  Each also carries its backend's exact upper bound rule, which
+reads the member solves and the breakpoint sweep of the same RefineContext
+as the split.
 """
 from __future__ import annotations
 
@@ -19,8 +20,8 @@ import numpy as np
 from . import lp as lplib
 from .errors import RecourseViolation, ValidationError
 from .model import RecourseModel, evaluate_subproblem, subproblem_lp
-from .spaces import (Cell, DiscreteSpace, GaussianTechnologySpace, Partition,
-                     UncertaintySpace, UniformRhsSpace)
+from .spaces import (Cell, DiscreteSpace, GaussianTechnologySpace, UncertaintySpace,
+                     UniformRhsSpace)
 
 DUAL_TOL = 1e-6
 DEGENERACY_STEP_FRAC = 1e-7
@@ -40,7 +41,7 @@ class RefineContext:
 
     model: RecourseModel
     space: UncertaintySpace
-    partition: Partition
+    partition: tuple[Cell, ...]
     x_bar: np.ndarray
     bases: lplib.BasisCache | None = None
     _atoms: dict = field(default_factory=dict, repr=False)
@@ -48,8 +49,9 @@ class RefineContext:
     _cuts: tuple | None = field(default=None, repr=False)
 
     def atomized(self, cell: Cell):
-        """(weights, realizations, outcomes) for one cell's members at the
-        incumbent; weights are cell-conditional and sum to one."""
+        """(weights, realizations, solutions) for one cell's members at the
+        incumbent, one evaluate_subproblem LpSolution per member; weights
+        are cell-conditional and sum to one."""
         if cell not in self._atoms:
             weights, reals = self.space.cell_samples(cell, CONDITION_SAMPLE_CAP)
             outs = [evaluate_subproblem(self.model, self.x_bar, r, self.bases) for r in reals]
@@ -87,7 +89,7 @@ class Refiner(ABC):
                 f"{type(self).__name__} does not support {space.kind} spaces")
 
     @abstractmethod
-    def refine(self, ctx: RefineContext) -> Partition:
+    def refine(self, ctx: RefineContext) -> tuple[Cell, ...]:
         """A refinement of ctx.partition; the same object when no cell splits."""
 
     @abstractmethod
@@ -96,9 +98,10 @@ class Refiner(ABC):
         or None when the backend has no exact rule for this model."""
 
 
-def _refined(partition: Partition, cells: list) -> Partition:
-    """The partition of `cells`, or `partition` itself when no cell split."""
-    return partition if len(cells) == len(partition) else Partition(tuple(cells))
+def _refined(partition: tuple[Cell, ...], cells: list) -> tuple[Cell, ...]:
+    """The partition of `cells`, or `partition` itself (the same object,
+    which is how run sees that nothing split) when no cell split."""
+    return partition if len(cells) == len(partition) else tuple(cells)
 
 
 # ------------------------------------------------------------ dual clustering
@@ -141,9 +144,9 @@ class DualClusteringRefiner(Refiner):
 
     space_type = DiscreteSpace
 
-    def refine(self, ctx: RefineContext) -> Partition:
+    def refine(self, ctx: RefineContext) -> tuple[Cell, ...]:
         cells = []
-        for cell in ctx.partition.cells:
+        for cell in ctx.partition:
             indices = cell.geometry.indices
             if len(indices) > 1:
                 _, _, outs = ctx.atomized(cell)
@@ -156,14 +159,17 @@ class DualClusteringRefiner(Refiner):
 
     def upper_bound(self, ctx):
         """Weighted sum of the per-scenario recourse values, in scenario
-        order, from the members' solves that refine reads too."""
+        order, from the members' solves that refine reads too.  A zero-weight
+        scenario adds nothing, and no cell may hold it (a zero-mass group is
+        dropped when its cell splits), so it is skipped."""
         values = {}
-        for cell in ctx.partition.cells:
+        for cell in ctx.partition:
             _, _, outs = ctx.atomized(cell)
-            values.update(zip(cell.geometry.indices, (o.value for o in outs)))
+            values.update(zip(cell.geometry.indices, (o.objective for o in outs)))
         value = float(ctx.model.c @ ctx.x_bar)
         for s, w in enumerate(ctx.space.weights):
-            value += float(w) * values[s]
+            if w > 0.0:
+                value += float(w) * values[s]
         return value
 
 
@@ -210,9 +216,9 @@ class RangingRefiner(Refiner):
 
     space_type = UniformRhsSpace
 
-    def refine(self, ctx: RefineContext) -> Partition:
+    def refine(self, ctx: RefineContext) -> tuple[Cell, ...]:
         points = ctx.breakpoints()
-        cells = [c for cell in ctx.partition.cells for c in ctx.space.split_cell(cell, points)]
+        cells = [c for cell in ctx.partition for c in ctx.space.split_cell(cell, points)]
         return _refined(ctx.partition, cells)
 
     def upper_bound(self, ctx):
@@ -225,7 +231,7 @@ class RangingRefiner(Refiner):
         for s, e in zip(edges, edges[1:]):
             mid = 0.5 * (s + e)
             out = evaluate_subproblem(model, x_bar, space.realization_at(mid), ctx.bases)
-            expected += (e - s) / (space.hi - space.lo) * out.value
+            expected += (e - s) / (space.hi - space.lo) * out.objective
         return float(model.c @ x_bar + expected)
 
 
@@ -259,11 +265,11 @@ class HyperplaneRefiner(Refiner):
 
     space_type = GaussianTechnologySpace
 
-    def refine(self, ctx: RefineContext) -> Partition:
+    def refine(self, ctx: RefineContext) -> tuple[Cell, ...]:
         part = ctx.partition
         for normal, offset, proj in ctx.cuts():
             side = proj <= offset
-            cells = [c for cell in part.cells
+            cells = [c for cell in part
                      for c in ctx.space.split_cell(cell, normal, offset, side)]
             part = _refined(part, cells)
         return part

@@ -42,7 +42,7 @@ def _cell_entry(cell, space: UncertaintySpace) -> dict:
 def partition_trace(partitions, space: UncertaintySpace) -> list[dict]:
     """One entry per iteration: the partition the master was solved on."""
     return [{"iteration": t + 1,
-             "cells": [_cell_entry(c, space) for c in part.cells]}
+             "cells": [_cell_entry(c, space) for c in part]}
             for t, part in enumerate(partitions)]
 
 
@@ -57,7 +57,7 @@ def partition_trace_json(partitions, space: UncertaintySpace) -> str:
     blocks = []
     for t, part in enumerate(partitions):
         cells = []
-        for c in part.cells:
+        for c in part:
             text = texts.get(id(c))
             if text is None:
                 # a cell entry sits three levels deep in the trace

@@ -5,7 +5,7 @@ T(xi) and whatever maps xi onto them (a random rhs row, technology
 entries).  The RecourseModel it is built against holds only the
 fixed-recourse program the space's data must fit.
 
-A partition is a list of disjoint cells covering the support.  Each cell
+A partition is a tuple of disjoint cells covering the support.  Each cell
 caches its probability mass and the conditional means of (h, T); discrete and
 interval backends compute these exactly, the Gaussian backend estimates them
 over a common-random-numbers sample pool drawn once per space instance.
@@ -16,6 +16,7 @@ refiner computes: scenario index groups (discrete), interior points
 """
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
@@ -40,13 +41,11 @@ class TechEntry:
 
 @dataclass(frozen=True)
 class CvarMarker:
-    """Marks a Gaussian space as a tail-risk portfolio problem: first-stage
-    variable `tau_col` is the threshold and `delta` the tail probability.
-    The model's recourse must then be the tail loss  z >= h - T x  priced at
-    1/delta: one `>=` row, W = [[1]] and q = [1/delta]."""
+    """Marks a Gaussian space as a tail-risk portfolio problem with tail
+    probability `delta`.  The model's recourse must then be the tail loss
+    z >= h - T x  priced at 1/delta: one `>=` row, W = [[1]] and q = [1/delta]."""
 
     delta: float
-    tau_col: int
 
 
 def _check_tail_loss(W, q, senses, delta: float) -> None:
@@ -69,6 +68,8 @@ def _base_data(model: RecourseModel, h, T) -> tuple[np.ndarray, np.ndarray]:
     if h.shape != (model.m,) or T.shape != (model.m, model.n_first):
         raise ValidationError(f"base h {h.shape} and T {T.shape} do not match the model's "
                               f"({model.m},) and ({model.m}, {model.n_first})")
+    if not (np.isfinite(h).all() and np.isfinite(T).all()):
+        raise ValidationError("base h and T entries must be finite")
     return h, T
 
 
@@ -101,12 +102,6 @@ class HalfspaceRegion:
     members: np.ndarray = field(repr=False)
     xi_mean: np.ndarray = field(repr=False)
 
-    def __eq__(self, other):
-        return isinstance(other, HalfspaceRegion) and self.halfspaces == other.halfspaces
-
-    def __hash__(self):
-        return hash(self.halfspaces)
-
 
 @dataclass(frozen=True, eq=False)
 class Cell:
@@ -121,16 +116,6 @@ class Cell:
     sample_count: int | None = None
 
 
-@dataclass(frozen=True, eq=False)
-class Partition:
-    """Disjoint cells covering the support."""
-
-    cells: tuple[Cell, ...]
-
-    def __len__(self) -> int:
-        return len(self.cells)
-
-
 class UncertaintySpace(ABC):
     """Backend interface: cell construction, splitting, sampling, and the
     report geometry of a cell.  `kind` is the instance document tag.
@@ -140,7 +125,7 @@ class UncertaintySpace(ABC):
     kind: str = ""
 
     @abstractmethod
-    def trivial_partition(self) -> Partition:
+    def trivial_partition(self) -> tuple[Cell, ...]:
         """The single-cell partition covering the whole support."""
 
     @abstractmethod
@@ -177,6 +162,8 @@ class DiscreteSpace(UncertaintySpace):
         if not realizations:
             raise ValidationError("discrete space needs at least one scenario")
         weights = np.array([r.weight for r in realizations])
+        if not np.isfinite(weights).all():
+            raise ValidationError("scenario weights must be finite")
         if abs(weights.sum() - 1.0) > MASS_TOL:
             raise ValidationError(f"scenario weights sum to {weights.sum():.12f}, expected 1")
         m = realizations[0].h.size
@@ -188,6 +175,8 @@ class DiscreteSpace(UncertaintySpace):
         self.weights = weights
         self.hs = np.stack([r.h for r in realizations])
         self.Ts = np.stack([r.T for r in realizations])
+        if not (np.isfinite(self.hs).all() and np.isfinite(self.Ts).all()):
+            raise ValidationError("scenario h and T entries must be finite")
 
     @property
     def n_scenarios(self) -> int:
@@ -204,9 +193,8 @@ class DiscreteSpace(UncertaintySpace):
         return Cell(label, ScenarioSet(tuple(int(i) for i in idx)), mass, h_mean, t_mean,
                     EXACT, len(indices))
 
-    def trivial_partition(self) -> Partition:
-        cell = self._make_cell("0", tuple(range(self.n_scenarios)))
-        return Partition((cell,))
+    def trivial_partition(self) -> tuple[Cell, ...]:
+        return (self._make_cell("0", tuple(range(self.n_scenarios))),)
 
     def _split(self, cell: Cell, groups) -> list[Cell]:
         """One child per group of scenario indices; the groups must
@@ -241,6 +229,8 @@ class UniformRhsSpace(UncertaintySpace):
         self.h_base, self.T = _base_data(model, h_base, T)
         if not 0 <= row < model.m:
             raise ValidationError(f"random rhs row {row} out of range")
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValidationError(f"uniform support lo and hi must be finite, got [{lo}, {hi}]")
         if not lo < hi:
             raise ValidationError("uniform support needs lo < hi")
         self.row = int(row)
@@ -264,8 +254,8 @@ class UniformRhsSpace(UncertaintySpace):
         return Cell(label, Interval(float(lo), float(hi)), float(mass),
                     h_mean, self.T.copy(), EXACT)
 
-    def trivial_partition(self) -> Partition:
-        return Partition((self._make_cell("0", self.lo, self.hi),))
+    def trivial_partition(self) -> tuple[Cell, ...]:
+        return (self._make_cell("0", self.lo, self.hi),)
 
     def _split(self, cell: Cell, points) -> list[Cell]:
         """Split at the given points that lie inside the cell; points outside
@@ -322,6 +312,10 @@ class GaussianTechnologySpace(UncertaintySpace):
         d = mu.size
         if sigma.shape != (d, d):
             raise ValidationError("covariance shape does not match the mean")
+        if not np.isfinite(mu).all():
+            raise ValidationError("mean mu entries must be finite")
+        if not np.isfinite(sigma).all():
+            raise ValidationError("covariance sigma entries must be finite")
         if not np.allclose(sigma, sigma.T, atol=1e-9 * (1.0 + np.abs(sigma).max())):
             raise ValidationError("covariance must be symmetric")
         evals, evecs = np.linalg.eigh(sigma)
@@ -366,9 +360,8 @@ class GaussianTechnologySpace(UncertaintySpace):
                     members.size / self.pool_size, self.h_base.copy(),
                     self._technology(xi_mean), MONTE_CARLO, int(members.size))
 
-    def trivial_partition(self) -> Partition:
-        cell = self._make_cell("0", (), np.arange(self.pool_size))
-        return Partition((cell,))
+    def trivial_partition(self) -> tuple[Cell, ...]:
+        return (self._make_cell("0", (), np.arange(self.pool_size)),)
 
     def _split(self, cell: Cell, normal, offset, side) -> list[Cell]:
         """Cut the cell by the hyperplane normal.xi = offset; `side` is the

@@ -98,7 +98,7 @@ def test_discrete_aggregation_is_exact():
         if rel > 1e-6:
             problems.append(f"trial {trial}: off by {rel:.2e}")
             break
-        for cell in result.partition.cells:
+        for cell in result.partition:
             idx = list(cell.geometry.indices)
             w = space.weights[idx]
             outs = [evaluate_subproblem(model, result.x_star,
@@ -131,7 +131,7 @@ def test_cell_averaging_lemmas():
         w = space.weights
         outs = [evaluate_subproblem(model, x_bar, r) for r in space.realizations]
 
-        y_bar = sum(wi * o.y for wi, o in zip(w, outs))
+        y_bar = sum(wi * o.x for wi, o in zip(w, outs))
         lam_bar = sum(wi * o.duals for wi, o in zip(w, outs))
         h_mean = w @ space.hs
         t_mean = np.tensordot(w, space.Ts, axes=(0, 0))
@@ -150,8 +150,8 @@ def test_cell_averaging_lemmas():
             problems.append(f"trial {trial}: dual violation {slack.max():.2e}")
             break
         mean_q = evaluate_subproblem(
-            model, x_bar, Realization(h_mean, t_mean)).value
-        expect_q = float(sum(wi * o.value for wi, o in zip(w, outs)))
+            model, x_bar, Realization(h_mean, t_mean)).objective
+        expect_q = float(sum(wi * o.objective for wi, o in zip(w, outs)))
         if mean_q > expect_q + 1e-7:
             problems.append(f"trial {trial}: mean-value bound off by "
                             f"{mean_q - expect_q:.2e}")
@@ -183,9 +183,9 @@ def test_tail_risk_portfolio_properties():
     if not all(b > a for a, b in zip(sizes, sizes[1:])):
         problems.append(f"partition sizes not strictly increasing: {sizes}")
     for t in range(1, len(result.partitions)):
-        prev = {c.label for c in result.partitions[t - 1].cells}
+        prev = {c.label for c in result.partitions[t - 1]}
         x_prev = result.records[t - 1].incumbent
-        for cell in result.partitions[t].cells:
+        for cell in result.partitions[t]:
             if cell.label in prev:
                 continue
             w, reals = space.cell_samples(cell, cap=100)

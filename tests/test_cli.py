@@ -8,6 +8,8 @@ from adaptpart import cli
 from adaptpart.instances import (cvar_document, document_to_model, load_document,
                                  validate_document, write_document)
 
+from _generators import random_recourse_model
+
 
 def run_cli(argv):
     return cli.main([str(a) for a in argv])
@@ -132,6 +134,30 @@ class TestDiscreteOracle:
         assert first_row[0] == "1" and first_row[2] != "-"  # the ub column
         assert "agree" in out
         assert "DISAGREE" not in out
+
+
+class TestDiscreteRuns:
+    def test_zero_weight_scenarios_do_not_crash(self, tmp_path, capsys):
+        # the schema allows weight 0; dual clustering puts both zero-weight
+        # scenarios into a group of their own, which the split drops
+        rng = np.random.default_rng(40)
+        model, T = random_recourse_model(rng)
+        hs = rng.uniform(-1.5, 1.5, (6, model.m))
+        weights = (0.25, 0.25, 0.25, 0.25, 0.0, 0.0)
+        doc = {
+            "metadata": {"name": "zero-weights"},
+            "first_stage": {"c": model.c.tolist(), "A": model.A.tolist(), "b": model.b.tolist(),
+                            "senses": list(model.senses), "ub": model.x_upper.tolist()},
+            "recourse": {"W": model.W.tolist(), "q": model.q.tolist(),
+                         "senses": [str(s) for s in model.recourse_senses]},
+            "uncertainty": {"kind": "discrete", "parameters": {
+                "T_base": T.tolist(),
+                "scenarios": [{"weight": w, "h": h.tolist()} for w, h in zip(weights, hs)]}},
+        }
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(["run", "--instance", path, "--epsilon", 1e-12]) == 0
+        assert "termination: gap" in capsys.readouterr().out
 
 
 class TestPortfolioRuns:

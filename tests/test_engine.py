@@ -12,7 +12,7 @@ from adaptpart.engine import (CONDITIONS, GAP, ITERATION_LIMIT, STABILIZED, Solv
 from adaptpart.errors import SolverFailure, ValidationError
 from adaptpart.instances import (cvar_document, document_to_model,
                                  document_to_space, lands_document)
-from adaptpart.model import evaluate_subproblem
+from adaptpart.model import Realization, evaluate_subproblem
 from adaptpart.refiners import (DualClusteringRefiner, HyperplaneRefiner, RangingRefiner,
                                 RefineContext, refiner_by_name, rhs_dual_breakpoints)
 from adaptpart.spaces import DiscreteSpace, UniformRhsSpace
@@ -70,6 +70,11 @@ class TestSolverConfig:
         with pytest.raises(ValidationError, match="gap threshold"):
             SolverConfig(epsilon=epsilon)
 
+    @pytest.mark.parametrize("limit", [2.5, 0])
+    def test_iteration_limit_must_be_a_positive_integer(self, limit):
+        with pytest.raises(ValidationError, match="iteration limit"):
+            SolverConfig(max_iterations=limit)
+
 
 class TestConditionCheck:
     def test_varying_dual_fails(self):
@@ -108,9 +113,24 @@ class TestUpperBound:
         ub = bound_at(model, space, x, "auto")
         assert ub is not None
         manual = float(model.c @ x) + sum(
-            w * evaluate_subproblem(model, x, space.realizations[i]).value
+            w * evaluate_subproblem(model, x, space.realizations[i]).objective
             for i, w in enumerate(space.weights))
         assert ub == pytest.approx(manual, rel=1e-12)
+
+    def test_zero_weight_scenarios_add_nothing(self):
+        # dual clustering puts the two zero-weight scenarios into a group of
+        # their own, which the split drops as zero-mass
+        rng = np.random.default_rng(40)
+        model, T = random_recourse_model(rng)
+        hs = rng.uniform(-1.5, 1.5, (6, model.m))
+        weights = (0.25, 0.25, 0.25, 0.25, 0.0, 0.0)
+        space = DiscreteSpace([Realization(h, T, w) for h, w in zip(hs, weights)])
+        result = run(model, space, DualClusteringRefiner(), SolverConfig(epsilon=1e-12))
+        positive = DiscreteSpace([Realization(h, T, 0.25) for h in hs[:4]])
+        alone = run(model, positive, DualClusteringRefiner(), SolverConfig(epsilon=1e-12))
+        assert result.termination == alone.termination == GAP
+        assert result.best_upper == alone.best_upper
+        assert result.objective == pytest.approx(alone.objective, rel=1e-12)
 
     def test_auto_returns_none_without_exact_rule(self):
         # normal returns without a tail-risk marker have no exact rule
@@ -150,7 +170,7 @@ class TestUpperBound:
         x = np.array([12.0, 0.0, 0.0, 0.0])
         ub = bound_at(model, space, x, "auto")
         assert ub is not None
-        mean_q = evaluate_subproblem(model, x, space.realization_at(0.5 * (space.lo + space.hi))).value
+        mean_q = evaluate_subproblem(model, x, space.realization_at(0.5 * (space.lo + space.hi))).objective
         assert ub == pytest.approx(float(model.c @ x) + mean_q, abs=1e-8)
 
 
@@ -210,7 +230,7 @@ class TestTermination:
         monkeypatch.setattr(refiners, "evaluate_subproblem", counting)
         result = run(model, space, refiner_by_name("auto", space), SolverConfig())
         assert result.termination == STABILIZED
-        assert max(c.sample_count for c in result.partition.cells) > refiners.CONDITION_SAMPLE_CAP
+        assert max(c.sample_count for c in result.partition) > refiners.CONDITION_SAMPLE_CAP
         assert checks == [0]
 
     def test_negative_gap_is_an_error(self):

@@ -166,8 +166,8 @@ class TestEnergyDocument:
         from adaptpart.model import build_aggregated_master
         from adaptpart import lp as lplib
         part = space.trivial_partition()
-        triples = [(c.mass, c.h_mean, c.t_mean) for c in part.cells]
-        prob, cmap = build_aggregated_master(model, triples)
+        triples = [(c.mass, c.h_mean, c.t_mean) for c in part]
+        prob = build_aggregated_master(model, triples)
         sol = lplib.solve(prob)
         assert sol.status == lplib.OPTIMAL
         assert sol.objective == pytest.approx(378.6667, abs=1e-3)

@@ -212,7 +212,7 @@ def energy_master(K):
         h = space.h_base.copy()
         h[space.row] = 0.5 * (lo + hi)
         cells.append((1.0 / K, h, space.T))
-    return build_aggregated_master(model, cells)[0]
+    return build_aggregated_master(model, cells)
 
 
 def shaped_lp(rng):

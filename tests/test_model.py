@@ -29,13 +29,32 @@ def tail_realization(model: RecourseModel, returns) -> Realization:
     return Realization(np.zeros(1), T)
 
 
+class TestRecourseModel:
+    @staticmethod
+    def build(A, b, W=((1.0,),)):
+        return RecourseModel(c=[1.0, 1.0], A=A, b=b, senses=("<=",) * len(b),
+                             W=W, q=[1.0], recourse_senses=(">=",) * len(W))
+
+    def test_first_stage_matrix_must_match_b_and_c(self):
+        with pytest.raises(ValidationError, match=r"A has shape \(1, 4\), expected \(2, 2\)"):
+            self.build([[1.0, 2.0, 3.0, 4.0]], [1.0, 1.0])
+        assert self.build([[1.0, 2.0], [3.0, 4.0]], [1.0, 1.0]).A.shape == (2, 2)
+        assert self.build([], []).A.shape == (0, 2)
+
+    def test_ragged_matrices_are_rejected(self):
+        with pytest.raises(ValidationError, match="A is not a rectangular matrix"):
+            self.build([[1.0, 2.0], [3.0]], [1.0, 1.0])
+        with pytest.raises(ValidationError, match="W is not a rectangular matrix"):
+            self.build([[1.0, 2.0]], [1.0], W=[[1.0], [1.0, 2.0]])
+
+
 class TestSubproblem:
     def test_tail_loss_slack(self):
         # -x.r - tau = -0.5 - 0.2 = -0.7 < 0: no excess loss, dual at zero
         model = tail_loss_model()
         out = evaluate_subproblem(model, np.array([1.0, 0.0, 0.2]),
                                   tail_realization(model, (0.5, 0.2)))
-        assert out.value == pytest.approx(0.0, abs=1e-9)
+        assert out.objective == pytest.approx(0.0, abs=1e-9)
         assert out.duals[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_tail_loss_binding(self):
@@ -43,7 +62,7 @@ class TestSubproblem:
         model = tail_loss_model()
         out = evaluate_subproblem(model, np.array([1.0, 0.0, 0.2]),
                                   tail_realization(model, (-0.5, 0.2)))
-        assert out.value == pytest.approx(0.3, abs=1e-9)
+        assert out.objective == pytest.approx(0.3, abs=1e-9)
         assert out.duals[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_capacity_demand_by_hand(self):
@@ -55,7 +74,7 @@ class TestSubproblem:
             q=np.array([5.0, 1.0]), recourse_senses=("<=", ">=", ">="))
         out = evaluate_subproblem(model, np.array([10.0]),
                                   Realization([0.0, 3.0, 3.0], [[-1.0], [0.0], [0.0]]))
-        assert out.value == pytest.approx(18.0, abs=1e-9)
+        assert out.objective == pytest.approx(18.0, abs=1e-9)
         npt.assert_allclose(out.duals, [0.0, 5.0, 1.0], atol=1e-9)
 
     def test_infeasible_subproblem_raises(self):
@@ -94,9 +113,10 @@ class TestBasisCache:
                 hits = bases.hits
                 cached = evaluate_subproblem(model, x, real, bases)
                 plain = evaluate_subproblem(model, x, real)
-                npt.assert_array_equal(cached.rhs, plain.rhs)
-                assert cached.value == pytest.approx(plain.value, rel=1e-9, abs=1e-12)
-                assert primal_feasible(model, cached.y, cached.rhs)
+                rhs = real.h - real.T @ x
+                assert primal_feasible(model, plain.x, rhs)
+                assert cached.objective == pytest.approx(plain.objective, rel=1e-9, abs=1e-12)
+                assert primal_feasible(model, cached.x, rhs)
                 if bases.hits > hits:
                     npt.assert_allclose(cached.duals, plain.duals, rtol=0.0, atol=1e-9)
                 else:
@@ -114,16 +134,16 @@ class TestBasisCache:
         assert bases.hits == 0
         out = evaluate_subproblem(model, x, tail_realization(model, (-0.6, 0.2)), bases)
         assert bases.hits == 1
-        assert out.value == pytest.approx(0.4, abs=1e-12)
+        assert out.objective == pytest.approx(0.4, abs=1e-12)
         # rhs exactly 0: that basis is degenerate there, so the simplex decides
         before = bases.solves
         real = tail_realization(model, (-0.2, 0.2))
         out = evaluate_subproblem(model, x, real, bases)
-        assert out.rhs[0] == 0.0
+        assert (real.h - real.T @ x)[0] == 0.0
         assert bases.hits == 1
         assert bases.solves == before + 1
         plain = evaluate_subproblem(model, x, real)
-        assert out.value == plain.value
+        assert out.objective == plain.objective
         npt.assert_array_equal(out.duals, plain.duals)
 
     def test_infeasible_rhs_raises_as_without_cache(self):
@@ -145,20 +165,20 @@ class TestAggregatedMaster:
     def test_single_deterministic_cell_is_mean_value_lp(self):
         model, T = random_recourse_model(np.random.default_rng(7))
         h = np.full(model.m, 0.3)
-        lp, cmap = build_aggregated_master(model, [(1.0, h, T)])
+        lp = build_aggregated_master(model, [(1.0, h, T)])
         sol = lplib.solve(lp)
         assert sol.status == lplib.OPTIMAL
         # same answer as gluing the single scenario onto the first stage directly
-        x = cmap.first_stage(sol)
+        x = np.array(sol.x[:model.n_first])
         out = evaluate_subproblem(model, x, Realization(h, T))
-        assert sol.objective == pytest.approx(model.c @ x + out.value, abs=1e-7)
+        assert sol.objective == pytest.approx(model.c @ x + out.objective, abs=1e-7)
 
     def test_lands_one_cell_master_matches_published_mean_value(self):
         doc = instances.lands_document()
         model = instances.document_to_model(doc)
         space = instances.document_to_space(doc, model)
-        cell = space.trivial_partition().cells[0]
-        lp, _ = build_aggregated_master(model, [(cell.mass, cell.h_mean, cell.t_mean)])
+        cell = space.trivial_partition()[0]
+        lp = build_aggregated_master(model, [(cell.mass, cell.h_mean, cell.t_mean)])
         sol = lplib.solve(lp)
         assert sol.objective == pytest.approx(378.667, abs=1e-3)
 
@@ -170,8 +190,8 @@ class TestAggregatedMaster:
             space = random_discrete_space(rng, model, T, n_scenarios=2)
             h_mean = 0.5 * (space.hs[0] + space.hs[1])
             t_mean = 0.5 * (space.Ts[0] + space.Ts[1])
-            one, _ = build_aggregated_master(model, [(1.0, h_mean, t_mean)])
-            two, _ = build_aggregated_master(
+            one = build_aggregated_master(model, [(1.0, h_mean, t_mean)])
+            two = build_aggregated_master(
                 model, [(0.5, space.hs[0], space.Ts[0]), (0.5, space.hs[1], space.Ts[1])])
             v1 = lplib.solve(one).objective
             v2 = lplib.solve(two).objective
@@ -185,6 +205,8 @@ class TestAggregatedMaster:
         with pytest.raises(ValidationError):
             build_aggregated_master(model, [(0.0, h, T),
                                             (1.0, h, T)])
+        with pytest.raises(ValidationError, match="cell masses must be positive"):
+            build_aggregated_master(model, [(float("nan"), h, T)])
 
 
 class TestAveragingLemmas:
@@ -196,7 +218,7 @@ class TestAveragingLemmas:
             x = random_first_stage_point(rng, model)
             outs = [evaluate_subproblem(model, x, r) for r in space.realizations]
             w = space.weights
-            y_bar = np.tensordot(w, [o.y for o in outs], axes=(0, 0))
+            y_bar = np.tensordot(w, [o.x for o in outs], axes=(0, 0))
             lam_bar = np.tensordot(w, [o.duals for o in outs], axes=(0, 0))
             h_bar = w @ space.hs
             t_bar = np.tensordot(w, space.Ts, axes=(0, 0))
@@ -211,5 +233,5 @@ class TestAveragingLemmas:
                     assert lhs[i] == pytest.approx(rhs[i], abs=1e-7)
             assert np.all(model.W.T @ lam_bar <= model.q + 1e-7)
             mean_out = evaluate_subproblem(model, x, Realization(h_bar, t_bar))
-            expected = float(w @ [o.value for o in outs])
-            assert mean_out.value <= expected + 1e-7
+            expected = float(w @ [o.objective for o in outs])
+            assert mean_out.objective <= expected + 1e-7

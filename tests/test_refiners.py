@@ -11,7 +11,7 @@ from adaptpart.refiners import (DualClusteringRefiner, HyperplaneRefiner,
                                 dual_switch_hyperplanes, group_scenarios_by_dual,
                                 refiner_by_name, rhs_dual_breakpoints)
 from adaptpart.spaces import (CvarMarker, DiscreteSpace, GaussianTechnologySpace,
-                              Partition, TechEntry, UniformRhsSpace)
+                              TechEntry, UniformRhsSpace)
 
 from _generators import random_discrete_space, random_recourse_model
 from _oracles import grid_dual_breakpoints
@@ -124,9 +124,9 @@ class TestDualGrouping:
         ctx = context_for(model, space, [2.0])  # demands 1, 1.5 slack; 3 binds
         refiner = DualClusteringRefiner()
         part = refiner.refine(ctx)
-        sizes = sorted(len(c.geometry.indices) for c in part.cells)
+        sizes = sorted(len(c.geometry.indices) for c in part)
         assert sizes == [1, 2]
-        binding = part.cells if len(part) == 2 else []
+        binding = part if len(part) == 2 else []
         singleton = next(c for c in binding if len(c.geometry.indices) == 1)
         assert list(singleton.geometry.indices) == [2]
 
@@ -149,7 +149,7 @@ class TestDualGrouping:
         space = random_discrete_space(rng, model, T, n_scenarios=12)
         ctx = context_for(model, space, np.minimum(model.x_upper, 0.5))
         part = DualClusteringRefiner().refine(ctx)
-        members = sorted(i for c in part.cells for i in c.geometry.indices)
+        members = sorted(i for c in part for i in c.geometry.indices)
         alive = [i for i in range(12) if space.weights[i] > 0.0]
         assert members == alive
 
@@ -187,8 +187,8 @@ class TestRanging:
         space = two_piece_space()
         ctx = context_for(model, space, [0.0])
         part = RangingRefiner().refine(ctx)
-        los = sorted(c.geometry.lo for c in part.cells)
-        his = sorted(c.geometry.hi for c in part.cells)
+        los = sorted(c.geometry.lo for c in part)
+        his = sorted(c.geometry.hi for c in part)
         npt.assert_allclose(los, [0.0, 2.0], atol=1e-6)
         npt.assert_allclose(his, [2.0, 4.0], atol=1e-6)
 
@@ -203,14 +203,14 @@ class TestRanging:
                                 x_bar=np.array([xv]))
             part = refiner.refine(ctx)
             edges.add(xv)
-            los = sorted(c.geometry.lo for c in part.cells)
+            los = sorted(c.geometry.lo for c in part)
             expected = sorted({0.0} | edges)
             npt.assert_allclose(los, expected, atol=1e-6)
 
     def test_one_sweep_serves_every_cell(self, monkeypatch):
         model = shortage_model()
         space = shortage_space(0.0, 5.0)
-        part = Partition(space.split_cell(space.trivial_partition().cells[0], (1.0, 3.0)))
+        part = space.split_cell(space.trivial_partition()[0], (1.0, 3.0))
         assert len(part) == 3
         calls = []
 
@@ -223,7 +223,7 @@ class TestRanging:
                             x_bar=np.array([2.0]))
         refined = RangingRefiner().refine(ctx)
         assert len(calls) == 1
-        npt.assert_allclose(sorted(c.geometry.lo for c in refined.cells),
+        npt.assert_allclose(sorted(c.geometry.lo for c in refined),
                             [0.0, 1.0, 2.0, 3.0], atol=1e-6)
 
     def test_no_breakpoint_means_identity(self):
@@ -247,7 +247,7 @@ class TestHyperplane:
         entries = tuple(TechEntry(0, j, j, 1.0) for j in range(2))
         return GaussianTechnologySpace(model, np.zeros(1), [[0.0, 0.0, 1.0]], entries,
                                        mu, sigma, seed=seed, pool_size=pool_size,
-                                       cvar=CvarMarker(delta=0.1, tau_col=2))
+                                       cvar=CvarMarker(delta=0.1))
 
     def test_cut_geometry_from_incumbent(self):
         model = self.cvar_like_model()
@@ -267,7 +267,7 @@ class TestHyperplane:
         ctx = context_for(model, space, [0.4, 0.6, 0.1])
         part = HyperplaneRefiner().refine(ctx)
         assert len(part) == 2
-        for cell in part.cells:
+        for cell in part:
             hs = cell.geometry.halfspaces
             assert len(hs) == 1
             normal, offset = hs[0]
@@ -343,16 +343,16 @@ def discrete_pass():
     reals = [shortage_scenario(d, 1.0 / 6.0)
              for d in (1.0, 1.5, 3.0, 4.0, 0.5, 2.5)]
     space = DiscreteSpace(reals)
-    cells = space.split_cell(space.trivial_partition().cells[0], ((0, 1), (4, 5), (2, 3)))
-    return model, space, Partition(cells), np.array([2.0]), DualClusteringRefiner()
+    cells = space.split_cell(space.trivial_partition()[0], ((0, 1), (4, 5), (2, 3)))
+    return model, space, cells, np.array([2.0]), DualClusteringRefiner()
 
 
 def interval_pass():
     # the breakpoint at x = 2 lies inside the middle cell [1, 3] only
     model = shortage_model()
     space = shortage_space(0.0, 5.0)
-    cells = space.split_cell(space.trivial_partition().cells[0], (1.0, 3.0))
-    return model, space, Partition(cells), np.array([2.0]), RangingRefiner()
+    cells = space.split_cell(space.trivial_partition()[0], (1.0, 3.0))
+    return model, space, cells, np.array([2.0]), RangingRefiner()
 
 
 def region_pass():
@@ -362,10 +362,10 @@ def region_pass():
                                              np.array([[0.14, 0.053], [0.053, 0.23]]),
                                              seed=9, pool_size=4000)
     a = np.array([0.0, 1.0])
-    low, rest = space.split_cell(space.trivial_partition().cells[0], a, -1.0,
+    low, rest = space.split_cell(space.trivial_partition()[0], a, -1.0,
                                  space.pool @ a <= -1.0)
     cells = (low,) + space.split_cell(rest, a, 1.0, space.pool @ a <= 1.0)
-    return model, space, Partition(cells), np.array([0.0, 1.0, 0.3]), HyperplaneRefiner()
+    return model, space, cells, np.array([0.0, 1.0, 0.3]), HyperplaneRefiner()
 
 
 @pytest.mark.parametrize("make", [discrete_pass, interval_pass, region_pass],
@@ -374,9 +374,9 @@ def test_refinement_pass_keeps_cell_order(make):
     model, space, part, x_bar, refiner = make()
     assert len(part) == 3
     refined = refiner.refine(RefineContext(model, space, part, x_bar))
-    first, middle, last = part.cells
-    assert refined.cells[0] is first and refined.cells[-1] is last
-    children = refined.cells[1:-1]
+    first, middle, last = part
+    assert refined[0] is first and refined[-1] is last
+    children = refined[1:-1]
     assert len(children) == 2
     assert [c.label for c in children] == [middle.label + ".0", middle.label + ".1"]
     assert sum(c.mass for c in children) == pytest.approx(middle.mass, rel=1e-12)

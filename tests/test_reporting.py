@@ -10,7 +10,7 @@ from adaptpart.instances import (cvar_document, document_to_model, document_to_s
 from adaptpart.model import Realization, RecourseModel
 from adaptpart.refiners import refiner_by_name
 from adaptpart.reporting import partition_trace, write_run_report
-from adaptpart.spaces import DiscreteSpace, Partition, UniformRhsSpace
+from adaptpart.spaces import DiscreteSpace, UniformRhsSpace
 
 from _generators import random_discrete_space, random_recourse_model
 
@@ -23,7 +23,7 @@ def shortage_model() -> RecourseModel:
 
 def split_entries(space, *how):
     """Report entries of the children after one split of the whole support."""
-    part = Partition(space.split_cell(space.trivial_partition().cells[0], *how))
+    part = space.split_cell(space.trivial_partition()[0], *how)
     trace = json.loads(json.dumps(partition_trace([part], space)))
     return trace[0]["cells"]
 
@@ -101,5 +101,5 @@ def test_region_partitions_reuse_cells():
     # consecutive partitions sharing the cells that did not split
     model, space = document_pair(cvar_document(seed=0, pool_size=2000))
     result = run(model, space, refiner_by_name("auto", space), SolverConfig())
-    entries = [c for part in result.partitions for c in part.cells]
+    entries = [c for part in result.partitions for c in part]
     assert len({id(c) for c in entries}) < len(entries)

@@ -8,7 +8,7 @@ import pytest
 from adaptpart.errors import ValidationError
 from adaptpart.model import Realization, RecourseModel
 from adaptpart.spaces import (CvarMarker, DiscreteSpace, GaussianTechnologySpace,
-                              Partition, TechEntry, UniformRhsSpace)
+                              TechEntry, UniformRhsSpace)
 
 from _generators import random_discrete_space, random_recourse_model
 from _oracles import trapezoid_integral
@@ -56,7 +56,7 @@ class TestDiscrete:
         reals = [Realization(np.full(model.m, v), T, w)
                  for v, w in ((0.0, 0.5), (1.0, 0.5), (2.0, 0.0))]
         space = DiscreteSpace(reals)
-        cell, = space.trivial_partition().cells
+        cell, = space.trivial_partition()
         split = space.split_cell(cell, ((0,), (1,), (2,)))
         assert len(split) == 2  # the zero-weight scenario carries no cell
         assert sum(c.mass for c in split) == pytest.approx(1.0)
@@ -65,7 +65,7 @@ class TestDiscrete:
         rng = np.random.default_rng(2)
         model, T = random_recourse_model(rng)
         space = random_discrete_space(rng, model, T, n_scenarios=4)
-        cell, = space.trivial_partition().cells
+        cell, = space.trivial_partition()
         with pytest.raises(ValidationError):
             space.split_cell(cell, ((0, 1), (2,)))
 
@@ -73,24 +73,24 @@ class TestDiscrete:
         rng = np.random.default_rng(3)
         model, T = random_recourse_model(rng)
         space = random_discrete_space(rng, model, T, n_scenarios=3)
-        cell, = space.trivial_partition().cells
+        cell, = space.trivial_partition()
         assert space.split_cell(cell, ((0, 1, 2),)) == (cell,)
 
     def test_law_of_total_expectation(self):
         rng = np.random.default_rng(4)
         model, T = random_recourse_model(rng)
         space = random_discrete_space(rng, model, T, n_scenarios=6)
-        cell, = space.trivial_partition().cells
-        part = Partition(space.split_cell(cell, ((0, 3), (1, 2, 4), (5,))))
-        total_h = sum(c.mass * c.h_mean for c in part.cells)
+        cell, = space.trivial_partition()
+        part = space.split_cell(cell, ((0, 3), (1, 2, 4), (5,)))
+        total_h = sum(c.mass * c.h_mean for c in part)
         npt.assert_allclose(total_h, space.weights @ space.hs, atol=1e-12)
-        assert sum(c.mass for c in part.cells) == pytest.approx(1.0, abs=1e-12)
+        assert sum(c.mass for c in part) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestUniformRhs:
     def test_mass_and_midpoint_mean(self):
         space = interval_space(3.0, 7.0)
-        whole, = space.trivial_partition().cells
+        whole, = space.trivial_partition()
         cell = space.split_cell(whole, (5.0,))[0]
         assert cell.label == "0.0"
         assert cell.geometry.lo == 3.0 and cell.geometry.hi == 5.0
@@ -99,14 +99,14 @@ class TestUniformRhs:
 
     def test_asymmetric_split_masses(self):
         space = interval_space(3.0, 7.0)
-        part = Partition(space.split_cell(space.trivial_partition().cells[0], (4.5,)))
-        masses = sorted(c.mass for c in part.cells)
+        part = space.split_cell(space.trivial_partition()[0], (4.5,))
+        masses = sorted(c.mass for c in part)
         npt.assert_allclose(masses, [0.375, 0.625], atol=1e-12)
-        assert sum(c.mass for c in part.cells) == pytest.approx(1.0)
+        assert sum(c.mass for c in part) == pytest.approx(1.0)
 
     def test_breakpoints_outside_cell_are_identity(self):
         space = interval_space(3.0, 7.0)
-        cell, = space.trivial_partition().cells
+        cell, = space.trivial_partition()
         assert space.split_cell(cell, (2.0, 7.0, 9.0)) == (cell,)
 
     def test_row_must_be_declared_random(self):
@@ -115,7 +115,7 @@ class TestUniformRhs:
 
     def test_cell_samples_average_to_cell_mean(self):
         space = interval_space(3.0, 7.0)
-        cell = space.trivial_partition().cells[0]
+        cell = space.trivial_partition()[0]
         w, reals = space.cell_samples(cell, cap=50)
         mean = sum(wi * r.h[0] for wi, r in zip(w, reals))
         assert mean == pytest.approx(cell.h_mean[0], abs=1e-9)
@@ -135,7 +135,7 @@ class TestGaussian:
         mu = np.array([0.3, -0.2])
         sigma = np.array([[0.5, 0.1], [0.1, 0.4]])
         space = gaussian_space(mu, sigma, seed=5, pool_size=40000)
-        xi = space.trivial_partition().cells[0].geometry.xi_mean
+        xi = space.trivial_partition()[0].geometry.xi_mean
         for j in range(2):
             se = np.sqrt(sigma[j, j] / space.pool_size)
             assert abs(xi[j] - mu[j]) <= 3.0 * se
@@ -143,7 +143,7 @@ class TestGaussian:
     def test_halfspace_mass_and_truncated_mean(self):
         space = gaussian_space(np.zeros(2), np.eye(2),
                                seed=42, pool_size=60000)
-        neg = cut(space, space.trivial_partition().cells[0], (1.0, 0.0), 0.0)[0]
+        neg = cut(space, space.trivial_partition()[0], (1.0, 0.0), 0.0)[0]
         assert neg.label == "0.0"
         assert neg.mass == pytest.approx(0.5, abs=3.0 * 0.5 / np.sqrt(space.pool_size))
         xi = neg.geometry.xi_mean
@@ -157,7 +157,7 @@ class TestGaussian:
     def test_split_partitions_members_exactly(self):
         space = gaussian_space(np.zeros(2), np.eye(2),
                                seed=7, pool_size=20000)
-        kids = cut(space, space.trivial_partition().cells[0], (0.3, -1.2), 0.1)
+        kids = cut(space, space.trivial_partition()[0], (0.3, -1.2), 0.1)
         assert len(kids) == 2
         members = np.concatenate([k.geometry.members for k in kids])
         assert np.array_equal(np.sort(members), np.arange(space.pool_size))
@@ -166,7 +166,7 @@ class TestGaussian:
     def test_one_sided_split_is_identity(self):
         space = gaussian_space(np.zeros(2), np.eye(2),
                                seed=8, pool_size=5000)
-        cell, = space.trivial_partition().cells
+        cell, = space.trivial_partition()
         assert cut(space, cell, (1.0, 0.0), 50.0) == (cell,)
 
     def test_shared_side_mask_matches_member_projection(self):
@@ -181,7 +181,7 @@ class TestGaussian:
             shared = space.pool @ a <= beta
             plain_side = space.pool @ np.array([float(v) for v in normal]) <= beta
             cells = []
-            for parent in part.cells:
+            for parent in part:
                 members = parent.geometry.members
                 side = space.pool[members] @ a <= beta
                 split = space.split_cell(parent, a, beta, shared)
@@ -199,9 +199,9 @@ class TestGaussian:
                                                space.pool[expected].mean(axis=0))
                         npt.assert_array_equal(kid.t_mean,
                                                space.realization_at(kid.geometry.xi_mean).T)
-            part = Partition(tuple(cells))
+            part = tuple(cells)
         assert len(part) > 4
-        first = part.cells[0]
+        first = part[0]
         assert space.split_cell(first, (1.0, 0.0), 50.0,
                                 space.pool[:, 0] <= 50.0) == (first,)
 
@@ -209,11 +209,11 @@ class TestGaussian:
         space = gaussian_space(np.array([0.1, -0.3]),
                                np.array([[0.4, 0.05], [0.05, 0.2]]),
                                seed=17, pool_size=30000)
-        lower, upper = cut(space, space.trivial_partition().cells[0], (1.0, 1.0), 0.0)
-        part = Partition(cut(space, lower, (1.0, -1.0), 0.2) + (upper,))
-        total = sum(c.mass * c.geometry.xi_mean for c in part.cells)
+        lower, upper = cut(space, space.trivial_partition()[0], (1.0, 1.0), 0.0)
+        part = cut(space, lower, (1.0, -1.0), 0.2) + (upper,)
+        total = sum(c.mass * c.geometry.xi_mean for c in part)
         npt.assert_allclose(total, space.pool.mean(axis=0), atol=1e-12)
-        for c in part.cells:
+        for c in part:
             npt.assert_array_equal(c.geometry.xi_mean,
                                    space.pool[c.geometry.members].mean(axis=0))
 
@@ -264,17 +264,43 @@ class TestBaseDataChecks:
         with pytest.raises(ValidationError, match="do not match the model"):
             UniformRhsSpace(gaussian_model(), h, T, 0, 3.0, 7.0)
 
+    @pytest.mark.parametrize("h, weight, message", [
+        (0.0, float("nan"), "scenario weights must be finite"),
+        (float("inf"), 0.5, "scenario h and T entries must be finite"),
+    ], ids=["weight", "h"])
+    def test_discrete_data_must_be_finite(self, h, weight, message):
+        reals = [Realization([h], [[1.0]], weight), Realization([0.0], [[1.0]], 0.5)]
+        with pytest.raises(ValidationError, match=message):
+            DiscreteSpace(reals)
+
+    @pytest.mark.parametrize("lo, hi", [(-np.inf, 7.0), (3.0, np.inf), (np.nan, 7.0)])
+    def test_interval_support_must_be_finite(self, lo, hi):
+        with pytest.raises(ValidationError, match="uniform support lo and hi must be finite"):
+            interval_space(lo, hi)
+        with pytest.raises(ValidationError, match="base h and T entries must be finite"):
+            UniformRhsSpace(interval_model(), [np.nan], [[0.0]], 0, 3.0, 7.0)
+
+    @pytest.mark.parametrize("mu, sigma, message", [
+        ((np.nan, 0.0), np.eye(2), "mean mu"),
+        ((0.0, 0.0), ((1.0, 0.0), (0.0, np.inf)), "covariance sigma"),
+    ], ids=["mu", "sigma"])
+    def test_gaussian_parameters_must_be_finite(self, mu, sigma, message):
+        entries = (TechEntry(0, 0, 0), TechEntry(0, 1, 1))
+        with pytest.raises(ValidationError, match=message + " entries must be finite"):
+            GaussianTechnologySpace(gaussian_model(), (0.0,), ((0.0, 0.0, 1.0),), entries,
+                                    mu, sigma, seed=1, pool_size=10)
+
     def test_cvar_marker_needs_the_tail_loss_recourse(self):
         # gaussian_model prices the tail at q = 1, the recourse of delta = 1
-        assert self.gaussian(cvar=CvarMarker(1.0, 2)).cvar == CvarMarker(1.0, 2)
+        assert self.gaussian(cvar=CvarMarker(1.0)).cvar == CvarMarker(1.0)
         assert self.gaussian().cvar is None
         with pytest.raises(ValidationError, match="recourse.q"):
-            self.gaussian(cvar=CvarMarker(0.1, 2))
+            self.gaussian(cvar=CvarMarker(0.1))
         with pytest.raises(ValidationError, match="delta"):
-            self.gaussian(cvar=CvarMarker(0.0, 2))
+            self.gaussian(cvar=CvarMarker(0.0))
         other = dataclasses.replace(gaussian_model(), recourse_senses=("<=",))
         with pytest.raises(ValidationError, match="recourse.senses"):
-            self.gaussian(model=other, cvar=CvarMarker(1.0, 2))
+            self.gaussian(model=other, cvar=CvarMarker(1.0))
         assert self.gaussian(model=other).cvar is None
 
     def test_negative_seed_rejected(self):
