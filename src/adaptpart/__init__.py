@@ -18,7 +18,7 @@ from .instances import (cvar_document, document_to_model, document_to_space,
                         lands_document, load_document, validate_document,
                         write_document)
 from .model import (Realization, RecourseModel, build_aggregated_master,
-                    evaluate_subproblem, subproblem_lp)
+                    evaluate_subproblem)
 from .refiners import (DualClusteringRefiner, HyperplaneRefiner, RangingRefiner,
                        RefineContext, Refiner, refiner_by_name, rhs_dual_breakpoints)
 from .reporting import iteration_csv_text, partition_trace, run_summary, write_run_report
@@ -30,7 +30,7 @@ __all__ = [
     "Cell", "UncertaintySpace", "DiscreteSpace", "UniformRhsSpace",
     "GaussianTechnologySpace", "TechEntry", "CvarMarker",
     "RecourseModel", "Realization",
-    "build_aggregated_master", "subproblem_lp", "evaluate_subproblem",
+    "build_aggregated_master", "evaluate_subproblem",
     "Refiner", "RefineContext", "DualClusteringRefiner", "RangingRefiner",
     "HyperplaneRefiner", "refiner_by_name", "rhs_dual_breakpoints",
     "SolverConfig", "SolveResult", "IterationRecord", "run", "check_conditions",

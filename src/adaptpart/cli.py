@@ -38,7 +38,9 @@ def _print_table(records) -> None:
 
 
 def _print_oracle(model, space, result) -> None:
-    triples = [(float(w), r.h, r.T) for w, r in zip(space.weights, space.realizations)]
+    # a zero-weight scenario adds nothing to the extensive form
+    triples = [(float(w), r.h, r.T) for w, r in zip(space.weights, space.realizations)
+               if w > 0.0]
     sol = lplib.solve(build_aggregated_master(model, triples))
     diff = abs(sol.objective - result.objective)
     rel = diff / (1.0 + abs(sol.objective))

@@ -33,6 +33,12 @@ _RC_TOL = 1e-9      # reduced-cost threshold for entering columns
 _RATIO_TIE = 1e-9   # ratio-test tie tolerance
 _MAX_PIVOTS = 50_000
 _CACHED_BASES = 16  # bases a BasisCache keeps
+# A cached basis answers only where every basic value B^-1 r exceeds
+# _BASIC_FLOOR*(1+|r|_inf).  The floor must stay far above the rounding of
+# B^-1 r, so that a basis degenerate at r goes to the simplex, and below the
+# breakpoint sweep's probe offset refiners.DEGENERACY_STEP_FRAC*(hi-lo), so
+# that a probe just past a basis boundary is answered from the cache.
+_BASIC_FLOOR = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,17 +115,6 @@ class LpSolution:
     kept_rows: tuple[int, ...] | None = None
 
 
-@dataclass(frozen=True, eq=False)
-class RangingInterval:
-    """Maximal rhs interval for one row over which the optimal basis (and its
-    dual vector) stays optimal.  Endpoints may be infinite; width may be zero
-    under degeneracy."""
-
-    lo: float
-    hi: float
-    duals: np.ndarray
-
-
 @dataclass
 class _Canonical:
     """Equality form  A z = b, z >= 0, b >= 0  with bookkeeping to map back."""
@@ -179,14 +174,15 @@ class BasisCache:
     The solve that found a basis certified it dual feasible, and dual
     feasibility does not depend on r, so the basis is optimal for a new r
     once its basic values B^-1 r are nonnegative.  A cached basis answers
-    only when every basic value is strictly positive, so it is nondegenerate
-    and its duals are the unique ones `solve` would return, and when the
-    point passes `_validate`'s per-row residual test.  Any other r goes to
-    the simplex, which `solves` counts, and an optimal basis it finds joins
-    the cache.  `hits` counts the answers from cached bases.  Canonical
-    columns are those of `_canonicalize`: one per y, then one slack per
-    inequality row; sign folding of rows leaves B^-1 r and the duals
-    unchanged.
+    only when every basic value exceeds _BASIC_FLOOR*(1+|r|_inf), so it is
+    nondegenerate and its duals are the unique ones `solve` would return,
+    and when the point passes `_validate`'s per-row residual test.  Any
+    other r goes to the simplex, which `solves` counts, and an optimal basis
+    it finds joins the cache.  `hits` counts the answers from cached bases.
+    Canonical columns are those of `_canonicalize`: one per y, then one
+    slack per inequality row; sign folding of rows leaves B^-1 r and the
+    duals unchanged, so `rhs_ranging` reads its basis matrices from these
+    columns too.
     """
 
     def __init__(self, objective, matrix, senses):
@@ -212,7 +208,7 @@ class BasisCache:
 
     def _lookup(self, rhs: np.ndarray) -> LpSolution | None:
         fam = self._family
-        floor = FEAS_TOL * (1.0 + float(np.abs(rhs).max(initial=0.0)))
+        floor = _BASIC_FLOOR * (1.0 + float(np.abs(rhs).max(initial=0.0)))
         for k, (basis, inv, duals) in enumerate(self._entries):
             z_b = inv @ rhs
             if z_b.min(initial=np.inf) <= floor:
@@ -421,40 +417,43 @@ def _validate(lp: StandardLp, canon: _Canonical, kept: np.ndarray, x: np.ndarray
         raise SolverFailure(f"duality gap {gap:.3e} at reported optimum")
 
 
-def rhs_ranging(lp: StandardLp, sol: LpSolution, row: int) -> RangingInterval:
-    """Maximal interval for lp.rhs[row] over which sol's basis stays optimal.
+def rhs_ranging(bases: BasisCache, rhs: np.ndarray, sol: LpSolution,
+                row: int) -> tuple[float, float]:
+    """Maximal interval (lo, hi) for rhs[row] over which sol's basis stays
+    optimal for the family of `bases`.
 
-    The dual vector is constant on the interval.  Under degeneracy the interval
-    may have zero width.  Requires an optimal solution of lp with its basis,
-    from solve(lp) or BasisCache.solve.
+    B comes from the family's canonical columns, which `bases` built once.
+    The dual vector sol.duals is constant on the interval.  Under degeneracy
+    the interval may have zero width.  Requires an optimal solution at rhs
+    with its basis, from solve or bases.solve.
     """
-    if not 0 <= row < lp.n_rows:
-        raise ValidationError(f"row {row} out of range for {lp.n_rows} rows")
+    rhs = np.asarray(rhs, dtype=float)
+    A = bases._A
+    if not 0 <= row < A.shape[0]:
+        raise ValidationError(f"row {row} out of range for {A.shape[0]} rows")
     if sol.status != OPTIMAL or sol.basis is None or sol.kept_rows is None:
         raise ValidationError("ranging requires an optimal solution with a stored basis")
 
-    canon = _canonicalize(lp)
     kept = np.asarray(sol.kept_rows, dtype=int)
     basis = np.asarray(sol.basis, dtype=int)
     if kept.size != basis.size:
         raise ValidationError("basis descriptor does not match the problem")
-    B = canon.A[np.ix_(kept, basis)]
+    B = A[np.ix_(kept, basis)]
     try:
-        x_b = np.linalg.solve(B, canon.b[kept])
+        x_b = np.linalg.solve(B, rhs[kept])
     except np.linalg.LinAlgError as exc:
         raise ValidationError(f"stored basis is singular for this problem: {exc}") from exc
-    scale = 1.0 + float(np.abs(canon.b).max(initial=0.0))
+    scale = 1.0 + float(np.abs(rhs).max(initial=0.0))
     if x_b.min(initial=0.0) < -1e-6 * scale:
         raise ValidationError("stored basis is not primal feasible for this problem")
 
-    pos = np.flatnonzero(canon.row_origin[kept] == row)
-    base = float(lp.rhs[row])
+    pos = np.flatnonzero(kept == row)
+    base = float(rhs[row])
     if pos.size == 0:
         # The row was dropped as redundant; any perturbation breaks consistency.
-        return RangingInterval(base, base, np.array(sol.duals, dtype=float))
-    k = int(pos[0])
+        return base, base
     e = np.zeros(kept.size)
-    e[k] = canon.row_sign[kept[k]]
+    e[int(pos[0])] = 1.0
     w = np.linalg.solve(B, e)
 
     tol_w = 1e-11 * max(1.0, float(np.abs(w).max(initial=0.0)))
@@ -464,4 +463,4 @@ def rhs_ranging(lp: StandardLp, sol: LpSolution, row: int) -> RangingInterval:
     d_hi = float((-x_b[dn] / w[dn]).min()) if np.any(dn) else np.inf
     d_lo = min(d_lo, 0.0)
     d_hi = max(d_hi, 0.0)
-    return RangingInterval(base + d_lo, base + d_hi, np.array(sol.duals, dtype=float))
+    return base + d_lo, base + d_hi

@@ -108,13 +108,6 @@ def _matrix(name: str, value) -> np.ndarray:
         raise ValidationError(f"{name} is not a rectangular matrix: {exc}") from exc
 
 
-def subproblem_lp(model: RecourseModel, x, realization: Realization) -> lplib.StandardLp:
-    """The recourse LP  min q.y : W y (senses) h - T x, y >= 0  at a point."""
-    x = np.asarray(x, dtype=float)
-    rhs = realization.h - realization.T @ x
-    return lplib.StandardLp(model.q, model.W, rhs, model.recourse_senses)
-
-
 def evaluate_subproblem(model: RecourseModel, x, realization: Realization,
                         bases: lplib.BasisCache | None = None) -> lplib.LpSolution:
     """Solve the recourse problem at (x, realization) through `bases`, a

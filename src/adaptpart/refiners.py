@@ -19,7 +19,7 @@ import numpy as np
 
 from . import lp as lplib
 from .errors import RecourseViolation, ValidationError
-from .model import RecourseModel, evaluate_subproblem, subproblem_lp
+from .model import RecourseModel, evaluate_subproblem
 from .spaces import (Cell, DiscreteSpace, GaussianTechnologySpace, UncertaintySpace,
                      UniformRhsSpace)
 
@@ -185,20 +185,22 @@ def rhs_dual_breakpoints(model: RecourseModel, space: UniformRhsSpace, x_bar: np
     DEGENERACY_STEP_FRAC*(hi-lo) so the sweep always terminates."""
     if bases is None:
         bases = lplib.BasisCache(model.q, model.W, model.recourse_senses)
-    lo, hi = space.lo, space.hi
+    lo, hi, row = space.lo, space.hi, space.row
     step = DEGENERACY_STEP_FRAC * (hi - lo)
-    # the LP rhs at the random row is xi - T[row] @ x_bar
-    offset = float(space.T[space.row] @ x_bar)
+    # the LP rhs is h - T @ x_bar; at the random row it is xi - T[row] @ x_bar
+    tx = space.T @ x_bar
+    base = space.h_base - tx
     points: list[float] = []
     xi = lo
     while xi < hi - step:
-        prob = subproblem_lp(model, x_bar, space.realization_at(xi))
-        sol = bases.solve(prob.rhs)
+        rhs = base.copy()
+        rhs[row] = xi - tx[row]
+        sol = bases.solve(rhs)
         if sol.status != lplib.OPTIMAL:
             raise RecourseViolation(
                 f"subproblem {sol.status} at rhs component value {xi:.6g}")
-        seg = lplib.rhs_ranging(prob, sol, space.row)
-        upper = seg.hi + offset
+        _, top = lplib.rhs_ranging(bases, rhs, sol, row)
+        upper = top + tx[row]
         if upper >= hi - step:
             break
         if upper > xi + step:

@@ -241,9 +241,9 @@ def test_lp_core_against_vertex_enumeration():
                             f"{dual_value - sol.objective:.2e}")
             break
         row = int(rng.integers(m))
-        interval = lplib.rhs_ranging(lp, sol, row)
-        lo = interval.lo if np.isfinite(interval.lo) else b[row] - 2.0
-        hi = interval.hi if np.isfinite(interval.hi) else b[row] + 2.0
+        lo, hi = lplib.rhs_ranging(lplib.BasisCache(c, M, senses), b, sol, row)
+        lo = lo if np.isfinite(lo) else b[row] - 2.0
+        hi = hi if np.isfinite(hi) else b[row] + 2.0
         # strictly interior probes: at the endpoints themselves the basis
         # changes and the dual is legitimately set-valued
         pad = 1e-6 * max(hi - lo, 1.0)

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from adaptpart import cli
-from adaptpart.instances import (cvar_document, document_to_model, load_document,
-                                 validate_document, write_document)
+from adaptpart.instances import (cvar_document, document_to_model, lands_document,
+                                 load_document, validate_document, write_document)
 
 from _generators import random_recourse_model
 
@@ -132,6 +132,19 @@ class TestDiscreteOracle:
         assert code == 0
         first_row = out.splitlines()[1].split()
         assert first_row[0] == "1" and first_row[2] != "-"  # the ub column
+        assert "agree" in out
+        assert "DISAGREE" not in out
+
+    def test_zero_weight_scenario_is_left_out_of_the_extensive_form(self, tmp_path, capsys):
+        doc = lands_document(d1_fixed=5.0)
+        scenarios = doc["uncertainty"]["parameters"]["scenarios"]
+        scenarios.append({"weight": 0.0, "h": [0.0, 0.0, 0.0, 0.0, 6.0, 3.0, 2.0]})
+        validate_document(doc)
+        path = tmp_path / "zero.json"
+        write_document(doc, path)
+        code = run_cli(["run", "--instance", path, "--oracle"])
+        out = capsys.readouterr().out
+        assert code == 0
         assert "agree" in out
         assert "DISAGREE" not in out
 

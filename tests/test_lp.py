@@ -87,10 +87,11 @@ def test_ranging_single_row():
     # min y s.t. y >= d at d = 5: dual 1 on [0, +inf)
     lp = StandardLp([1.0], [[1.0]], [5.0], (GE,))
     sol = lplib.solve(lp)
-    rng = lplib.rhs_ranging(lp, sol, 0)
-    npt.assert_allclose(rng.lo, 0.0, atol=1e-9)
-    assert rng.hi == np.inf
-    npt.assert_allclose(rng.duals, [1.0], atol=1e-9)
+    lo, hi = lplib.rhs_ranging(lplib.BasisCache(lp.objective, lp.matrix, lp.senses),
+                               lp.rhs, sol, 0)
+    npt.assert_allclose(lo, 0.0, atol=1e-9)
+    assert hi == np.inf
+    npt.assert_allclose(sol.duals, [1.0], atol=1e-9)
 
 
 def _two_piece(d):
@@ -103,19 +104,23 @@ def test_ranging_two_piece_interior():
     duals, points = grid_dual_breakpoints(_two_piece, 1, np.linspace(-1.0, 3.5, 91))
     assert any(abs(p - 2.0) < 0.05 for p in points)
     assert any(abs(p - 0.0) < 0.05 for p in points)
-    sol = lplib.solve(_two_piece(1.0))
-    rng = lplib.rhs_ranging(_two_piece(1.0), sol, 1)
-    npt.assert_allclose(rng.duals[1], 1.0, atol=1e-9)
+    lp = _two_piece(1.0)
+    sol = lplib.solve(lp)
+    lo, hi = lplib.rhs_ranging(lplib.BasisCache(lp.objective, lp.matrix, lp.senses),
+                               lp.rhs, sol, 1)
+    npt.assert_allclose(sol.duals[1], 1.0, atol=1e-9)
     # Maximal interval of the basis at d = 1 (frozen from the grid oracle).
-    npt.assert_allclose([rng.lo, rng.hi], [0.0, 2.0], atol=1e-9)
+    npt.assert_allclose([lo, hi], [0.0, 2.0], atol=1e-9)
 
 
 def test_ranging_two_piece_upper_segment():
-    sol = lplib.solve(_two_piece(3.0))
-    rng = lplib.rhs_ranging(_two_piece(3.0), sol, 1)
-    npt.assert_allclose(rng.duals[1], 3.0, atol=1e-9)
-    npt.assert_allclose(rng.lo, 2.0, atol=1e-9)
-    assert rng.hi == np.inf
+    lp = _two_piece(3.0)
+    sol = lplib.solve(lp)
+    lo, hi = lplib.rhs_ranging(lplib.BasisCache(lp.objective, lp.matrix, lp.senses),
+                               lp.rhs, sol, 1)
+    npt.assert_allclose(sol.duals[1], 3.0, atol=1e-9)
+    npt.assert_allclose(lo, 2.0, atol=1e-9)
+    assert hi == np.inf
 
 
 def test_ranging_requires_optimal_solution():
@@ -123,7 +128,8 @@ def test_ranging_requires_optimal_solution():
     sol = lplib.solve(lp)
     assert sol.status == INFEASIBLE
     with pytest.raises(ValidationError):
-        lplib.rhs_ranging(lp, sol, 0)
+        lplib.rhs_ranging(lplib.BasisCache(lp.objective, lp.matrix, lp.senses),
+                          lp.rhs, sol, 0)
 
 
 def random_lp(rng):
@@ -161,9 +167,10 @@ def test_ranging_soundness_random():
         sol = lplib.solve(lp)
         if sol.status != OPTIMAL:
             continue
-        interval = lplib.rhs_ranging(lp, sol, 0)
-        lo = max(interval.lo, lp.rhs[0] - 5.0)
-        hi = min(interval.hi, lp.rhs[0] + 5.0)
+        lo, hi = lplib.rhs_ranging(lplib.BasisCache(lp.objective, lp.matrix, lp.senses),
+                                   lp.rhs, sol, 0)
+        lo = max(lo, lp.rhs[0] - 5.0)
+        hi = min(hi, lp.rhs[0] + 5.0)
         width = hi - lo
         if width <= 1e-6:
             continue
@@ -173,7 +180,7 @@ def test_ranging_soundness_random():
             rhs[0] = d
             again = lplib.solve(StandardLp(lp.objective, lp.matrix, rhs, lp.senses))
             assert again.status == OPTIMAL
-            npt.assert_allclose(again.duals, interval.duals, atol=1e-7, rtol=1e-7)
+            npt.assert_allclose(again.duals, sol.duals, atol=1e-7, rtol=1e-7)
     assert checked >= 15
 
 

@@ -3,8 +3,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from adaptpart import lp as lplib
 from adaptpart import refiners
+from adaptpart.engine import SolverConfig, run
 from adaptpart.errors import ValidationError
+from adaptpart.instances import document_to_model, document_to_space, lands_document
+from adaptpart.lp import StandardLp
 from adaptpart.model import Realization, RecourseModel
 from adaptpart.refiners import (DualClusteringRefiner, HyperplaneRefiner,
                                 RangingRefiner, RefineContext,
@@ -164,9 +168,9 @@ class TestRanging:
         assert bps[0] == pytest.approx(2.0, abs=1e-6)
 
         def make_lp(xi):
-            from adaptpart.model import subproblem_lp
-            return subproblem_lp(model, x_bar,
-                                 Realization(np.array([2.0, xi]), np.zeros((2, 1))))
+            real = Realization(np.array([2.0, xi]), np.zeros((2, 1)))
+            rhs = real.h - real.T @ x_bar
+            return StandardLp(model.q, model.W, rhs, model.recourse_senses)
 
         grid = np.linspace(0.0, 4.0, 401)
         _, oracle_bps = grid_dual_breakpoints(make_lp, 1, grid)
@@ -233,6 +237,29 @@ class TestRanging:
         ctx = RefineContext(model=model, space=space, partition=part,
                             x_bar=np.array([9.0]))
         assert RangingRefiner().refine(ctx) is part
+
+    def test_cached_bases_answer_the_probes(self):
+        # each probe lands just past a basis boundary, where the basic
+        # values are small but positive, so a cached basis answers it
+        doc = lands_document()
+        model = document_to_model(doc)
+        space = document_to_space(doc, model)
+        x_bar = np.array([1.875, 4.0417, 3.6458, 2.4375])
+        bases = lplib.BasisCache(model.q, model.W, model.recourse_senses)
+        first = rhs_dual_breakpoints(model, space, x_bar, bases)
+        assert len(first) == 4
+        solves = bases.solves
+        assert rhs_dual_breakpoints(model, space, x_bar, bases) == first
+        assert bases.solves == solves
+
+    def test_tight_energy_run_reuses_bases(self):
+        doc = lands_document()
+        model = document_to_model(doc)
+        space = document_to_space(doc, model)
+        result = run(model, space, refiner_by_name("auto", space), SolverConfig(epsilon=1e-9))
+        assert result.stats["lp_solves"] <= 25
+        assert len(result.records) == 13
+        assert len(result.partition) == 45
 
 
 class TestHyperplane:
