@@ -35,9 +35,7 @@ _MAX_PIVOTS = 50_000
 _CACHED_BASES = 16  # bases a BasisCache keeps
 # A cached basis answers only where every basic value B^-1 r exceeds
 # _BASIC_FLOOR*(1+|r|_inf).  The floor must stay far above the rounding of
-# B^-1 r, so that a basis degenerate at r goes to the simplex, and below the
-# breakpoint sweep's probe offset refiners.DEGENERACY_STEP_FRAC*(hi-lo), so
-# that a probe just past a basis boundary is answered from the cache.
+# B^-1 r, so that a basis degenerate at r goes to the simplex.
 _BASIC_FLOOR = 1e-9
 
 
@@ -181,8 +179,8 @@ class BasisCache:
     it finds joins the cache.  `hits` counts the answers from cached bases.
     Canonical columns are those of `_canonicalize`: one per y, then one
     slack per inequality row; sign folding of rows leaves B^-1 r and the
-    duals unchanged, so `rhs_ranging` reads its basis matrices from these
-    columns too.
+    duals unchanged, so `rhs_ranging` and `cross` read their basis matrices
+    from these columns too.
     """
 
     def __init__(self, objective, matrix, senses):
@@ -190,7 +188,9 @@ class BasisCache:
         canon = _canonicalize(family)
         self._family = family
         self._A = canon.A
+        self._c = canon.c
         self._all_rows = tuple(range(family.n_rows))
+        self._ranged = (None, None)  # (arguments, result) of the last _range
         # (basis, B^-1, duals), most recently hit first
         self._entries: list[tuple[tuple[int, ...], np.ndarray, np.ndarray]] = []
         self.hits = 0
@@ -205,6 +205,89 @@ class BasisCache:
             self.solves += 1
             self._add(sol)
         return sol
+
+    def cross(self, sol: LpSolution, rhs: np.ndarray, row: int) -> LpSolution | None:
+        """The optimal solution at the upper end of sol's range in rhs[row]
+        (see rhs_ranging) whose basis stays optimal past it, one dual simplex
+        pivot away: the blocking basic variable leaves and a dual ratio test
+        picks the entering column, the lowest index among ties on both sides
+        (Bland), so a walk of crossings ends.  None when no column can enter
+        (the family is infeasible past that end) or the range has no end.  The
+        new basis passes `_validate`'s reduced-cost test before it is cached."""
+        B, _, d_hi, leave = self._range(rhs, sol, row)
+        if leave is None:
+            return None
+        kept = list(sol.kept_rows)
+        A = self._A[kept]
+        alpha = np.linalg.inv(B)[leave] @ A
+        enter = np.flatnonzero(alpha < -PIVOT_TOL)
+        if enter.size == 0:
+            return None
+        ratios = (self._c - A.T @ sol.duals[kept])[enter] / -alpha[enter]
+        basis = list(sol.basis)
+        basis[leave] = int(enter[np.argmin(ratios)])
+        inv = np.linalg.inv(A[:, basis])
+        lam = self._c[basis] @ inv
+        _check_dual(self._c, A, lam)
+        at = np.array(rhs, dtype=float)
+        at[row] += d_hi
+        z = np.zeros(A.shape[1])
+        z[basis] = inv @ at[kept]
+        y = z[:self._family.n_cols]
+        duals = np.zeros(self._family.n_rows)
+        duals[kept] = lam
+        crossed = LpSolution(OPTIMAL, y, duals, float(self._family.objective @ y),
+                             tuple(basis), sol.kept_rows)
+        self._add(crossed, inv)
+        return crossed
+
+    def _range(self, rhs: np.ndarray, sol: LpSolution, row: int):
+        """(B, d_lo, d_hi, leave): sol's basis matrix over its kept rows, the
+        steps d_lo <= 0 <= d_hi rhs[row] can take with that basis optimal,
+        and the basis position that blocks at d_hi (lowest column among
+        ties).  leave is None when nothing blocks or the solve dropped the
+        row as redundant (both steps are then 0).  The last result is kept:
+        the sweep ranges a segment, then crosses its end with the same
+        arguments."""
+        rhs = np.asarray(rhs, dtype=float)
+        key = (sol, row, rhs.tobytes())
+        if self._ranged[0] == key:
+            return self._ranged[1]
+        if not 0 <= row < self._A.shape[0]:
+            raise ValidationError(f"row {row} out of range for {self._A.shape[0]} rows")
+        if sol.status != OPTIMAL or sol.basis is None or sol.kept_rows is None:
+            raise ValidationError("ranging requires an optimal solution with a stored basis")
+
+        kept = np.asarray(sol.kept_rows, dtype=int)
+        basis = np.asarray(sol.basis, dtype=int)
+        if kept.size != basis.size:
+            raise ValidationError("basis descriptor does not match the problem")
+        B = self._A[np.ix_(kept, basis)]
+        try:
+            x_b = np.linalg.solve(B, rhs[kept])
+        except np.linalg.LinAlgError as exc:
+            raise ValidationError(f"stored basis is singular for this problem: {exc}") from exc
+        scale = 1.0 + float(np.abs(rhs).max(initial=0.0))
+        if x_b.min(initial=0.0) < -1e-6 * scale:
+            raise ValidationError("stored basis is not primal feasible for this problem")
+
+        pos = np.flatnonzero(kept == row)
+        if pos.size == 0:
+            return B, 0.0, 0.0, None
+        e = np.zeros(kept.size)
+        e[int(pos[0])] = 1.0
+        w = np.linalg.solve(B, e)
+
+        tol_w = 1e-11 * max(1.0, float(np.abs(w).max(initial=0.0)))
+        up = w > tol_w
+        dn = np.flatnonzero(w < -tol_w)
+        d_lo = float((-x_b[up] / w[up]).max()) if np.any(up) else -np.inf
+        steps = -x_b[dn] / w[dn]
+        d_hi = float(steps.min()) if dn.size else np.inf
+        tied = dn[steps == d_hi]
+        leave = int(tied[np.argmin(basis[tied])]) if tied.size else None
+        self._ranged = (key, (B, min(d_lo, 0.0), max(d_hi, 0.0), leave))
+        return self._ranged[1]
 
     def _lookup(self, rhs: np.ndarray) -> LpSolution | None:
         fam = self._family
@@ -224,16 +307,16 @@ class BasisCache:
                               basis, self._all_rows)
         return None
 
-    def _add(self, sol: LpSolution) -> None:
-        """Keep an optimal basis that kept every row; known and singular
-        bases are skipped, and the least recently hit basis goes when the
-        cache is full."""
+    def _add(self, sol: LpSolution, inv: np.ndarray | None = None) -> None:
+        """Keep an optimal basis that kept every row, with its inverse when
+        the caller has it; known and singular bases are skipped, and the
+        least recently hit basis goes when the cache is full."""
         if sol.status != OPTIMAL or sol.kept_rows != self._all_rows:
             return
         if any(set(basis) == set(sol.basis) for basis, _, _ in self._entries):
             return
         try:
-            inv = np.linalg.inv(self._A[:, list(sol.basis)])
+            inv = np.linalg.inv(self._A[:, list(sol.basis)]) if inv is None else inv
         except np.linalg.LinAlgError:
             return
         self._entries.insert(0, (sol.basis, inv, np.array(sol.duals, dtype=float)))
@@ -400,6 +483,13 @@ def _row_violation(matrix: np.ndarray, rhs: np.ndarray, senses, x: np.ndarray) -
     return None
 
 
+def _check_dual(c: np.ndarray, A: np.ndarray, lam: np.ndarray) -> None:
+    """Raise SolverFailure when a reduced cost c - A'lam is below -FEAS_TOL*(1+|c|)."""
+    rc = c - A.T @ lam
+    if rc.min(initial=0.0) < -FEAS_TOL * (1.0 + float(np.abs(c).max(initial=0.0))):
+        raise SolverFailure(f"dual infeasibility {rc.min():.3e} at reported optimum")
+
+
 def _validate(lp: StandardLp, canon: _Canonical, kept: np.ndarray, x: np.ndarray,
               lam: np.ndarray, objective: float) -> None:
     """Certify the reported optimum; raise SolverFailure on numerical breakdown."""
@@ -408,10 +498,7 @@ def _validate(lp: StandardLp, canon: _Canonical, kept: np.ndarray, x: np.ndarray
         raise SolverFailure(violation)
     if np.any(x < lp.lower - FEAS_TOL) or np.any(x > lp.upper + FEAS_TOL):
         raise SolverFailure("variable bound violated at reported optimum")
-    rc = canon.c - canon.A[kept].T @ lam
-    rc_tol = FEAS_TOL * (1.0 + float(np.abs(canon.c).max(initial=0.0)))
-    if rc.min(initial=0.0) < -rc_tol:
-        raise SolverFailure(f"dual infeasibility {rc.min():.3e} at reported optimum")
+    _check_dual(canon.c, canon.A[kept], lam)
     gap = abs(float(canon.b[kept] @ lam) + canon.offset - objective)
     if gap > DUALITY_TOL * (1.0 + abs(objective)):
         raise SolverFailure(f"duality gap {gap:.3e} at reported optimum")
@@ -419,48 +506,10 @@ def _validate(lp: StandardLp, canon: _Canonical, kept: np.ndarray, x: np.ndarray
 
 def rhs_ranging(bases: BasisCache, rhs: np.ndarray, sol: LpSolution,
                 row: int) -> tuple[float, float]:
-    """Maximal interval (lo, hi) for rhs[row] over which sol's basis stays
-    optimal for the family of `bases`.
-
-    B comes from the family's canonical columns, which `bases` built once.
-    The dual vector sol.duals is constant on the interval.  Under degeneracy
-    the interval may have zero width.  Requires an optimal solution at rhs
-    with its basis, from solve or bases.solve.
-    """
-    rhs = np.asarray(rhs, dtype=float)
-    A = bases._A
-    if not 0 <= row < A.shape[0]:
-        raise ValidationError(f"row {row} out of range for {A.shape[0]} rows")
-    if sol.status != OPTIMAL or sol.basis is None or sol.kept_rows is None:
-        raise ValidationError("ranging requires an optimal solution with a stored basis")
-
-    kept = np.asarray(sol.kept_rows, dtype=int)
-    basis = np.asarray(sol.basis, dtype=int)
-    if kept.size != basis.size:
-        raise ValidationError("basis descriptor does not match the problem")
-    B = A[np.ix_(kept, basis)]
-    try:
-        x_b = np.linalg.solve(B, rhs[kept])
-    except np.linalg.LinAlgError as exc:
-        raise ValidationError(f"stored basis is singular for this problem: {exc}") from exc
-    scale = 1.0 + float(np.abs(rhs).max(initial=0.0))
-    if x_b.min(initial=0.0) < -1e-6 * scale:
-        raise ValidationError("stored basis is not primal feasible for this problem")
-
-    pos = np.flatnonzero(kept == row)
+    """Maximal interval (lo, hi) for rhs[row] over which sol's basis, an
+    optimal one at rhs from solve or bases.solve, stays optimal for the
+    family of `bases`; sol.duals is constant on it.  Under degeneracy the
+    interval may have zero width."""
+    _, d_lo, d_hi, _ = bases._range(rhs, sol, row)
     base = float(rhs[row])
-    if pos.size == 0:
-        # The row was dropped as redundant; any perturbation breaks consistency.
-        return base, base
-    e = np.zeros(kept.size)
-    e[int(pos[0])] = 1.0
-    w = np.linalg.solve(B, e)
-
-    tol_w = 1e-11 * max(1.0, float(np.abs(w).max(initial=0.0)))
-    up = w > tol_w
-    dn = w < -tol_w
-    d_lo = float((-x_b[up] / w[up]).max()) if np.any(up) else -np.inf
-    d_hi = float((-x_b[dn] / w[dn]).min()) if np.any(dn) else np.inf
-    d_lo = min(d_lo, 0.0)
-    d_hi = max(d_hi, 0.0)
     return base + d_lo, base + d_hi

@@ -24,7 +24,6 @@ from .spaces import (Cell, DiscreteSpace, GaussianTechnologySpace, UncertaintySp
                      UniformRhsSpace)
 
 DUAL_TOL = 1e-6
-DEGENERACY_STEP_FRAC = 1e-7
 CONDITION_SAMPLE_CAP = 128
 
 
@@ -177,38 +176,35 @@ class DualClusteringRefiner(Refiner):
 
 def rhs_dual_breakpoints(model: RecourseModel, space: UniformRhsSpace, x_bar: np.ndarray,
                          bases: lplib.BasisCache | None = None) -> list[float]:
-    """Left-to-right sweep of the random rhs component over the support at
-    the incumbent: solve the subproblem through `bases` (a fresh cache when
-    None), take the maximal dual-constant segment from rhs ranging, hop to
-    its right end.  Returns the interior breakpoints in increasing order.
-    Zero-width segments (degeneracy) advance the probe by
-    DEGENERACY_STEP_FRAC*(hi-lo) so the sweep always terminates."""
+    """Left-to-right walk of the random rhs component over the support at
+    the incumbent: solve at lo through `bases` (a fresh cache when None),
+    then alternate rhs ranging (the maximal dual-constant segment) and
+    bases.cross (the basis past its right end) until a segment reaches hi
+    within UniformRhsSpace._split's knot tolerance, 1e-12 of the support.
+    Returns the interior breakpoints in increasing order; a zero-width
+    segment (degeneracy) adds none."""
     if bases is None:
         bases = lplib.BasisCache(model.q, model.W, model.recourse_senses)
     lo, hi, row = space.lo, space.hi, space.row
-    step = DEGENERACY_STEP_FRAC * (hi - lo)
     # the LP rhs is h - T @ x_bar; at the random row it is xi - T[row] @ x_bar
     tx = space.T @ x_bar
-    base = space.h_base - tx
+    rhs = space.h_base - tx
+    rhs[row] = lo - tx[row]
+    sol = bases.solve(rhs)
     points: list[float] = []
     xi = lo
-    while xi < hi - step:
-        rhs = base.copy()
-        rhs[row] = xi - tx[row]
-        sol = bases.solve(rhs)
-        if sol.status != lplib.OPTIMAL:
-            raise RecourseViolation(
-                f"subproblem {sol.status} at rhs component value {xi:.6g}")
+    while sol is not None and sol.status == lplib.OPTIMAL:
         _, top = lplib.rhs_ranging(bases, rhs, sol, row)
         upper = top + tx[row]
-        if upper >= hi - step:
-            break
-        if upper > xi + step:
+        if upper >= hi - 1e-12 * (hi - lo):
+            return points
+        if upper > xi:
             points.append(float(upper))
-            xi = upper + step
-        else:
-            xi += step
-    return points
+        xi = upper
+        sol = bases.cross(sol, rhs, row)
+        rhs[row] = top
+    status = lplib.INFEASIBLE if sol is None else sol.status
+    raise RecourseViolation(f"subproblem {status} at rhs component value {xi:.6g}")
 
 
 class RangingRefiner(Refiner):
@@ -242,22 +238,12 @@ class RangingRefiner(Refiner):
 def dual_switch_hyperplanes(space: GaussianTechnologySpace,
                             x_bar: np.ndarray) -> list[tuple[np.ndarray, float]]:
     """One pair (a, d0) per recourse row carrying random technology entries,
-    such that the row's subproblem rhs at the incumbent is d0 - a.xi.  The
-    hyperplane a.xi = d0 is where that rhs crosses zero, which is where the
-    row's optimal dual switches value; a zero normal is kept."""
-    by_row: dict[int, list] = {}
-    for e in space.entries:
-        by_row.setdefault(e.row, []).append(e)
-    cuts: list[tuple[np.ndarray, float]] = []
-    for row in sorted(by_row):
-        a = np.zeros(space.dim)
-        base_det = float(space.T_base[row] @ x_bar)
-        for e in by_row[row]:
-            a[e.component] += e.scale * x_bar[e.col]
-            # realizations replace (not add to) the base entry
-            base_det -= space.T_base[e.row, e.col] * x_bar[e.col]
-        cuts.append((a, float(space.h_base[row]) - base_det))
-    return cuts
+    such that the row's subproblem rhs at the incumbent is d0 - a.xi under
+    T(xi) = T0 + Tk @ xi.  The hyperplane a.xi = d0 is where that rhs
+    crosses zero, which is where the row's optimal dual switches value; a
+    zero normal is kept."""
+    return [(x_bar @ space.Tk[row], float(space.h_base[row] - space.T0[row] @ x_bar))
+            for row in sorted({e.row for e in space.entries})]
 
 
 class HyperplaneRefiner(Refiner):

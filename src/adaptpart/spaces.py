@@ -289,8 +289,10 @@ class UniformRhsSpace(UncertaintySpace):
 class GaussianTechnologySpace(UncertaintySpace):
     """Multivariate normal random vector feeding technology-matrix entries:
     h is `h_base`, and T is `T_base` with each of `entries` replaced by its
-    scaled component of xi.  A `cvar` marker declares the tail-risk recourse,
-    whose exact pool-average bound HyperplaneRefiner computes.
+    scaled component of xi (one entry per (row, col)), which the space keeps
+    as the affine map T(xi) = T0 + Tk @ xi.  A `cvar` marker declares the
+    tail-risk recourse, whose exact pool-average bound HyperplaneRefiner
+    computes.
 
     Masses and conditional means are estimated over a fixed pool of
     `pool_size` common-random-numbers samples drawn once at construction; the
@@ -306,7 +308,7 @@ class GaussianTechnologySpace(UncertaintySpace):
             raise ValidationError("a seed is required for the sample pool")
         if seed < 0:
             raise ValidationError(f"the sample pool seed must be nonnegative, got {seed}")
-        self.h_base, self.T_base = _base_data(model, h_base, T_base)
+        self.h_base, T_base = _base_data(model, h_base, T_base)
         mu = np.atleast_1d(np.asarray(mu, dtype=float))
         sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
         d = mu.size
@@ -324,11 +326,17 @@ class GaussianTechnologySpace(UncertaintySpace):
         entries = tuple(entries)
         if not entries:
             raise ValidationError("space declares no random technology entries")
+        self.T0 = T_base.copy()
+        self.Tk = np.zeros(T_base.shape + (d,))
         for entry in entries:
             if not (0 <= entry.row < model.m and 0 <= entry.col < model.n_first):
                 raise ValidationError(f"technology entry {entry} out of range")
             if not 0 <= entry.component < d:
                 raise ValidationError(f"entry component {entry.component} out of range")
+            self.T0[entry.row, entry.col] = 0.0
+            self.Tk[entry.row, entry.col, entry.component] = entry.scale
+        if len({(e.row, e.col) for e in entries}) < len(entries):
+            raise ValidationError("two technology entries set the same T[row, col]")
         if cvar is not None:
             _check_tail_loss(model.W, model.q, model.recourse_senses, cvar.delta)
         if pool_size < 2:
@@ -346,10 +354,7 @@ class GaussianTechnologySpace(UncertaintySpace):
         return self.mu.size
 
     def _technology(self, xi) -> np.ndarray:
-        T = self.T_base.copy()
-        for e in self.entries:
-            T[e.row, e.col] = e.scale * xi[e.component]
-        return T
+        return self.T0 + self.Tk @ xi
 
     def realization_at(self, xi) -> Realization:
         return Realization(self.h_base, self._technology(xi))

@@ -7,7 +7,8 @@ from adaptpart import lp as lplib
 from adaptpart import refiners
 from adaptpart.engine import SolverConfig, run
 from adaptpart.errors import ValidationError
-from adaptpart.instances import document_to_model, document_to_space, lands_document
+from adaptpart.instances import (cvar_document, document_to_model, document_to_space,
+                                 lands_document)
 from adaptpart.lp import StandardLp
 from adaptpart.model import Realization, RecourseModel
 from adaptpart.refiners import (DualClusteringRefiner, HyperplaneRefiner,
@@ -17,7 +18,8 @@ from adaptpart.refiners import (DualClusteringRefiner, HyperplaneRefiner,
 from adaptpart.spaces import (CvarMarker, DiscreteSpace, GaussianTechnologySpace,
                               TechEntry, UniformRhsSpace)
 
-from _generators import random_discrete_space, random_recourse_model
+from _generators import (random_discrete_space, random_first_stage_point,
+                         random_recourse_model)
 from _oracles import grid_dual_breakpoints
 
 
@@ -53,6 +55,32 @@ def two_piece_model() -> RecourseModel:
 def two_piece_space() -> UniformRhsSpace:
     """xi uniform on [0, 4] at row 1 of two_piece_model (h = (2, xi), T = 0)."""
     return UniformRhsSpace(two_piece_model(), [2.0, 0.0], np.zeros((2, 1)), 1, 0.0, 4.0)
+
+
+def last_row_walk(W, q, senses, h_base, lo=0.0, hi=4.0):
+    """(model, space): recourse min q.y : W y (senses) h with the last
+    component of h uniform on [lo, hi], T = 0 and a trivial first stage."""
+    model = RecourseModel(c=np.array([0.0]), A=np.array([[1.0]]), b=np.array([1.0]),
+                          senses=("<=",), W=np.array(W, dtype=float), q=np.array(q, dtype=float),
+                          recourse_senses=tuple(senses))
+    m = len(senses)
+    return model, UniformRhsSpace(model, h_base, np.zeros((m, 1)), m - 1, lo, hi)
+
+
+def recourse_value_highs(model, space, x_bar, xi) -> float:
+    """Q(x_bar, xi) from SciPy's HiGHS, apart from the package's LP kernel."""
+    from scipy.optimize import linprog
+
+    real = space.realization_at(xi)
+    rhs = real.h - real.T @ x_bar
+    senses = np.array(model.recourse_senses)
+    le, ge, eq = senses == "<=", senses == ">=", senses == "="
+    res = linprog(model.q, A_ub=np.vstack([model.W[le], -model.W[ge]]),
+                  b_ub=np.concatenate([rhs[le], -rhs[ge]]),
+                  A_eq=model.W[eq] if eq.any() else None, b_eq=rhs[eq] if eq.any() else None,
+                  bounds=(0, None), method="highs")
+    assert res.status == 0
+    return float(res.fun)
 
 
 def context_for(model, space, x_bar):
@@ -239,8 +267,7 @@ class TestRanging:
         assert RangingRefiner().refine(ctx) is part
 
     def test_cached_bases_answer_the_probes(self):
-        # each probe lands just past a basis boundary, where the basic
-        # values are small but positive, so a cached basis answers it
+        # the walk solves only at lo, where a cached basis answers a repeat
         doc = lands_document()
         model = document_to_model(doc)
         space = document_to_space(doc, model)
@@ -257,9 +284,63 @@ class TestRanging:
         model = document_to_model(doc)
         space = document_to_space(doc, model)
         result = run(model, space, refiner_by_name("auto", space), SolverConfig(epsilon=1e-9))
-        assert result.stats["lp_solves"] <= 25
+        assert result.stats["lp_solves"] <= 16
         assert len(result.records) == 13
         assert len(result.partition) == 45
+
+    def test_narrow_segment_is_kept(self):
+        # y1 <= 1e-8 prices a segment 1e-8 wide between the cheap y0 and y2
+        model, space = last_row_walk([[1, 0, 0], [0, 1, 0], [1, 1, 1]], [1, 2, 3],
+                                     ("<=", "<=", ">="), [2.0, 1e-8, 0.0])
+        bps = rhs_dual_breakpoints(model, space, np.zeros(1))
+        assert bps == pytest.approx([2.0, 2.00000001], rel=1e-12, abs=0.0)
+
+    def test_two_rows_blocking_at_one_point(self):
+        # two copies of y0 <= 2 reach zero slack together at xi = 2
+        model, space = last_row_walk([[1, 0], [1, 0], [1, 1]], [1, 3],
+                                     ("<=", "<=", ">="), [2.0, 2.0, 0.0])
+        bases = lplib.BasisCache(model.q, model.W, model.recourse_senses)
+        bps = rhs_dual_breakpoints(model, space, np.zeros(1), bases)
+        assert bps == pytest.approx([2.0], rel=1e-12)
+        assert bases.solves == 1
+
+    def test_duplicated_equality_row(self):
+        # y0 + s = 2 twice: the simplex drops one copy, and the walk pivots
+        # on the rows its basis kept
+        model, space = last_row_walk([[1, 0, 1], [1, 0, 1], [1, 1, 0]], [1, 3, 0],
+                                     ("=", "=", ">="), [2.0, 2.0, 0.0], 1.0, 3.0)
+        assert rhs_dual_breakpoints(model, space, np.zeros(1)) == pytest.approx([2.0], rel=1e-12)
+        result = run(model, space, refiner_by_name("auto", space), SolverConfig(epsilon=1e-9))
+        assert result.termination == "gap"
+        # Q is xi up to 2 and 3 xi - 4 beyond, so E[Q] on [1, 3] is 2.5
+        assert result.objective == pytest.approx(2.5, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_walk_is_exact_against_highs(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        model, T = random_recourse_model(rng, m=3, extra_cols=2)
+        x_bar = random_first_stage_point(rng, model)
+        row = int(rng.integers(model.m))
+        lo = float(rng.uniform(-3.0, 0.0))
+        space = UniformRhsSpace(model, rng.uniform(-1.5, 1.5, model.m), T, row, lo,
+                                lo + float(rng.uniform(2.0, 6.0)))
+        bps = rhs_dual_breakpoints(model, space, x_bar)
+
+        def value(xi):
+            return recourse_value_highs(model, space, x_bar, xi)
+
+        edges = [space.lo, *bps, space.hi]
+        for a, b in zip(edges, edges[1:]):
+            assert a < b
+            # linear between consecutive points: the midpoint is the mean of the ends
+            ends = 0.5 * (value(a) + value(b))
+            assert abs(value(0.5 * (a + b)) - ends) <= 1e-7 * (1.0 + abs(ends))
+        for k, p in enumerate(bps):
+            # a kink at each point: the slope grows across it (Q is convex in xi)
+            step = 0.25 * min(p - edges[k], edges[k + 2] - p)
+            left = (value(p) - value(p - step)) / step
+            right = (value(p + step) - value(p)) / step
+            assert right - left > 1e-6 * (1.0 + abs(left))
 
 
 class TestHyperplane:
@@ -324,6 +405,31 @@ class TestHyperplane:
         (a, d0), = cut_planes(space, x_bar)
         expected = model.c @ x_bar + model.q[0] * np.maximum(d0 - space.pool @ a, 0.0).mean()
         assert bound == float(expected)
+
+    def test_cut_rhs_matches_the_realization(self):
+        # random entries replace nonzero base entries of T
+        doc = cvar_document(pool_size=2000)
+        params = doc["uncertainty"]["parameters"]
+        params["T_base"] = [[0.5, 0.3, 1.0]]
+        model = document_to_model(doc)
+        space = document_to_space(doc, model)
+        x_bar = np.array([0.4, 0.6, -0.05])
+        (a, d0), = dual_switch_hyperplanes(space, x_bar)
+        for xi in space.pool[:50]:
+            real = space.realization_at(xi)
+            assert float(real.h[0] - real.T[0] @ x_bar) == pytest.approx(d0 - a @ xi, abs=1e-12)
+
+    def test_two_entries_on_one_matrix_entry_are_rejected(self):
+        # the realization would keep the last entry, the cut would add both
+        doc = cvar_document(pool_size=2000)
+        params = doc["uncertainty"]["parameters"]
+        params["T_base"] = [[0.5, 0.0, 1.0]]
+        params["entries"] = [{"row": 0, "col": 0, "component": 0},
+                             {"row": 0, "col": 0, "component": 1},
+                             {"row": 0, "col": 1, "component": 1}]
+        model = document_to_model(doc)
+        with pytest.raises(ValidationError, match="two technology entries"):
+            document_to_space(doc, model)
 
     def test_zero_direction_is_identity(self):
         model = self.cvar_like_model()
