@@ -8,7 +8,6 @@ an aggregated master over the cells' conditional means (a lower bound), and
 refines cells guided by subproblem duals until the bounds meet.
 """
 
-from .analytics import empirical_cvar
 from .engine import (CONDITIONS, GAP, ITERATION_LIMIT, STABILIZED,
                      IterationRecord, SolveResult, SolverConfig,
                      check_conditions, compute_upper_bound, relative_gap, run)
@@ -36,7 +35,6 @@ __all__ = [
     "SolverConfig", "SolveResult", "IterationRecord", "run", "check_conditions",
     "compute_upper_bound", "relative_gap",
     "GAP", "CONDITIONS", "STABILIZED", "ITERATION_LIMIT",
-    "empirical_cvar",
     "lands_document", "cvar_document", "document_to_model", "document_to_space",
     "load_document", "write_document", "validate_document",
     "iteration_csv_text", "partition_trace", "run_summary", "write_run_report",

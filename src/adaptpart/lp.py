@@ -81,6 +81,8 @@ class StandardLp:
         upper = np.full(n, np.inf) if upper is None else np.asarray(upper, dtype=float).copy()
         if lower.shape != (n,) or upper.shape != (n,):
             raise ValidationError("bound vectors must have one entry per column")
+        if np.isnan(lower).any() or np.isnan(upper).any():
+            raise ValidationError("bounds must not be NaN")
         if np.any(lower == np.inf) or np.any(upper == -np.inf):
             raise ValidationError("lower bounds must be < +inf and upper bounds > -inf")
         if np.any(lower > upper):
@@ -120,10 +122,9 @@ class _Canonical:
     A: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    offset: float
-    row_sign: np.ndarray      # +-1: row was negated during folding
-    row_origin: np.ndarray    # original row index, -1 for synthetic bound rows
-    col_kind: list[tuple[str, int, float]]  # ("var", j, sign) or ("slack", row, 0)
+    row_sign: np.ndarray  # +-1: row was negated during folding
+    var: np.ndarray       # variable of each leading column; one slack per inequality row follows
+    sign: np.ndarray      # +-1: the leading column is the variable or its negated copy
     shift: np.ndarray
 
 
@@ -157,12 +158,7 @@ def _canonicalize(lp: StandardLp) -> _Canonical:
     row_sign[neg] = -1.0
     A[neg] *= -1.0
     b[neg] *= -1.0
-
-    col_kind = ([("var", j, s) for j, s in zip(var.tolist(), sign.tolist())]
-                + [("slack", i, 0.0) for i in ineq.tolist()])
-    row_origin = np.concatenate([np.arange(m), np.full(bounded.size, -1)])
-    offset = float(lp.objective @ shift)
-    return _Canonical(A, b, c, offset, row_sign, row_origin, col_kind, shift)
+    return _Canonical(A, b, c, row_sign, var, sign, shift)
 
 
 class BasisCache:
@@ -378,53 +374,43 @@ def solve(lp: StandardLp) -> LpSolution:
     identical bases on identical input."""
     canon = _canonicalize(lp)
     m_c, n_c = canon.A.shape
+    n_var = canon.var.size
 
-    if m_c == 0:
-        if np.any(canon.c < -_RC_TOL):
-            return LpSolution(UNBOUNDED)
-        x = canon.shift.copy()
-        return LpSolution(OPTIMAL, x, np.zeros(0), float(lp.objective @ x), (), ())
-
-    # Phase 1: reuse +1 slack columns as the starting basis where possible,
-    # otherwise add an artificial column for the row.
-    basis: list[int] = [-1] * m_c
-    for k, (kind, i, _) in enumerate(canon.col_kind):
-        if kind == "slack" and canon.A[i, k] == 1.0:
-            basis[i] = k
-    art_rows = [i for i in range(m_c) if basis[i] < 0]
-    n_art = len(art_rows)
+    # Phase 1: the +1 slack columns start the basis; every other row gets
+    # an artificial column.
+    start = np.full(m_c, -1)
+    slack_rows, slacks = np.nonzero(canon.A[:, n_var:] == 1.0)
+    start[slack_rows] = n_var + slacks
+    art_rows = np.flatnonzero(start < 0)
+    n_art = art_rows.size
+    start[art_rows] = n_c + np.arange(n_art)
+    basis: list[int] = start.tolist()
 
     tab = np.zeros((m_c + 1, n_c + n_art + 1))
     tab[:m_c, :n_c] = canon.A
     tab[:m_c, -1] = canon.b
-    for t, i in enumerate(art_rows):
-        tab[i, n_c + t] = 1.0
-        basis[i] = n_c + t
+    tab[art_rows, n_c + np.arange(n_art)] = 1.0
     if n_art:
-        cost1 = np.zeros(n_c + n_art + 1)
-        cost1[n_c:-1] = 1.0
-        tab[-1] = cost1
+        tab[-1, n_c:-1] = 1.0
         for i in art_rows:
             tab[-1] -= tab[i]
         status = _pivot_loop(tab, basis, "phase 1")
         if status != OPTIMAL:
             raise SolverFailure("phase 1 reported unbounded; artificial objective is bounded below")
         # the same per-row residual test that _validate applies
-        for i in range(m_c):
-            if basis[i] >= n_c:
-                row = art_rows[basis[i] - n_c]
-                if tab[i, -1] > FEAS_TOL * (1.0 + abs(canon.b[row])):
-                    return LpSolution(INFEASIBLE)
+        held = [i for i, k in enumerate(basis) if k >= n_c]
+        if any(tab[i, -1] > FEAS_TOL * (1.0 + abs(canon.b[art_rows[basis[i] - n_c]]))
+               for i in held):
+            return LpSolution(INFEASIBLE)
         # Drive leftover artificials out of the basis; drop redundant rows.
         keep = np.ones(m_c, dtype=bool)
-        for i in range(m_c):
-            if basis[i] >= n_c:
-                cols = np.flatnonzero(np.abs(tab[i, :n_c]) > PIVOT_TOL)
-                if cols.size:
-                    _apply_pivot(tab, i, int(cols[0]))
-                    basis[i] = int(cols[0])
-                else:
-                    keep[i] = False
+        for i in held:
+            cols = np.flatnonzero(np.abs(tab[i, :n_c]) > PIVOT_TOL)
+            if cols.size:
+                _apply_pivot(tab, i, int(cols[0]))
+                basis[i] = int(cols[0])
+            else:
+                keep[i] = False
         kept = np.flatnonzero(keep)
         basis = [basis[i] for i in kept]
     else:
@@ -442,13 +428,12 @@ def solve(lp: StandardLp) -> LpSolution:
     if status == UNBOUNDED:
         return LpSolution(UNBOUNDED)
 
-    n_k = len(basis)
     z = np.zeros(n_c)
-    z[basis] = tab[:n_k, -1]
+    z[basis] = tab[:len(basis), -1]
     x = canon.shift.copy()
-    for k, (kind, j, sgn) in enumerate(canon.col_kind):
-        if kind == "var" and z[k] != 0.0:
-            x[j] += sgn * z[k]
+    # in column order: a free variable's two columns add up one after the other
+    for k in np.flatnonzero(z[:n_var]):
+        x[canon.var[k]] += canon.sign[k] * z[k]
     objective = float(lp.objective @ x)
 
     B = canon.A[np.ix_(kept, basis)]
@@ -457,10 +442,8 @@ def solve(lp: StandardLp) -> LpSolution:
     except np.linalg.LinAlgError as exc:
         raise SolverFailure(f"singular basis during dual recovery: {exc}") from exc
     duals = np.zeros(lp.n_rows)
-    for pos, ri in enumerate(kept):
-        orig = canon.row_origin[ri]
-        if orig >= 0:
-            duals[orig] = canon.row_sign[ri] * lam[pos]
+    original = kept < lp.n_rows  # the rows after them bound capped variables
+    duals[kept[original]] = canon.row_sign[kept[original]] * lam[original]
 
     _validate(lp, canon, kept, x, lam, objective)
     return LpSolution(OPTIMAL, x, duals, objective, tuple(int(v) for v in basis),
@@ -499,7 +482,8 @@ def _validate(lp: StandardLp, canon: _Canonical, kept: np.ndarray, x: np.ndarray
     if np.any(x < lp.lower - FEAS_TOL) or np.any(x > lp.upper + FEAS_TOL):
         raise SolverFailure("variable bound violated at reported optimum")
     _check_dual(canon.c, canon.A[kept], lam)
-    gap = abs(float(canon.b[kept] @ lam) + canon.offset - objective)
+    offset = float(lp.objective @ canon.shift)
+    gap = abs(float(canon.b[kept] @ lam) + offset - objective)
     if gap > DUALITY_TOL * (1.0 + abs(objective)):
         raise SolverFailure(f"duality gap {gap:.3e} at reported optimum")
 

@@ -70,6 +70,11 @@ class RecourseModel:
         upper = self.x_upper
         lower = np.zeros(c.size) if lower is None else np.asarray(lower, dtype=float)
         upper = np.full(c.size, np.inf) if upper is None else np.asarray(upper, dtype=float)
+        if lower.shape != (c.size,) or upper.shape != (c.size,):
+            raise ValidationError(f"first-stage bounds must have shape ({c.size},), got "
+                                  f"{lower.shape} and {upper.shape}")
+        if np.isnan(lower).any() or np.isnan(upper).any():
+            raise ValidationError("first-stage bounds must not be NaN")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)

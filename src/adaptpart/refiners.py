@@ -180,7 +180,7 @@ def rhs_dual_breakpoints(model: RecourseModel, space: UniformRhsSpace, x_bar: np
     the incumbent: solve at lo through `bases` (a fresh cache when None),
     then alternate rhs ranging (the maximal dual-constant segment) and
     bases.cross (the basis past its right end) until a segment reaches hi
-    within UniformRhsSpace._split's knot tolerance, 1e-12 of the support.
+    within the space's knot tolerance `knot_tol`.
     Returns the interior breakpoints in increasing order; a zero-width
     segment (degeneracy) adds none."""
     if bases is None:
@@ -196,7 +196,7 @@ def rhs_dual_breakpoints(model: RecourseModel, space: UniformRhsSpace, x_bar: np
     while sol is not None and sol.status == lplib.OPTIMAL:
         _, top = lplib.rhs_ranging(bases, rhs, sol, row)
         upper = top + tx[row]
-        if upper >= hi - 1e-12 * (hi - lo):
+        if upper >= hi - space.knot_tol:
             return points
         if upper > xi:
             points.append(float(upper))

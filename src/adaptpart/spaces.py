@@ -236,19 +236,18 @@ class UniformRhsSpace(UncertaintySpace):
         self.row = int(row)
         self.lo = float(lo)
         self.hi = float(hi)
+        # knots closer than this are one knot, and a cell end this far past the support is kept
+        self.knot_tol = 1e-12 * (self.hi - self.lo)
 
     def realization_at(self, xi: float) -> Realization:
         h = self.h_base.copy()
         h[self.row] = xi
         return Realization(h, self.T)
 
-    def _make_cell(self, label: str, lo: float, hi: float) -> Cell | None:
-        span = self.hi - self.lo
-        if lo < self.lo - 1e-12 * span or hi > self.hi + 1e-12 * span:
+    def _make_cell(self, label: str, lo: float, hi: float) -> Cell:
+        if lo < self.lo - self.knot_tol or hi > self.hi + self.knot_tol:
             raise ValidationError(f"cell [{lo}, {hi}] outside support [{self.lo}, {self.hi}]")
-        mass = (hi - lo) / span
-        if mass <= 0.0:
-            return None
+        mass = (hi - lo) / (self.hi - self.lo)
         h_mean = self.h_base.copy()
         h_mean[self.row] = 0.5 * (lo + hi)
         return Cell(label, Interval(float(lo), float(hi)), float(mass),
@@ -259,9 +258,10 @@ class UniformRhsSpace(UncertaintySpace):
 
     def _split(self, cell: Cell, points) -> list[Cell]:
         """Split at the given points that lie inside the cell; points outside
-        it, or closer than 1e-12 of the support to a kept knot, are ignored."""
+        it, or within knot_tol of a kept knot, are ignored; every child is
+        wider than knot_tol, so it has positive mass."""
         lo, hi = cell.geometry.lo, cell.geometry.hi
-        eps = 1e-12 * (self.hi - self.lo)
+        eps = self.knot_tol
         knots = [lo]
         for p in sorted(p for p in points if lo + eps < p < hi - eps):
             if len(knots) == 1 or p - knots[-1] > eps:
@@ -269,9 +269,8 @@ class UniformRhsSpace(UncertaintySpace):
         if len(knots) == 1:
             return []
         knots.append(hi)
-        children = (self._make_cell(f"{cell.label}.{t}", knots[t], knots[t + 1])
-                    for t in range(len(knots) - 1))
-        return [c for c in children if c is not None]
+        return [self._make_cell(f"{cell.label}.{t}", knots[t], knots[t + 1])
+                for t in range(len(knots) - 1)]
 
     def cell_samples(self, cell: Cell, cap: int):
         lo, hi = cell.geometry.lo, cell.geometry.hi
@@ -343,15 +342,10 @@ class GaussianTechnologySpace(UncertaintySpace):
             raise ValidationError("pool size must be at least 2")
         self.entries = entries
         self.cvar = cvar
-        self.mu = mu
         self.pool_size = int(pool_size)
         root = evecs @ np.diag(np.sqrt(np.clip(evals, 0.0, None))) @ evecs.T
         rng = np.random.default_rng(int(seed))
         self.pool = rng.standard_normal((self.pool_size, d)) @ root + mu
-
-    @property
-    def dim(self) -> int:
-        return self.mu.size
 
     def _technology(self, xi) -> np.ndarray:
         return self.T0 + self.Tk @ xi

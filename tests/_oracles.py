@@ -6,6 +6,8 @@ on a grid, and the extensive-form builder assembles the deterministic
 equivalent directly.  `dense_apply_pivot` and `loop_canonicalize` are the
 kernel's earlier dense pivot and per-column canonical form, kept as references
 for the column-sparse and array-built versions in `adaptpart.lp`.
+`empirical_cvar` is the sample tail average the tail-risk bounds are checked
+against.
 """
 from __future__ import annotations
 
@@ -15,6 +17,15 @@ import numpy as np
 
 from adaptpart import lp as lplib
 from adaptpart.errors import SolverFailure
+
+
+def empirical_cvar(losses, delta: float) -> float:
+    """Sample tail average: tau* + mean((loss - tau*)+) / delta at the
+    empirical (1 - delta)-quantile tau*, the reference value of the
+    tail-risk portfolio."""
+    losses = np.asarray(losses, dtype=float)
+    tau = float(np.quantile(losses, 1.0 - delta))
+    return tau + float(np.maximum(losses - tau, 0.0).mean()) / delta
 
 
 def vertex_enumerate(c, M, b, senses):
@@ -138,25 +149,25 @@ def loop_canonicalize(lp: lplib.StandardLp) -> lplib._Canonical:
     lower, upper = lp.lower, lp.upper
     shift = np.where(np.isfinite(lower), lower, 0.0)
 
-    col_kind: list[tuple[str, int, float]] = []
+    columns: list[tuple[int, float]] = []  # (variable, sign) per leading column
     for j in range(n):
-        col_kind.append(("var", j, 1.0))
+        columns.append((j, 1.0))
         if not np.isfinite(lower[j]):
-            col_kind.append(("var", j, -1.0))
-    n_var_cols = len(col_kind)
+            columns.append((j, -1.0))
+    n_var_cols = len(columns)
 
     bounded = [j for j in range(n) if np.isfinite(upper[j])]
     m_c = m + len(bounded)
 
     A = np.zeros((m_c, n_var_cols))
-    for k, (_, j, sgn) in enumerate(col_kind):
+    for k, (j, sgn) in enumerate(columns):
         A[:m, k] = sgn * lp.matrix[:, j]
     b = np.empty(m_c)
     b[:m] = lp.rhs - lp.matrix @ shift
     senses = list(lp.senses)
     for t, j in enumerate(bounded):
         r = m + t
-        for k, (_, jj, sgn) in enumerate(col_kind):
+        for k, (jj, sgn) in enumerate(columns):
             if jj == j:
                 A[r, k] = sgn
         b[r] = upper[j] - shift[j]
@@ -166,13 +177,11 @@ def loop_canonicalize(lp: lplib.StandardLp) -> lplib._Canonical:
     S = np.zeros((m_c, len(ineq)))
     for t, i in enumerate(ineq):
         S[i, t] = 1.0 if senses[i] == LE else -1.0
-        col_kind.append(("slack", i, 0.0))
     A = np.hstack([A, S]) if ineq else A
 
     c = np.zeros(A.shape[1])
-    for k, (kind, j, sgn) in enumerate(col_kind):
-        if kind == "var":
-            c[k] = sgn * lp.objective[j]
+    for k, (j, sgn) in enumerate(columns):
+        c[k] = sgn * lp.objective[j]
 
     row_sign = np.ones(m_c)
     neg = b < 0
@@ -180,6 +189,6 @@ def loop_canonicalize(lp: lplib.StandardLp) -> lplib._Canonical:
     A[neg] *= -1.0
     b[neg] *= -1.0
 
-    row_origin = np.concatenate([np.arange(m), -np.ones(len(bounded), dtype=int)]).astype(int)
-    offset = float(lp.objective @ shift)
-    return lplib._Canonical(A, b, c, offset, row_sign, row_origin, col_kind, shift)
+    var = np.array([j for j, _ in columns], dtype=int)
+    sign = np.array([sgn for _, sgn in columns])
+    return lplib._Canonical(A, b, c, row_sign, var, sign, shift)

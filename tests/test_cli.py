@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from adaptpart import cli
+from adaptpart.errors import ValidationError
 from adaptpart.instances import (cvar_document, document_to_model, lands_document,
                                  load_document, validate_document, write_document)
 
@@ -50,6 +51,18 @@ class TestInstanceGeneration:
         assert run_cli(["run", "--instance", path]) == 1
         err = capsys.readouterr().err
         assert "recourse" in err
+
+    def test_nan_first_stage_bound_is_an_error(self, tmp_path, capsys):
+        doc = lands_document()
+        doc["first_stage"]["ub"] = [float("nan"), None, None, None]
+        with pytest.raises(ValidationError, match="NaN"):
+            document_to_model(doc)
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(["run", "--instance", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "NaN" in captured.err
+        assert "termination:" not in captured.out
 
     def test_missing_file_is_an_error(self, tmp_path, capsys):
         assert run_cli(["run", "--instance", tmp_path / "nope.json"]) == 1

@@ -5,7 +5,6 @@ import pytest
 
 from adaptpart import engine, refiners
 from adaptpart import lp as lplib
-from adaptpart.analytics import empirical_cvar
 from adaptpart.engine import (CONDITIONS, GAP, ITERATION_LIMIT, STABILIZED, SolverConfig,
                               check_conditions, compute_upper_bound,
                               relative_gap, run)
@@ -18,7 +17,7 @@ from adaptpart.refiners import (DualClusteringRefiner, HyperplaneRefiner, Rangin
 from adaptpart.spaces import DiscreteSpace, UniformRhsSpace
 
 from _generators import random_discrete_space, random_recourse_model
-from _oracles import extensive_form
+from _oracles import empirical_cvar, extensive_form
 
 
 def lands_pair(**kwargs):

@@ -207,6 +207,13 @@ def test_input_validation():
         StandardLp([1.0], [[1.0]], [1.0], (LE,), lower=[2.0], upper=[1.0])
 
 
+def test_nan_bounds_are_rejected():
+    with pytest.raises(ValidationError, match="NaN"):
+        StandardLp([1.0], [[1.0]], [1.0], (LE,), lower=[np.nan])
+    with pytest.raises(ValidationError, match="NaN"):
+        StandardLp([1.0], [[1.0]], [1.0], (LE,), upper=[np.nan])
+
+
 def energy_master(K):
     """The aggregated master of the energy instance with demand on [3, 7]
     over K equal-width cells."""
@@ -258,12 +265,11 @@ def test_sparse_pivot_and_array_canonical_form_match_the_references(monkeypatch)
     rng = np.random.default_rng(11)
     lps = [shaped_lp(rng) for _ in range(200)] + [energy_master(45)]
     seen = {"free": 0, "capped": 0, "zero rhs": 0, "optimal": 0}
+    outcomes = {INFEASIBLE: 0, UNBOUNDED: 0, "dropped row": 0}
     for lp in lps:
         fast, slow = lplib._canonicalize(lp), loop_canonicalize(lp)
-        for name in ("A", "b", "c", "row_sign", "row_origin", "shift"):
+        for name in ("A", "b", "c", "row_sign", "var", "sign", "shift"):
             assert same_bits(getattr(fast, name), getattr(slow, name)), name
-        assert fast.offset.hex() == slow.offset.hex()
-        assert fast.col_kind == slow.col_kind
 
         kernel = solve_outcome(lp)
         with monkeypatch.context() as patch:
@@ -276,7 +282,10 @@ def test_sparse_pivot_and_array_canonical_form_match_the_references(monkeypatch)
         assert kernel.status == reference.status
         assert kernel.basis == reference.basis
         assert kernel.kept_rows == reference.kept_rows
-        if kernel.status == OPTIMAL:
+        if kernel.status != OPTIMAL:
+            outcomes[kernel.status] += 1
+        else:
+            outcomes["dropped row"] += len(kernel.kept_rows) < fast.A.shape[0]
             assert same_bits(kernel.x, reference.x)
             assert same_bits(kernel.duals, reference.duals)
             assert kernel.objective.hex() == reference.objective.hex()
@@ -285,6 +294,25 @@ def test_sparse_pivot_and_array_canonical_form_match_the_references(monkeypatch)
             seen["capped"] += bool(np.any(np.isfinite(lp.upper)))
             seen["zero rhs"] += bool(np.any(lp.rhs == 0.0))
     assert min(seen.values()) >= 30, seen
+    assert outcomes[INFEASIBLE] >= 30 and outcomes[UNBOUNDED] >= 30, outcomes
+    assert outcomes["dropped row"] >= 5, outcomes
+
+
+def test_lp_without_canonical_rows():
+    # no rows and no finite upper bound: the optimum sits at the shift
+    lower = np.array([1.5, 0.0, -2.0])
+    sol = lplib.solve(StandardLp([2.0, 0.0, 1.0], np.zeros((0, 3)), [], (), lower))
+    assert sol.status == OPTIMAL
+    assert same_bits(sol.x, lower)
+    assert sol.duals.shape == (0,)
+    assert sol.basis == sol.kept_rows == ()
+    assert sol.objective == pytest.approx(1.0)
+
+    assert lplib.solve(StandardLp([1.0, -1.0], np.zeros((0, 2)), [], ())).status == UNBOUNDED
+
+    free = lplib.solve(StandardLp([0.0], np.zeros((0, 1)), [], (), [-np.inf]))
+    assert free.status == OPTIMAL
+    assert free.x.tolist() == [0.0] and free.basis == ()
 
 
 def test_large_master_against_highs():

@@ -47,6 +47,24 @@ class TestRecourseModel:
         with pytest.raises(ValidationError, match="W is not a rectangular matrix"):
             self.build([[1.0, 2.0]], [1.0], W=[[1.0], [1.0, 2.0]])
 
+    @staticmethod
+    def bounded(lower=None, upper=None):
+        return RecourseModel(c=[1.0], A=[[1.0]], b=[1.0], senses=("<=",), W=[[1.0]],
+                             q=[1.0], recourse_senses=(">=",), x_lower=lower, x_upper=upper)
+
+    def test_nan_bound_is_rejected(self):
+        with pytest.raises(ValidationError, match="NaN"):
+            self.bounded(lower=[np.nan])
+        with pytest.raises(ValidationError, match="NaN"):
+            self.bounded(upper=[np.nan])
+        assert self.bounded(lower=[-np.inf], upper=[np.inf]).x_lower[0] == -np.inf
+
+    def test_bound_vector_must_have_one_entry_per_variable(self):
+        with pytest.raises(ValidationError, match=r"bounds must have shape \(1,\)"):
+            self.bounded(lower=[0.0, 1.0])
+        with pytest.raises(ValidationError, match=r"bounds must have shape \(1,\)"):
+            self.bounded(upper=[[2.0]])
+
 
 class TestSubproblem:
     def test_tail_loss_slack(self):

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from adaptpart.analytics import empirical_cvar
+from _oracles import empirical_cvar
 
 
 class TestEmpiricalTail:
