@@ -57,8 +57,7 @@ def cmd_run(args) -> int:
     if args.oracle and space.kind != "discrete":
         print("--oracle requires a discrete instance", file=sys.stderr)
         return EXIT_ERROR
-    config = SolverConfig(epsilon=args.epsilon, max_iterations=args.max_iters,
-                          upper_bound=args.upper_bound)
+    config = SolverConfig(epsilon=args.epsilon, max_iterations=args.max_iters)
     result = run(model, space, refiner_by_name("auto", space), config)
     _print_table(result.records)
     print("termination: %s after %d iterations (%.3f s, %d LP solves, %d from cached bases)" % (
@@ -112,7 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sample pool seed (overrides the instance)")
     p_run.add_argument("--mc-pool", type=int, default=None,
                        help="sample pool size (overrides the instance)")
-    p_run.add_argument("--upper-bound", default="auto", choices=["auto", "off"])
     p_run.add_argument("--oracle", action="store_true",
                        help="also solve the extensive form (discrete instances)")
     p_run.add_argument("--out-dir", default=None, help="write report files here")

@@ -23,7 +23,6 @@ CONDITIONS = "conditions-satisfied"
 STABILIZED = "partition-stabilized"
 ITERATION_LIMIT = "iteration-limit"
 
-UPPER_BOUND_MODES = ("auto", "off")
 CONDITION_TOL = 1e-6
 
 
@@ -31,7 +30,6 @@ CONDITION_TOL = 1e-6
 class SolverConfig:
     epsilon: float = 1e-4
     max_iterations: int = 100
-    upper_bound: str = "auto"
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < math.inf:
@@ -39,8 +37,6 @@ class SolverConfig:
         if not isinstance(self.max_iterations, numbers.Integral) or self.max_iterations < 1:
             raise ValidationError(f"iteration limit must be an integer of at least 1, "
                                   f"got {self.max_iterations!r}")
-        if self.upper_bound not in UPPER_BOUND_MODES:
-            raise ValidationError(f"upper_bound must be one of {UPPER_BOUND_MODES}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,12 +95,11 @@ def check_conditions(weights, hs, techs, duals, x_bar, tol: float) -> bool:
     return abs(lhs_b - rhs_b) <= tol * (1.0 + abs(rhs_b))
 
 
-def compute_upper_bound(refiner: Refiner, ctx: RefineContext,
-                        mode: str = "auto") -> float | None:
+def compute_upper_bound(refiner: Refiner, ctx: RefineContext) -> float | None:
     """Exact expected cost of the incumbent ctx.x_bar by the refiner's rule
-    (see Refiner.upper_bound).  Mode "off" skips it; "auto" returns None when
-    the backend has no rule for this model."""
-    return None if mode == "off" else refiner.upper_bound(ctx)
+    (see Refiner.upper_bound); None when the backend has no rule for this
+    model."""
+    return refiner.upper_bound(ctx)
 
 
 def _conditions_hold(ctx: RefineContext) -> bool:
@@ -155,7 +150,7 @@ def run(model: RecourseModel, space: UncertaintySpace, refiner: Refiner,
             # the bound depends on the incumbent alone
             upper = records[-1].upper_bound
         else:
-            upper = compute_upper_bound(refiner, ctx, config.upper_bound)
+            upper = compute_upper_bound(refiner, ctx)
         if upper is not None:
             best_upper = upper if best_upper is None else min(best_upper, upper)
         gap = relative_gap(lower, best_upper) if best_upper is not None else None

@@ -11,10 +11,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import Realization, RecourseModel
-from .spaces import (CvarMarker, DiscreteSpace, GaussianTechnologySpace, TechEntry,
+from .spaces import (DEFAULT_POOL_SIZE, DiscreteSpace, GaussianTechnologySpace, TechEntry,
                      UncertaintySpace, UniformRhsSpace)
-
-DEFAULT_POOL_SIZE = 100_000
 
 
 def _data_text(name: str) -> str:
@@ -162,7 +160,8 @@ def document_to_model(doc: dict) -> RecourseModel:
 def document_to_space(doc: dict, model: RecourseModel, seed: int | None = None,
                       pool_size: int | None = None) -> UncertaintySpace:
     """Build the uncertainty space from the document's uncertainty block;
-    seed/pool_size override the document."""
+    seed/pool_size override the document.  A Gaussian block's optional
+    `cvar` entry must declare the model's own recourse (_check_tail_loss)."""
     unc = doc["uncertainty"]
     p = unc["parameters"]
     kind = unc["kind"]
@@ -180,11 +179,25 @@ def document_to_space(doc: dict, model: RecourseModel, seed: int | None = None,
     use_pool = pool_size if pool_size is not None else p.get("pool_size", DEFAULT_POOL_SIZE)
     entries = [TechEntry(int(e["row"]), int(e["col"]), int(e["component"]),
                          float(e.get("scale", 1.0))) for e in p["entries"]]
-    cvar = CvarMarker(float(p["cvar"]["delta"])) if "cvar" in p else None
+    if "cvar" in p:
+        _check_tail_loss(model.W, model.q, model.recourse_senses, float(p["cvar"]["delta"]))
     return GaussianTechnologySpace(model, p["h_base"], p["T_base"], entries,
                                    np.array(p["mu"], dtype=float),
                                    np.array(p["sigma"], dtype=float),
-                                   int(use_seed), int(use_pool), cvar)
+                                   int(use_seed), int(use_pool))
+
+
+def _check_tail_loss(W, q, senses, delta: float) -> None:
+    """Reject a document's cvar block on any recourse but the tail loss
+    z >= h - T x priced at 1/delta that it declares; the schema keeps delta
+    in (0, 1)."""
+    if senses != (">=",):
+        raise ValidationError(f"cvar marker needs recourse.senses = ['>='], got {list(senses)}")
+    if W.shape != (1, 1) or W[0, 0] != 1.0:
+        raise ValidationError(f"cvar marker needs recourse.W = [[1]], got {W.tolist()}")
+    if abs(q[0] * delta - 1.0) > 1e-12:
+        raise ValidationError(f"cvar marker needs recourse.q = [1/delta] = [{1.0 / delta!r}], "
+                              f"got {q.tolist()}")
 
 
 def load_document(path) -> dict:

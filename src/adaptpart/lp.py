@@ -170,9 +170,12 @@ class BasisCache:
     once its basic values B^-1 r are nonnegative.  A cached basis answers
     only when every basic value exceeds _BASIC_FLOOR*(1+|r|_inf), so it is
     nondegenerate and its duals are the unique ones `solve` would return,
-    and when the point passes `_validate`'s per-row residual test.  Any
-    other r goes to the simplex, which `solves` counts, and an optimal basis
-    it finds joins the cache.  `hits` counts the answers from cached bases.
+    and when the point passes `_validate`'s per-row residual test.  A basis
+    whose solve dropped a redundant row is kept over its kept rows, where
+    its duals are unique; the residual test rejects an r inconsistent on a
+    dropped row.  Any other r goes to the simplex, which `solves` counts,
+    and an optimal basis it finds joins the cache.  `hits` counts the
+    answers from cached bases.
     Canonical columns are those of `_canonicalize`: one per y, then one
     slack per inequality row; sign folding of rows leaves B^-1 r and the
     duals unchanged, so `rhs_ranging` and `cross` read their basis matrices
@@ -185,10 +188,9 @@ class BasisCache:
         self._family = family
         self._A = canon.A
         self._c = canon.c
-        self._all_rows = tuple(range(family.n_rows))
         self._ranged = (None, None)  # (arguments, result) of the last _range
-        # (basis, B^-1, duals), most recently hit first
-        self._entries: list[tuple[tuple[int, ...], np.ndarray, np.ndarray]] = []
+        # (basis, kept rows, B^-1 over all rows, duals), most recently hit first
+        self._entries: list[tuple[tuple[int, ...], tuple[int, ...], np.ndarray, np.ndarray]] = []
         self.hits = 0
         self.solves = 0
 
@@ -288,7 +290,7 @@ class BasisCache:
     def _lookup(self, rhs: np.ndarray) -> LpSolution | None:
         fam = self._family
         floor = _BASIC_FLOOR * (1.0 + float(np.abs(rhs).max(initial=0.0)))
-        for k, (basis, inv, duals) in enumerate(self._entries):
+        for k, (basis, kept, inv, duals) in enumerate(self._entries):
             z_b = inv @ rhs
             if z_b.min(initial=np.inf) <= floor:
                 continue
@@ -300,22 +302,27 @@ class BasisCache:
             self._entries.insert(0, self._entries.pop(k))
             self.hits += 1
             return LpSolution(OPTIMAL, y, duals.copy(), float(fam.objective @ y),
-                              basis, self._all_rows)
+                              basis, kept)
         return None
 
     def _add(self, sol: LpSolution, inv: np.ndarray | None = None) -> None:
-        """Keep an optimal basis that kept every row, with its inverse when
-        the caller has it; known and singular bases are skipped, and the
-        least recently hit basis goes when the cache is full."""
-        if sol.status != OPTIMAL or sol.kept_rows != self._all_rows:
+        """Keep an optimal basis with its inverse over its kept rows (`inv`
+        when the caller has it), widened by a zero column per dropped row;
+        known and singular bases are skipped, and the least recently hit
+        basis goes when the cache is full."""
+        if sol.status != OPTIMAL:
             return
-        if any(set(basis) == set(sol.basis) for basis, _, _ in self._entries):
+        if any(set(entry[0]) == set(sol.basis) for entry in self._entries):
             return
+        kept = list(sol.kept_rows)
         try:
-            inv = np.linalg.inv(self._A[:, list(sol.basis)]) if inv is None else inv
+            inv = np.linalg.inv(self._A[np.ix_(kept, sol.basis)]) if inv is None else inv
         except np.linalg.LinAlgError:
             return
-        self._entries.insert(0, (sol.basis, inv, np.array(sol.duals, dtype=float)))
+        wide = np.zeros((len(kept), self._A.shape[0]))
+        wide[:, kept] = inv
+        self._entries.insert(0, (sol.basis, sol.kept_rows, wide,
+                                 np.array(sol.duals, dtype=float)))
         del self._entries[_CACHED_BASES:]
 
 

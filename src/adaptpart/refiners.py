@@ -264,13 +264,15 @@ class HyperplaneRefiner(Refiner):
 
     def upper_bound(self, ctx):
         """Pool-average cost, the exact objective of the sample problem whose
-        cells the master aggregates; tail-risk models only, whose recourse
-        value is q0 * max(0, d0 - a.xi) on their single row."""
-        if ctx.space.cvar is None:
+        cells the master aggregates, for the tail-loss recourse (one `>=`
+        row, W = [[1]], q0 >= 0), whose value is q0 * max(0, d0 - a.xi);
+        None for any other recourse."""
+        model = ctx.model
+        if model.recourse_senses != (">=",) or model.W.tolist() != [[1.0]] or model.q[0] < 0:
             return None
         (_, d0, proj), = ctx.cuts()
         shortfall = np.maximum(d0 - proj, 0.0)
-        return float(ctx.model.c @ ctx.x_bar + ctx.model.q[0] * shortfall.mean())
+        return float(model.c @ ctx.x_bar + model.q[0] * shortfall.mean())
 
 
 REFINERS = (DualClusteringRefiner, RangingRefiner, HyperplaneRefiner)

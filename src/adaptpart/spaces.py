@@ -27,6 +27,7 @@ from .model import MASS_TOL, Realization, RecourseModel
 
 EXACT = "exact"
 MONTE_CARLO = "monte-carlo"
+DEFAULT_POOL_SIZE = 100_000
 
 
 @dataclass(frozen=True)
@@ -37,28 +38,6 @@ class TechEntry:
     col: int
     component: int
     scale: float = 1.0
-
-
-@dataclass(frozen=True)
-class CvarMarker:
-    """Marks a Gaussian space as a tail-risk portfolio problem with tail
-    probability `delta`.  The model's recourse must then be the tail loss
-    z >= h - T x  priced at 1/delta: one `>=` row, W = [[1]] and q = [1/delta]."""
-
-    delta: float
-
-
-def _check_tail_loss(W, q, senses, delta: float) -> None:
-    """Reject a cvar marker on any recourse but the tail loss it promises."""
-    if not 0.0 < delta <= 1.0:
-        raise ValidationError(f"cvar marker needs delta in (0, 1], got {delta}")
-    if senses != (">=",):
-        raise ValidationError(f"cvar marker needs recourse.senses = ['>='], got {list(senses)}")
-    if W.shape != (1, 1) or W[0, 0] != 1.0:
-        raise ValidationError(f"cvar marker needs recourse.W = [[1]], got {W.tolist()}")
-    if abs(q[0] * delta - 1.0) > 1e-12:
-        raise ValidationError(f"cvar marker needs recourse.q = [1/delta] = [{1.0 / delta!r}], "
-                              f"got {q.tolist()}")
 
 
 def _base_data(model: RecourseModel, h, T) -> tuple[np.ndarray, np.ndarray]:
@@ -289,9 +268,7 @@ class GaussianTechnologySpace(UncertaintySpace):
     """Multivariate normal random vector feeding technology-matrix entries:
     h is `h_base`, and T is `T_base` with each of `entries` replaced by its
     scaled component of xi (one entry per (row, col)), which the space keeps
-    as the affine map T(xi) = T0 + Tk @ xi.  A `cvar` marker declares the
-    tail-risk recourse, whose exact pool-average bound HyperplaneRefiner
-    computes.
+    as the affine map T(xi) = T0 + Tk @ xi.
 
     Masses and conditional means are estimated over a fixed pool of
     `pool_size` common-random-numbers samples drawn once at construction; the
@@ -302,7 +279,7 @@ class GaussianTechnologySpace(UncertaintySpace):
     kind = "gaussian_technology"
 
     def __init__(self, model: RecourseModel, h_base, T_base, entries, mu, sigma, seed: int,
-                 pool_size: int = 100_000, cvar: CvarMarker | None = None):
+                 pool_size: int = DEFAULT_POOL_SIZE):
         if seed is None:
             raise ValidationError("a seed is required for the sample pool")
         if seed < 0:
@@ -336,12 +313,9 @@ class GaussianTechnologySpace(UncertaintySpace):
             self.Tk[entry.row, entry.col, entry.component] = entry.scale
         if len({(e.row, e.col) for e in entries}) < len(entries):
             raise ValidationError("two technology entries set the same T[row, col]")
-        if cvar is not None:
-            _check_tail_loss(model.W, model.q, model.recourse_senses, cvar.delta)
         if pool_size < 2:
             raise ValidationError("pool size must be at least 2")
         self.entries = entries
-        self.cvar = cvar
         self.pool_size = int(pool_size)
         root = evecs @ np.diag(np.sqrt(np.clip(evals, 0.0, None))) @ evecs.T
         rng = np.random.default_rng(int(seed))

@@ -8,12 +8,22 @@ from adaptpart import cli
 from adaptpart.errors import ValidationError
 from adaptpart.instances import (cvar_document, document_to_model, lands_document,
                                  load_document, validate_document, write_document)
+from adaptpart.refiners import DualClusteringRefiner
 
-from _generators import random_recourse_model
+from _generators import random_discrete_space, random_recourse_model
 
 
 def run_cli(argv):
     return cli.main([str(a) for a in argv])
+
+
+def no_tail_loss_document():
+    """The portfolio with recourse 2 z >= h - T x priced at 20 (and so no
+    cvar block), which the tail-loss bound does not cover."""
+    doc = cvar_document(seed=0, pool_size=2000)
+    del doc["uncertainty"]["parameters"]["cvar"]
+    doc["recourse"].update(W=[[2.0]], q=[20.0])
+    return doc
 
 
 def make_lands(tmp_path, *extra):
@@ -67,6 +77,13 @@ class TestInstanceGeneration:
     def test_missing_file_is_an_error(self, tmp_path, capsys):
         assert run_cli(["run", "--instance", tmp_path / "nope.json"]) == 1
         assert capsys.readouterr().err.strip()
+
+    def test_upper_bound_flag_is_a_usage_error(self, tmp_path, capsys):
+        path = make_lands(tmp_path)
+        with pytest.raises(SystemExit) as caught:
+            run_cli(["run", "--instance", path, "--upper-bound", "off"])
+        assert caught.value.code == 2
+        assert "unrecognized arguments: --upper-bound off" in capsys.readouterr().err
 
 
 class TestEnergyRuns:
@@ -139,8 +156,7 @@ class TestDiscreteOracle:
         }
         path = tmp_path / "five.json"
         path.write_text(json.dumps(doc))
-        code = run_cli(["run", "--instance", path, "--oracle",
-                        "--epsilon", 1e-9, "--upper-bound", "auto"])
+        code = run_cli(["run", "--instance", path, "--oracle", "--epsilon", 1e-9])
         out = capsys.readouterr().out
         assert code == 0
         first_row = out.splitlines()[1].split()
@@ -184,6 +200,48 @@ class TestDiscreteRuns:
         path.write_text(json.dumps(doc))
         assert run_cli(["run", "--instance", path, "--epsilon", 1e-12]) == 0
         assert "termination: gap" in capsys.readouterr().out
+
+    def test_inexact_stable_partition_exits_not_converged(self, tmp_path, capsys,
+                                                         monkeypatch):
+        class NeverSplit(DualClusteringRefiner):
+            def refine(self, ctx):
+                return ctx.partition
+
+        # six scenarios with different duals stay in one cell, which the
+        # optimality conditions refuse
+        rng = np.random.default_rng(42)
+        model, T = random_recourse_model(rng)
+        space = random_discrete_space(rng, model, T, n_scenarios=6)
+        doc = {
+            "first_stage": {"c": model.c.tolist(), "A": model.A.tolist(), "b": model.b.tolist(),
+                            "senses": list(model.senses), "ub": model.x_upper.tolist()},
+            "recourse": {"W": model.W.tolist(), "q": model.q.tolist(),
+                         "senses": [str(s) for s in model.recourse_senses]},
+            "uncertainty": {"kind": "discrete", "parameters": {"scenarios": [
+                {"weight": r.weight, "h": r.h.tolist(), "T": r.T.tolist()}
+                for r in space.realizations]}},
+        }
+        path = tmp_path / "six.json"
+        path.write_text(json.dumps(doc))
+        monkeypatch.setattr(cli, "refiner_by_name", lambda name, space: NeverSplit())
+        assert run_cli(["run", "--instance", path]) == 2
+        assert "termination: partition-stabilized after 1 iterations" in capsys.readouterr().out
+
+    def test_unbounded_master_is_an_error(self, tmp_path, capsys):
+        # a negative price on the one recourse variable makes the master unbounded
+        doc = {
+            "first_stage": {"c": [1.0], "A": [[1.0]], "b": [1.0], "senses": ["<="]},
+            "recourse": {"W": [[1.0]], "q": [-1.0], "senses": [">="]},
+            "uncertainty": {"kind": "discrete", "parameters": {
+                "T_base": [[1.0]],
+                "scenarios": [{"weight": 0.5, "h": [0.5]}, {"weight": 0.5, "h": [1.5]}]}},
+        }
+        path = tmp_path / "unbounded.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(["run", "--instance", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: aggregated master unbounded at iteration 1\n"
+        assert "termination:" not in captured.out
 
 
 class TestPortfolioRuns:
@@ -232,15 +290,29 @@ class TestPortfolioRuns:
         assert "termination:" not in captured.out
 
     def test_sampled_conditions_do_not_certify(self, tmp_path, capsys):
-        # without the tail-risk marker there is no upper bound, and the final
+        # without the tail-loss recourse there is no upper bound, and the final
         # partition has cells of hundreds of members, of which the condition
         # check sees at most CONDITION_SAMPLE_CAP
-        doc = cvar_document(seed=0, pool_size=2000)
-        del doc["uncertainty"]["parameters"]["cvar"]
         path = tmp_path / "normal.json"
-        write_document(doc, path)
+        write_document(no_tail_loss_document(), path)
         assert run_cli(["run", "--instance", path]) == 2
         assert "partition-stabilized" in capsys.readouterr().out
+
+    def test_bound_follows_the_recourse_not_the_cvar_block(self, tmp_path, capsys):
+        # the tail-loss recourse gets its exact bound with or without the block
+        marked = cvar_document(seed=0, pool_size=2000)
+        plain = cvar_document(seed=0, pool_size=2000)
+        del plain["uncertainty"]["parameters"]["cvar"]
+        reports = []
+        for tag, doc in (("marked", marked), ("plain", plain)):
+            path = tmp_path / f"{tag}.json"
+            write_document(doc, path)
+            out_dir = tmp_path / f"{tag}-report"
+            assert run_cli(["run", "--instance", path, "--out-dir", out_dir]) == 0
+            assert "termination: gap after 11 iterations" in capsys.readouterr().out
+            reports.append([(out_dir / name).read_bytes()
+                            for name in ("iterations.csv", "partitions.json")])
+        assert reports[0] == reports[1]
 
 
 class TestReports:
@@ -262,6 +334,15 @@ class TestReports:
         geom = first["cells"][0]["geometry"]
         assert geom["lo"] == pytest.approx(3.0)
         assert geom["hi"] == pytest.approx(7.0)
+
+    def test_missing_bound_leaves_blank_cells(self, tmp_path):
+        path = tmp_path / "normal.json"
+        write_document(no_tail_loss_document(), path)
+        out_dir = tmp_path / "report"
+        assert run_cli(["run", "--instance", path, "--out-dir", out_dir]) == 2
+        _, rows = read_csv_rows(out_dir / "iterations.csv")
+        assert len(rows) > 1
+        assert all(row["ub"] == "" and row["gap_pct"] == "" for row in rows)
 
     def test_gap_column_recomputable_from_bounds(self, tmp_path):
         path = make_lands(tmp_path)

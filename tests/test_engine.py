@@ -1,4 +1,6 @@
 """Solver loop: bounds, termination reasons, and oracle equivalence."""
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -11,7 +13,7 @@ from adaptpart.engine import (CONDITIONS, GAP, ITERATION_LIMIT, STABILIZED, Solv
 from adaptpart.errors import SolverFailure, ValidationError
 from adaptpart.instances import (cvar_document, document_to_model,
                                  document_to_space, lands_document)
-from adaptpart.model import Realization, evaluate_subproblem
+from adaptpart.model import Realization, RecourseModel, evaluate_subproblem
 from adaptpart.refiners import (DualClusteringRefiner, HyperplaneRefiner, RangingRefiner,
                                 RefineContext, refiner_by_name, rhs_dual_breakpoints)
 from adaptpart.spaces import DiscreteSpace, UniformRhsSpace
@@ -26,10 +28,34 @@ def lands_pair(**kwargs):
     return model, document_to_space(doc, model)
 
 
-def bound_at(model, space, x, mode):
+def bound_at(model, space, x):
     """compute_upper_bound of the backend's refiner at x on the trivial partition."""
     ctx = RefineContext(model, space, space.trivial_partition(), x)
-    return compute_upper_bound(refiner_by_name("auto", space), ctx, mode)
+    return compute_upper_bound(refiner_by_name("auto", space), ctx)
+
+
+def no_tail_loss_document(**kwargs):
+    """cvar_document with its cvar block deleted and the recourse
+    2 z >= h - T x priced at 20, which the tail-loss bound does not cover."""
+    doc = cvar_document(**kwargs)
+    del doc["uncertainty"]["parameters"]["cvar"]
+    doc["recourse"].update(W=[[2.0]], q=[20.0])
+    return doc
+
+
+class NoBoundClustering(DualClusteringRefiner):
+    """Dual clustering without an upper bound, so a run stops only on the
+    conditions, a stable partition or the iteration limit."""
+
+    def upper_bound(self, ctx):
+        return None
+
+
+class NeverSplit(DualClusteringRefiner):
+    """Dual clustering that keeps every partition as it is."""
+
+    def refine(self, ctx):
+        return ctx.partition
 
 
 def count_per_iteration(monkeypatch, owner, name):
@@ -74,6 +100,12 @@ class TestSolverConfig:
         with pytest.raises(ValidationError, match="iteration limit"):
             SolverConfig(max_iterations=limit)
 
+    def test_only_the_gap_and_the_iteration_limit_are_settings(self):
+        assert [f.name for f in dataclasses.fields(SolverConfig)] == ["epsilon",
+                                                                      "max_iterations"]
+        with pytest.raises(TypeError):
+            SolverConfig(upper_bound="off")
+
 
 class TestConditionCheck:
     def test_varying_dual_fails(self):
@@ -109,7 +141,7 @@ class TestUpperBound:
         model, T = random_recourse_model(rng)
         space = random_discrete_space(rng, model, T, n_scenarios=2)
         x = np.minimum(model.x_upper, 0.4)
-        ub = bound_at(model, space, x, "auto")
+        ub = bound_at(model, space, x)
         assert ub is not None
         manual = float(model.c @ x) + sum(
             w * evaluate_subproblem(model, x, space.realizations[i]).objective
@@ -132,42 +164,42 @@ class TestUpperBound:
         assert result.objective == pytest.approx(alone.objective, rel=1e-12)
 
     def test_auto_returns_none_without_exact_rule(self):
-        # normal returns without a tail-risk marker have no exact rule
-        doc = cvar_document(pool_size=200)
-        del doc["uncertainty"]["parameters"]["cvar"]
+        # normal returns on a recourse other than the tail loss have no exact rule
+        doc = no_tail_loss_document(pool_size=200)
         model = document_to_model(doc)
         space = document_to_space(doc, model)
         x = np.zeros(model.n_first)
-        assert bound_at(model, space, x, "auto") is None
+        assert bound_at(model, space, x) is None
 
     def test_tail_risk_is_the_pool_tail_average(self):
         # at the pool's value-at-risk threshold the bound is the pool's
         # sample tail average of the portfolio loss
         doc = cvar_document(seed=3, pool_size=5000)
+        delta = doc["uncertainty"]["parameters"]["cvar"]["delta"]
         model = document_to_model(doc)
         space = document_to_space(doc, model)
         w = np.array([0.3, 0.7])
         losses = -(space.pool @ w)
-        tau = float(np.quantile(losses, 1.0 - space.cvar.delta))
-        ub = bound_at(model, space, np.array([*w, tau]), "auto")
+        tau = float(np.quantile(losses, 1.0 - delta))
+        ub = bound_at(model, space, np.array([*w, tau]))
         assert ub is not None
-        assert ub == pytest.approx(empirical_cvar(losses, space.cvar.delta), rel=1e-12)
+        assert ub == pytest.approx(empirical_cvar(losses, delta), rel=1e-12)
         # an empty portfolio has no random loss, so only the threshold shortfall is paid
-        ub = bound_at(model, space, np.array([0.0, 0.0, -0.5]), "auto")
+        ub = bound_at(model, space, np.array([0.0, 0.0, -0.5]))
         assert ub is not None
-        assert ub == pytest.approx(-0.5 + 0.5 / space.cvar.delta, rel=1e-12)
+        assert ub == pytest.approx(-0.5 + 0.5 / delta, rel=1e-12)
 
     def test_energy_instance_first_iteration_value(self):
         model, space = lands_pair()
         x_bar = np.array([5.0 / 6.0, 3.0, 25.0 / 6.0, 4.0])
-        ub = bound_at(model, space, x_bar, "auto")
+        ub = bound_at(model, space, x_bar)
         assert ub is not None
         assert ub == pytest.approx(382.7111, abs=0.01)
 
     def test_affine_value_function_integrates_exactly(self):
         model, space = lands_pair()
         x = np.array([12.0, 0.0, 0.0, 0.0])
-        ub = bound_at(model, space, x, "auto")
+        ub = bound_at(model, space, x)
         assert ub is not None
         mean_q = evaluate_subproblem(model, x, space.realization_at(0.5 * (space.lo + space.hi))).objective
         assert ub == pytest.approx(float(model.c @ x) + mean_q, abs=1e-8)
@@ -179,7 +211,7 @@ class TestTermination:
         model, T = random_recourse_model(rng)
         space = random_discrete_space(rng, model, T, n_scenarios=1)
         result = run(model, space, DualClusteringRefiner(),
-                     SolverConfig(epsilon=1e-9, upper_bound="auto"))
+                     SolverConfig(epsilon=1e-9))
         assert result.termination == GAP
         assert result.best_upper is not None
         assert len(result.records) == 1
@@ -200,17 +232,36 @@ class TestTermination:
         rng = np.random.default_rng(42)
         model, T = random_recourse_model(rng)
         space = random_discrete_space(rng, model, T, n_scenarios=6)
-        result = run(model, space, DualClusteringRefiner(),
-                     SolverConfig(epsilon=1e-15, upper_bound="off"))
+        result = run(model, space, NoBoundClustering(), SolverConfig(epsilon=1e-15))
         assert result.termination == CONDITIONS
         assert result.best_upper is None
 
+    def test_conditions_refuse_an_inexact_stable_partition(self):
+        # six scenarios with different duals in one cell: the partition stops
+        # changing, but its aggregation is not exact
+        rng = np.random.default_rng(42)
+        model, T = random_recourse_model(rng)
+        space = random_discrete_space(rng, model, T, n_scenarios=6)
+        result = run(model, space, NeverSplit(), SolverConfig(epsilon=1e-15))
+        assert result.termination == STABILIZED
+        assert len(result.records) == 1
+        assert result.records[0].gap == pytest.approx(0.234, abs=5e-4)
+
+    def test_unbounded_master_is_an_error(self):
+        # a negative price on the one recourse variable makes every master unbounded
+        model = RecourseModel(c=np.array([1.0]), A=np.array([[1.0]]), b=np.array([1.0]),
+                              senses=("<=",), W=np.array([[1.0]]), q=np.array([-1.0]),
+                              recourse_senses=(">=",))
+        space = DiscreteSpace([Realization([0.5], [[1.0]], 0.5),
+                               Realization([1.5], [[1.0]], 0.5)])
+        with pytest.raises(SolverFailure, match="^aggregated master unbounded at iteration 1$"):
+            run(model, space, DualClusteringRefiner())
+
     def test_oversized_sampled_cell_fails_before_member_solves(self, monkeypatch):
-        # without the tail-risk marker there is no upper bound, so the run
+        # without the tail-loss recourse there is no upper bound, so the run
         # ends in a condition check on cells of more pool members than the
         # check can sample; it refuses them without solving any member
-        doc = cvar_document(seed=0, pool_size=2000)
-        del doc["uncertainty"]["parameters"]["cvar"]
+        doc = no_tail_loss_document(seed=0, pool_size=2000)
         model = document_to_model(doc)
         space = document_to_space(doc, model)
         checks = []
@@ -276,7 +327,7 @@ class TestPoolCertificates:
         result = run(model, space, refiner_by_name("auto", space), SolverConfig(epsilon=eps))
         assert result.termination == GAP
         assert 0.0 <= result.records[-1].gap < eps
-        delta = space.cvar.delta
+        delta = doc["uncertainty"]["parameters"]["cvar"]["delta"]
         r1, r2 = space.pool[:, 0], space.pool[:, 1]
         optimum = golden_minimum(lambda t: empirical_cvar(-(r2 + t * (r1 - r2)), delta))
         assert result.objective <= optimum + 1e-9 * max(1.0, abs(optimum))
@@ -296,9 +347,8 @@ class TestOracleEquivalence:
                 continue
             opt = sol.objective
             hits += 1
-            result = run(model, space, DualClusteringRefiner(),
-                         SolverConfig(epsilon=1e-15, upper_bound="off",
-                                      max_iterations=60))
+            result = run(model, space, NoBoundClustering(),
+                         SolverConfig(epsilon=1e-15, max_iterations=60))
             assert result.termination == CONDITIONS, f"trial {trial}"
             assert result.objective == pytest.approx(opt, rel=1e-6), \
                 f"trial {trial}"
@@ -311,8 +361,7 @@ class TestOracleEquivalence:
             model, T = random_recourse_model(rng)
             space = random_discrete_space(rng, model, T, n_scenarios=10)
             result = run(model, space, DualClusteringRefiner(),
-                         SolverConfig(epsilon=1e-12, max_iterations=30,
-                                      upper_bound="auto"))
+                         SolverConfig(epsilon=1e-12, max_iterations=30))
             lbs = [r.lower_bound for r in result.records]
             assert all(b >= a - 1e-7 for a, b in zip(lbs, lbs[1:]))
             for rec in result.records:

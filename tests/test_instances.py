@@ -1,6 +1,7 @@
 """Instance documents: schema validation, model construction, generators."""
 import dataclasses
 import json
+import re
 
 import jsonschema
 import numpy as np
@@ -12,6 +13,49 @@ from adaptpart.instances import (cvar_document, document_to_model,
                                  document_to_space, instance_schema,
                                  lands_document, load_document,
                                  validate_document, write_document)
+
+
+def _fixed_lands():
+    return lands_document(d1_fixed=5.0)
+
+
+def _small_cvar():
+    return cvar_document(pool_size=200)
+
+
+# one case per dimension check: (document, edit(first_stage, recourse,
+# parameters), the field path its message names); the energy model has
+# n1 = 4 and m = 7, the portfolio n1 = 3, m = 1 and d = 2
+DIMENSION_ERRORS = {
+    "A row": (lands_document, lambda fs, rc, p: fs["A"][1].pop(), "first_stage.A.1"),
+    "row counts": (lands_document, lambda fs, rc, p: fs["b"].pop(), "first_stage"),
+    "ub": (lands_document, lambda fs, rc, p: fs.update(ub=[None] * 3), "first_stage.ub"),
+    "W row": (lands_document, lambda fs, rc, p: rc["W"][2].pop(), "recourse.W.2"),
+    "recourse senses": (lands_document, lambda fs, rc, p: rc["senses"].pop(),
+                        "recourse.senses"),
+    "scenario h": (_fixed_lands, lambda fs, rc, p: p["scenarios"][0]["h"].pop(),
+                   "uncertainty.parameters.scenarios.0.h"),
+    "scenario T": (_fixed_lands, lambda fs, rc, p: p["scenarios"][0]["T"].pop(),
+                   "uncertainty.parameters.scenarios.0.T"),
+    "discrete T_base": (_fixed_lands, lambda fs, rc, p: p["T_base"][0].pop(),
+                        "uncertainty.parameters.T_base"),
+    "interval h_base": (lands_document, lambda fs, rc, p: p["h_base"].pop(),
+                        "uncertainty.parameters.h_base"),
+    "interval T": (lands_document, lambda fs, rc, p: p["T"].pop(), "uncertainty.parameters.T"),
+    "interval row": (lands_document, lambda fs, rc, p: p.update(row=7),
+                     "uncertainty.parameters.row"),
+    "interval ends": (lands_document, lambda fs, rc, p: p.update(lo=5.0, hi=5.0),
+                      "uncertainty.parameters"),
+    "sigma": (_small_cvar, lambda fs, rc, p: p["sigma"].pop(), "uncertainty.parameters.sigma"),
+    "gaussian h_base": (_small_cvar, lambda fs, rc, p: p["h_base"].append(0.0),
+                        "uncertainty.parameters.h_base"),
+    "gaussian T_base": (_small_cvar, lambda fs, rc, p: p["T_base"][0].pop(),
+                        "uncertainty.parameters.T_base"),
+    "entry": (_small_cvar, lambda fs, rc, p: p["entries"][1].update(component=2),
+              "uncertainty.parameters.entries.1"),
+    "tau_col": (_small_cvar, lambda fs, rc, p: p["cvar"].update(tau_col=3),
+                "uncertainty.parameters.cvar.tau_col"),
+}
 
 
 class TestValidation:
@@ -42,6 +86,14 @@ class TestValidation:
         write_document(doc, path)
         again = load_document(path)
         assert again == doc
+
+    @pytest.mark.parametrize("make, edit, path", DIMENSION_ERRORS.values(),
+                             ids=list(DIMENSION_ERRORS))
+    def test_dimension_error_names_its_field(self, make, edit, path):
+        doc = make()
+        edit(doc["first_stage"], doc["recourse"], doc["uncertainty"]["parameters"])
+        with pytest.raises(ValidationError, match=f"^instance field {re.escape(path)}: "):
+            validate_document(doc)
 
 
 def discrete_document(n_scenarios: int) -> dict:
@@ -196,10 +248,10 @@ class TestPortfolioDocument:
         npt.assert_allclose(params["mu"], [0.05, 0.07])
         npt.assert_allclose(params["sigma"], [[0.14, 0.053], [0.053, 0.23]])
         assert params["pool_size"] == 100_000
+        assert params["cvar"]["delta"] == pytest.approx(0.1)
         model = document_to_model(doc)
         space = document_to_space(doc, model)
-        assert space.cvar is not None
-        assert space.cvar.delta == pytest.approx(0.1)
+        assert space.pool.shape == (100_000, 2)
 
     def test_seed_is_required_for_sampling(self):
         doc = cvar_document()

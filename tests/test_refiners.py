@@ -1,4 +1,6 @@
 """Partition refiners: dual clustering, ranging sweeps, hyperplane cuts."""
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -15,8 +17,8 @@ from adaptpart.refiners import (DualClusteringRefiner, HyperplaneRefiner,
                                 RangingRefiner, RefineContext,
                                 dual_switch_hyperplanes, group_scenarios_by_dual,
                                 refiner_by_name, rhs_dual_breakpoints)
-from adaptpart.spaces import (CvarMarker, DiscreteSpace, GaussianTechnologySpace,
-                              TechEntry, UniformRhsSpace)
+from adaptpart.spaces import (DiscreteSpace, GaussianTechnologySpace, TechEntry,
+                              UniformRhsSpace)
 
 from _generators import (random_discrete_space, random_first_stage_point,
                          random_recourse_model)
@@ -314,6 +316,9 @@ class TestRanging:
         assert result.termination == "gap"
         # Q is xi up to 2 and 3 xi - 4 beyond, so E[Q] on [1, 3] is 2.5
         assert result.objective == pytest.approx(2.5, rel=1e-12)
+        # the basis that dropped a copy is cached over the rows it kept
+        assert result.stats["lp_solves"] == 3
+        assert result.stats["basis_hits"] == 2
 
     @pytest.mark.parametrize("seed", range(40))
     def test_walk_is_exact_against_highs(self, seed):
@@ -354,8 +359,7 @@ class TestHyperplane:
     def cvar_like_space(self, model, mu, sigma, seed, pool_size):
         entries = tuple(TechEntry(0, j, j, 1.0) for j in range(2))
         return GaussianTechnologySpace(model, np.zeros(1), [[0.0, 0.0, 1.0]], entries,
-                                       mu, sigma, seed=seed, pool_size=pool_size,
-                                       cvar=CvarMarker(delta=0.1))
+                                       mu, sigma, seed=seed, pool_size=pool_size)
 
     def test_cut_geometry_from_incumbent(self):
         model = self.cvar_like_model()
@@ -405,6 +409,18 @@ class TestHyperplane:
         (a, d0), = cut_planes(space, x_bar)
         expected = model.c @ x_bar + model.q[0] * np.maximum(d0 - space.pool @ a, 0.0).mean()
         assert bound == float(expected)
+
+    def test_closed_form_needs_the_tail_loss_recourse(self):
+        # the bound rule is read from the recourse: one `>=` row, W = [[1]], q0 >= 0
+        model = self.cvar_like_model()
+        space = self.cvar_like_space(model, np.zeros(2), np.eye(2), seed=1, pool_size=10)
+        x_bar = np.array([0.4, 0.6, 0.1])
+        assert HyperplaneRefiner().upper_bound(context_for(model, space, x_bar)) is not None
+        for change in ({"recourse_senses": ("<=",)}, {"recourse_senses": ("=",)},
+                       {"W": np.array([[2.0]])}, {"q": np.array([-1.0])},
+                       {"W": np.array([[1.0, 1.0]]), "q": np.array([10.0, 10.0])}):
+            other = dataclasses.replace(model, **change)
+            assert HyperplaneRefiner().upper_bound(context_for(other, space, x_bar)) is None
 
     def test_cut_rhs_matches_the_realization(self):
         # random entries replace nonzero base entries of T

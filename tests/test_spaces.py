@@ -1,5 +1,4 @@
 """Uncertainty backends: masses, conditional means, splits, determinism."""
-import dataclasses
 
 import numpy as np
 import numpy.testing as npt
@@ -7,8 +6,8 @@ import pytest
 
 from adaptpart.errors import ValidationError
 from adaptpart.model import Realization, RecourseModel
-from adaptpart.spaces import (CvarMarker, DiscreteSpace, GaussianTechnologySpace,
-                              TechEntry, UniformRhsSpace)
+from adaptpart.spaces import (DiscreteSpace, GaussianTechnologySpace, TechEntry,
+                              UniformRhsSpace)
 
 from _generators import random_discrete_space, random_recourse_model
 from _oracles import trapezoid_integral
@@ -233,10 +232,10 @@ class TestBaseDataChecks:
     fixed-recourse program it is built against (m = 1, n1 = 3 here)."""
 
     @staticmethod
-    def gaussian(model=None, h=(0.0,), T=((0.0, 0.0, 1.0),), entries=None, cvar=None, seed=1):
+    def gaussian(model=None, h=(0.0,), T=((0.0, 0.0, 1.0),), entries=None, seed=1):
         entries = entries if entries is not None else (TechEntry(0, 0, 0), TechEntry(0, 1, 1))
         return GaussianTechnologySpace(model or gaussian_model(), h, T, entries, np.zeros(2),
-                                       np.eye(2), seed=seed, pool_size=10, cvar=cvar)
+                                       np.eye(2), seed=seed, pool_size=10)
 
     @pytest.mark.parametrize("entry, message", [
         (TechEntry(1, 0, 0), "technology entry"),
@@ -289,19 +288,6 @@ class TestBaseDataChecks:
         with pytest.raises(ValidationError, match=message + " entries must be finite"):
             GaussianTechnologySpace(gaussian_model(), (0.0,), ((0.0, 0.0, 1.0),), entries,
                                     mu, sigma, seed=1, pool_size=10)
-
-    def test_cvar_marker_needs_the_tail_loss_recourse(self):
-        # gaussian_model prices the tail at q = 1, the recourse of delta = 1
-        assert self.gaussian(cvar=CvarMarker(1.0)).cvar == CvarMarker(1.0)
-        assert self.gaussian().cvar is None
-        with pytest.raises(ValidationError, match="recourse.q"):
-            self.gaussian(cvar=CvarMarker(0.1))
-        with pytest.raises(ValidationError, match="delta"):
-            self.gaussian(cvar=CvarMarker(0.0))
-        other = dataclasses.replace(gaussian_model(), recourse_senses=("<=",))
-        with pytest.raises(ValidationError, match="recourse.senses"):
-            self.gaussian(model=other, cvar=CvarMarker(1.0))
-        assert self.gaussian(model=other).cvar is None
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValidationError, match="seed must be nonnegative, got -5"):
