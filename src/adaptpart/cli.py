@@ -20,7 +20,10 @@ EXIT_NOT_CONVERGED = 2
 
 
 def _parse_vector(text: str) -> list[float]:
-    return [float(v) for v in text.replace(" ", "").split(",") if v != ""]
+    try:
+        return [float(v) for v in text.replace(" ", "").split(",") if v != ""]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _parse_matrix(text: str) -> list[list[float]]:
@@ -39,8 +42,7 @@ def _print_table(records) -> None:
 
 def _print_oracle(model, space, result) -> None:
     # a zero-weight scenario adds nothing to the extensive form
-    triples = [(float(w), r.h, r.T) for w, r in zip(space.weights, space.realizations)
-               if w > 0.0]
+    triples = [(w, h, T) for w, h, T in zip(space.weights, space.hs, space.Ts) if w > 0.0]
     sol = lplib.solve(build_aggregated_master(model, triples))
     diff = abs(sol.objective - result.objective)
     rel = diff / (1.0 + abs(sol.objective))
@@ -86,9 +88,7 @@ def cmd_make_lands(args) -> int:
 
 
 def cmd_make_cvar(args) -> int:
-    mu = _parse_vector(args.mu)
-    sigma = _parse_matrix(args.sigma)
-    doc = instances.cvar_document(mu=mu, sigma=sigma, delta=args.delta,
+    doc = instances.cvar_document(mu=args.mu, sigma=args.sigma, delta=args.delta,
                                   seed=args.seed, pool_size=args.mc_pool)
     instances.write_document(doc, args.output)
     print("wrote %s" % args.output)
@@ -128,9 +128,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cvar = sub.add_parser("make-cvar", help="emit the tail-risk portfolio instance")
     p_cvar.add_argument("--output", required=True)
-    p_cvar.add_argument("--mu", default="0.05,0.07",
+    p_cvar.add_argument("--mu", type=_parse_vector, default="0.05,0.07",
                         help="mean returns, comma separated")
-    p_cvar.add_argument("--sigma", default="0.14,0.053;0.053,0.23",
+    p_cvar.add_argument("--sigma", type=_parse_matrix, default="0.14,0.053;0.053,0.23",
                         help="return covariance, rows separated by ';'")
     p_cvar.add_argument("--delta", type=float, default=0.1,
                         help="tail probability in (0,1) (default 0.1)")

@@ -10,7 +10,7 @@ import jsonschema
 import numpy as np
 
 from .errors import ValidationError
-from .model import Realization, RecourseModel
+from .model import RecourseModel
 from .spaces import (DEFAULT_POOL_SIZE, DiscreteSpace, GaussianTechnologySpace, TechEntry,
                      UncertaintySpace, UniformRhsSpace)
 
@@ -166,10 +166,11 @@ def document_to_space(doc: dict, model: RecourseModel, seed: int | None = None,
     p = unc["parameters"]
     kind = unc["kind"]
     if kind == "discrete":
-        t_base = np.array(p["T_base"], dtype=float) if "T_base" in p \
-            else np.zeros((model.m, model.n_first))
-        return DiscreteSpace([Realization(s["h"], s.get("T", t_base), float(s["weight"]))
-                              for s in p["scenarios"]])
+        scenarios = p["scenarios"]
+        t_base = p.get("T_base", np.zeros((model.m, model.n_first)))
+        return DiscreteSpace(model, [s["weight"] for s in scenarios],
+                             [s["h"] for s in scenarios],
+                             [s.get("T", t_base) for s in scenarios])
     if kind == "uniform_rhs":
         return UniformRhsSpace(model, p["h_base"], p["T"], int(p["row"]),
                                float(p["lo"]), float(p["hi"]))
@@ -181,10 +182,8 @@ def document_to_space(doc: dict, model: RecourseModel, seed: int | None = None,
                          float(e.get("scale", 1.0))) for e in p["entries"]]
     if "cvar" in p:
         _check_tail_loss(model.W, model.q, model.recourse_senses, float(p["cvar"]["delta"]))
-    return GaussianTechnologySpace(model, p["h_base"], p["T_base"], entries,
-                                   np.array(p["mu"], dtype=float),
-                                   np.array(p["sigma"], dtype=float),
-                                   int(use_seed), int(use_pool))
+    return GaussianTechnologySpace(model, p["h_base"], p["T_base"], entries, p["mu"],
+                                   p["sigma"], int(use_seed), int(use_pool))
 
 
 def _check_tail_loss(W, q, senses, delta: float) -> None:
@@ -209,10 +208,14 @@ def load_document(path) -> dict:
 
 
 def write_document(doc: dict, path) -> None:
-    validate_document(doc)
+    """Write `doc` as JSON, once it builds the model and space that `run` would."""
+    document_to_space(doc, document_to_model(doc))
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise ValidationError(f"instance document has a non-finite number: {exc}") from exc
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 # ------------------------------------------------------- bundled: energy plan
@@ -296,11 +299,9 @@ def cvar_document(mu=DEFAULT_CVAR_MU, sigma=DEFAULT_CVAR_SIGMA,
     """Minimum-tail-loss portfolio: weights x on the simplex plus a free
     threshold variable; one recourse variable pays (1/delta) per unit of loss
     beyond the threshold; returns are jointly normal."""
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
-    d = mu.size
-    if sigma.shape != (d, d):
-        raise ValidationError("covariance shape does not match the mean")
+    mu = [float(v) for v in mu]
+    sigma = [[float(v) for v in row] for row in sigma]
+    d = len(mu)
     if not 0.0 < delta < 1.0:
         raise ValidationError("tail probability must lie strictly in (0, 1)")
     # first stage: (x_1..x_d, tau); objective tau + E[Q]
@@ -318,7 +319,7 @@ def cvar_document(mu=DEFAULT_CVAR_MU, sigma=DEFAULT_CVAR_SIGMA,
         "uncertainty": {
             "kind": "gaussian_technology",
             "parameters": {
-                "mu": mu.tolist(), "sigma": sigma.tolist(),
+                "mu": mu, "sigma": sigma,
                 "h_base": [0.0], "T_base": T_base,
                 "seed": int(seed), "pool_size": int(pool_size),
                 "entries": [{"row": 0, "col": j, "component": j, "scale": 1.0}

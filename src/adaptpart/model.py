@@ -23,13 +23,6 @@ class Realization:
 
     h: np.ndarray
     T: np.ndarray
-    weight: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "h", np.atleast_1d(np.asarray(self.h, dtype=float)))
-        object.__setattr__(self, "T", np.atleast_2d(np.asarray(self.T, dtype=float)))
-        if self.weight < 0:
-            raise ValidationError("realization weight must be nonnegative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,9 +42,9 @@ class RecourseModel:
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.c, dtype=float))
-        A = _matrix("A", self.A)
+        A = np.atleast_2d(float_array("A", self.A))
         b = np.atleast_1d(np.asarray(self.b, dtype=float)) if np.size(self.b) else np.zeros(0)
-        W = _matrix("W", self.W)
+        W = np.atleast_2d(float_array("W", self.W))
         q = np.atleast_1d(np.asarray(self.q, dtype=float))
         senses = tuple(self.senses)
         rsenses = tuple(self.recourse_senses)
@@ -105,12 +98,12 @@ class RecourseModel:
             raise ValidationError(f"first-stage polyhedron is empty ({sol.status})")
 
 
-def _matrix(name: str, value) -> np.ndarray:
-    """`value` as a 2-D float array; a ragged nesting is a ValidationError."""
+def float_array(name: str, value) -> np.ndarray:
+    """`value` as a float array; a ragged nesting is a ValidationError."""
     try:
-        return np.atleast_2d(np.asarray(value, dtype=float))
+        return np.asarray(value, dtype=float)
     except ValueError as exc:
-        raise ValidationError(f"{name} is not a rectangular matrix: {exc}") from exc
+        raise ValidationError(f"{name} is not a rectangular array: {exc}") from exc
 
 
 def evaluate_subproblem(model: RecourseModel, x, realization: Realization,

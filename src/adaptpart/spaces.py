@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .model import MASS_TOL, Realization, RecourseModel
+from .model import MASS_TOL, Realization, RecourseModel, float_array
 
 EXACT = "exact"
 MONTE_CARLO = "monte-carlo"
@@ -132,34 +132,30 @@ class UncertaintySpace(ABC):
 # ------------------------------------------------------------------- discrete
 
 class DiscreteSpace(UncertaintySpace):
-    """Finite scenario set with exact conditional expectations."""
+    """Finite scenario set with exact conditional expectations: scenario s
+    has probability weights[s] and data hs[s] (m,) and Ts[s] (m, n1)."""
 
     kind = "discrete"
 
-    def __init__(self, realizations):
-        realizations = list(realizations)
-        if not realizations:
-            raise ValidationError("discrete space needs at least one scenario")
-        weights = np.array([r.weight for r in realizations])
-        if not np.isfinite(weights).all():
-            raise ValidationError("scenario weights must be finite")
+    def __init__(self, model: RecourseModel, weights, hs, Ts):
+        weights = float_array("scenario weights", weights)
+        hs = float_array("scenario h", hs)
+        Ts = float_array("scenario T", Ts)
+        if weights.ndim != 1 or weights.size == 0:
+            raise ValidationError(f"discrete space needs a weight vector of at least one "
+                                  f"scenario, got shape {weights.shape}")
+        S, m, n1 = weights.size, model.m, model.n_first
+        if hs.shape != (S, m) or Ts.shape != (S, m, n1):
+            raise ValidationError(f"scenario h {hs.shape} and T {Ts.shape} do not match the "
+                                  f"model's ({S}, {m}) and ({S}, {m}, {n1})")
+        if not (np.isfinite(weights).all() and (weights >= 0.0).all()):
+            raise ValidationError("scenario weights must be finite and nonnegative")
         if abs(weights.sum() - 1.0) > MASS_TOL:
             raise ValidationError(f"scenario weights sum to {weights.sum():.12f}, expected 1")
-        m = realizations[0].h.size
-        shape = realizations[0].T.shape
-        for r in realizations:
-            if r.h.size != m or r.T.shape != shape:
-                raise ValidationError("scenarios have inconsistent shapes")
-        self.realizations = realizations
-        self.weights = weights
-        self.hs = np.stack([r.h for r in realizations])
-        self.Ts = np.stack([r.T for r in realizations])
-        if not (np.isfinite(self.hs).all() and np.isfinite(self.Ts).all()):
+        if not (np.isfinite(hs).all() and np.isfinite(Ts).all()):
             raise ValidationError("scenario h and T entries must be finite")
-
-    @property
-    def n_scenarios(self) -> int:
-        return len(self.realizations)
+        self.weights, self.hs, self.Ts = weights, hs, Ts
+        self.realizations = [Realization(h, T) for h, T in zip(hs, Ts)]
 
     def _make_cell(self, label: str, indices: tuple[int, ...]) -> Cell | None:
         idx = np.asarray(indices, dtype=int)
@@ -173,7 +169,7 @@ class DiscreteSpace(UncertaintySpace):
                     EXACT, len(indices))
 
     def trivial_partition(self) -> tuple[Cell, ...]:
-        return (self._make_cell("0", tuple(range(self.n_scenarios))),)
+        return (self._make_cell("0", tuple(range(self.weights.size))),)
 
     def _split(self, cell: Cell, groups) -> list[Cell]:
         """One child per group of scenario indices; the groups must

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from adaptpart.model import Realization, RecourseModel
+from adaptpart.model import RecourseModel
 from adaptpart.spaces import DiscreteSpace
 
 
@@ -38,15 +38,15 @@ def random_discrete_space(rng: np.random.Generator, model: RecourseModel, T_base
     S = int(n_scenarios if n_scenarios is not None else rng.integers(5, 21))
     raw = rng.uniform(0.2, 1.0, S)
     weights = raw / raw.sum()
-    reals = []
+    hs = np.empty((S, model.m))
+    Ts = np.empty((S,) + T_base.shape)
     for s in range(S):
-        h = rng.uniform(-1.5, 1.5, model.m)
+        hs[s] = rng.uniform(-1.5, 1.5, model.m)
         if vary_technology and rng.random() < 0.5:
-            T = T_base + rng.uniform(-0.3, 0.3, T_base.shape)
+            Ts[s] = T_base + rng.uniform(-0.3, 0.3, T_base.shape)
         else:
-            T = T_base
-        reals.append(Realization(h, T, float(weights[s])))
-    return DiscreteSpace(reals)
+            Ts[s] = T_base
+    return DiscreteSpace(model, weights, hs, Ts)
 
 
 def random_first_stage_point(rng: np.random.Generator, model: RecourseModel) -> np.ndarray:

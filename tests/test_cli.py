@@ -86,6 +86,30 @@ class TestInstanceGeneration:
         assert "unrecognized arguments: --upper-bound off" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("flag, value", [("--mu", "0.1,abc"), ("--sigma", "1,0;0,x")])
+    def test_malformed_number_is_a_usage_error(self, tmp_path, capsys, flag, value):
+        path = tmp_path / "cvar.json"
+        with pytest.raises(SystemExit) as caught:
+            run_cli(["make-cvar", "--output", path, flag, value])
+        assert caught.value.code == 2
+        assert f"argument {flag}: could not convert string to float" in capsys.readouterr().err
+        assert not path.exists()
+
+    @pytest.mark.parametrize("command, extra, message", [
+        ("make-cvar", ("--sigma", "1,2;3"), "uncertainty.parameters.sigma: expected 2x2"),
+        ("make-lands", ("--d1-interval", "3", "inf"), "uniform support lo and hi must be finite"),
+        ("make-cvar", ("--seed", "-3"), "seed must be nonnegative, got -3"),
+        ("make-cvar", ("--sigma", "1,0;0,-1"), "covariance must be positive semidefinite"),
+    ], ids=["ragged-sigma", "infinite-support", "negative-seed", "indefinite-sigma"])
+    def test_builders_write_only_runnable_documents(self, tmp_path, capsys, command, extra,
+                                                    message):
+        path = tmp_path / "instance.json"
+        assert run_cli([command, "--output", path, *extra]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not path.exists()
+
+
 class TestEnergyRuns:
     def test_default_tolerance_converges(self, tmp_path, capsys):
         path = make_lands(tmp_path)
@@ -218,8 +242,8 @@ class TestDiscreteRuns:
             "recourse": {"W": model.W.tolist(), "q": model.q.tolist(),
                          "senses": [str(s) for s in model.recourse_senses]},
             "uncertainty": {"kind": "discrete", "parameters": {"scenarios": [
-                {"weight": r.weight, "h": r.h.tolist(), "T": r.T.tolist()}
-                for r in space.realizations]}},
+                {"weight": w, "h": h.tolist(), "T": t.tolist()}
+                for w, h, t in zip(space.weights, space.hs, space.Ts)]}},
         }
         path = tmp_path / "six.json"
         path.write_text(json.dumps(doc))

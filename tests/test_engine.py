@@ -13,7 +13,7 @@ from adaptpart.engine import (CONDITIONS, GAP, ITERATION_LIMIT, STABILIZED, Solv
 from adaptpart.errors import SolverFailure, ValidationError
 from adaptpart.instances import (cvar_document, document_to_model,
                                  document_to_space, lands_document)
-from adaptpart.model import Realization, RecourseModel, evaluate_subproblem
+from adaptpart.model import RecourseModel, evaluate_subproblem
 from adaptpart.refiners import (DualClusteringRefiner, HyperplaneRefiner, RangingRefiner,
                                 RefineContext, refiner_by_name, rhs_dual_breakpoints)
 from adaptpart.spaces import DiscreteSpace, UniformRhsSpace
@@ -155,9 +155,9 @@ class TestUpperBound:
         model, T = random_recourse_model(rng)
         hs = rng.uniform(-1.5, 1.5, (6, model.m))
         weights = (0.25, 0.25, 0.25, 0.25, 0.0, 0.0)
-        space = DiscreteSpace([Realization(h, T, w) for h, w in zip(hs, weights)])
+        space = DiscreteSpace(model, weights, hs, [T] * 6)
         result = run(model, space, DualClusteringRefiner(), SolverConfig(epsilon=1e-12))
-        positive = DiscreteSpace([Realization(h, T, 0.25) for h in hs[:4]])
+        positive = DiscreteSpace(model, weights[:4], hs[:4], [T] * 4)
         alone = run(model, positive, DualClusteringRefiner(), SolverConfig(epsilon=1e-12))
         assert result.termination == alone.termination == GAP
         assert result.best_upper == alone.best_upper
@@ -252,8 +252,7 @@ class TestTermination:
         model = RecourseModel(c=np.array([1.0]), A=np.array([[1.0]]), b=np.array([1.0]),
                               senses=("<=",), W=np.array([[1.0]]), q=np.array([-1.0]),
                               recourse_senses=(">=",))
-        space = DiscreteSpace([Realization([0.5], [[1.0]], 0.5),
-                               Realization([1.5], [[1.0]], 0.5)])
+        space = DiscreteSpace(model, [0.5, 0.5], [[0.5], [1.5]], [[[1.0]], [[1.0]]])
         with pytest.raises(SolverFailure, match="^aggregated master unbounded at iteration 1$"):
             run(model, space, DualClusteringRefiner())
 
@@ -401,8 +400,8 @@ class TestBasisReuse:
         result = run(model, space, DualClusteringRefiner(), SolverConfig(epsilon=1e-9))
         assert result.termination == GAP
         assert len(result.records) > 1
-        assert result.stats["lp_solves"] < space.n_scenarios
-        assert result.stats["basis_hits"] > space.n_scenarios
+        assert result.stats["lp_solves"] < space.weights.size
+        assert result.stats["basis_hits"] > space.weights.size
 
     def test_repeat_runs_on_one_model_agree(self):
         for model, space in (self.discrete_pair(), lands_pair()):
@@ -440,7 +439,7 @@ class TestBasisReuse:
         counts = count_per_iteration(monkeypatch, refiners, "evaluate_subproblem")
         result = run(model, space, DualClusteringRefiner(), SolverConfig(epsilon=1e-9))
         assert len(counts) == len(result.records) > 1
-        assert 0 < max(counts) <= space.n_scenarios
+        assert 0 < max(counts) <= space.weights.size
 
     def test_bound_and_refiner_share_one_sweep(self, monkeypatch):
         model, space = lands_pair()

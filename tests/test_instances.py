@@ -87,6 +87,20 @@ class TestValidation:
         again = load_document(path)
         assert again == doc
 
+    def test_malformed_json_names_its_line(self, tmp_path):
+        path = tmp_path / "broken.json"
+        path.write_text('{\n  "first_stage": [1,\n}\n')
+        with pytest.raises(ValidationError, match=r"broken\.json: line 3: "):
+            load_document(path)
+
+    def test_non_finite_number_is_not_written(self, tmp_path):
+        doc = lands_document()
+        doc["metadata"]["scale"] = float("nan")
+        path = tmp_path / "instance.json"
+        with pytest.raises(ValidationError, match="non-finite number"):
+            write_document(doc, path)
+        assert not path.exists()
+
     @pytest.mark.parametrize("make, edit, path", DIMENSION_ERRORS.values(),
                              ids=list(DIMENSION_ERRORS))
     def test_dimension_error_names_its_field(self, make, edit, path):
@@ -229,7 +243,7 @@ class TestEnergyDocument:
         model = document_to_model(doc)
         space = document_to_space(doc, model)
         assert space.kind == "discrete"
-        assert space.n_scenarios == 1
+        assert space.weights.size == 1
         assert space.hs[0][-3] == pytest.approx(5.0)
 
     def test_model_is_the_same_for_either_uncertainty(self):

@@ -42,10 +42,21 @@ class TestRecourseModel:
         assert self.build([], []).A.shape == (0, 2)
 
     def test_ragged_matrices_are_rejected(self):
-        with pytest.raises(ValidationError, match="A is not a rectangular matrix"):
+        with pytest.raises(ValidationError, match="A is not a rectangular array"):
             self.build([[1.0, 2.0], [3.0]], [1.0, 1.0])
-        with pytest.raises(ValidationError, match="W is not a rectangular matrix"):
+        with pytest.raises(ValidationError, match="W is not a rectangular array"):
             self.build([[1.0, 2.0]], [1.0], W=[[1.0], [1.0, 2.0]])
+
+    @pytest.mark.parametrize("change, message", [
+        ({"senses": ("<=", "<=")}, "first-stage rows, senses, and rhs sizes disagree"),
+        ({"q": [1.0, 2.0]}, "recourse cost does not match W columns"),
+        ({"recourse_senses": (">=", ">=")}, "recourse rows and senses disagree"),
+    ], ids=["first-stage-senses", "recourse-cost", "recourse-senses"])
+    def test_sizes_must_agree(self, change, message):
+        data = dict(c=[1.0], A=[[1.0]], b=[1.0], senses=("<=",), W=[[1.0]], q=[1.0],
+                    recourse_senses=(">=",))
+        with pytest.raises(ValidationError, match=message):
+            RecourseModel(**{**data, **change})
 
     @staticmethod
     def bounded(lower=None, upper=None):
@@ -225,6 +236,15 @@ class TestAggregatedMaster:
                                             (1.0, h, T)])
         with pytest.raises(ValidationError, match="cell masses must be positive"):
             build_aggregated_master(model, [(float("nan"), h, T)])
+
+    def test_master_needs_cells_shaped_for_the_model(self):
+        model, T = random_recourse_model(np.random.default_rng(4))
+        h = np.zeros(model.m)
+        with pytest.raises(ValidationError, match="needs at least one cell"):
+            build_aggregated_master(model, [])
+        for cell in ((1.0, np.zeros(model.m + 1), T), (1.0, h, T[:, :-1])):
+            with pytest.raises(ValidationError, match="cell 0 mean shapes do not match"):
+                build_aggregated_master(model, [cell])
 
 
 class TestAveragingLemmas:

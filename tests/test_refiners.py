@@ -1,5 +1,6 @@
 """Partition refiners: dual clustering, ranging sweeps, hyperplane cuts."""
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -37,8 +38,11 @@ def shortage_space(lo: float, hi: float) -> UniformRhsSpace:
     return UniformRhsSpace(shortage_model(), [0.0], [[1.0]], 0, lo, hi)
 
 
-def shortage_scenario(d: float, weight: float) -> Realization:
-    return Realization(np.array([d]), [[1.0]], weight)
+def shortage_scenarios(demands) -> DiscreteSpace:
+    """Equally likely demands d for shortage_model (h = d, T = 1)."""
+    n = len(demands)
+    return DiscreteSpace(shortage_model(), np.full(n, 1.0 / n), [[d] for d in demands],
+                         np.ones((n, 1, 1)))
 
 
 def two_piece_model() -> RecourseModel:
@@ -152,9 +156,7 @@ class TestDualGrouping:
     def test_clustering_on_shortage_duals(self):
         model = shortage_model()
         demands = [1.0, 1.5, 3.0]
-        reals = [shortage_scenario(d, 1.0 / 3.0)
-                 for d in demands]
-        space = DiscreteSpace(reals)
+        space = shortage_scenarios(demands)
         ctx = context_for(model, space, [2.0])  # demands 1, 1.5 slack; 3 binds
         refiner = DualClusteringRefiner()
         part = refiner.refine(ctx)
@@ -485,13 +487,15 @@ class TestSelection:
         with pytest.raises(ValidationError, match="does not support uniform_rhs"):
             DualClusteringRefiner().check(space)
 
+    def test_unknown_backend_has_no_refiner(self):
+        with pytest.raises(ValidationError, match="no refiner available for foreign spaces"):
+            refiner_by_name("auto", SimpleNamespace(kind="foreign"))
+
 
 def discrete_pass():
     # at x = 2 the demands above 2 bind: only the middle cell {4, 5} mixes
     model = shortage_model()
-    reals = [shortage_scenario(d, 1.0 / 6.0)
-             for d in (1.0, 1.5, 3.0, 4.0, 0.5, 2.5)]
-    space = DiscreteSpace(reals)
+    space = shortage_scenarios((1.0, 1.5, 3.0, 4.0, 0.5, 2.5))
     cells = space.split_cell(space.trivial_partition()[0], ((0, 1), (4, 5), (2, 3)))
     return model, space, cells, np.array([2.0]), DualClusteringRefiner()
 

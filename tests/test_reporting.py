@@ -7,7 +7,7 @@ import pytest
 from adaptpart.engine import SolverConfig, run
 from adaptpart.instances import (cvar_document, document_to_model, document_to_space,
                                  lands_document)
-from adaptpart.model import Realization, RecourseModel
+from adaptpart.model import RecourseModel
 from adaptpart.refiners import refiner_by_name
 from adaptpart.reporting import partition_trace, write_run_report
 from adaptpart.spaces import DiscreteSpace, UniformRhsSpace
@@ -29,9 +29,8 @@ def split_entries(space, *how):
 
 
 def test_discrete_cell_entry():
-    reals = [Realization(np.array([v]), [[1.0]], w)
-             for v, w in ((1.0, 0.25), (2.0, 0.5), (5.0, 0.25))]
-    space = DiscreteSpace(reals)
+    space = DiscreteSpace(shortage_model(), [0.25, 0.5, 0.25], [[1.0], [2.0], [5.0]],
+                          np.ones((3, 1, 1)))
     entry = split_entries(space, ((0, 2), (1,)))[0]
     assert list(entry) == ["label", "mass", "estimate", "sample_count",
                            "geometry", "h_mean"]

@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from adaptpart.errors import ValidationError
-from adaptpart.model import Realization, RecourseModel
+from adaptpart.model import RecourseModel
 from adaptpart.spaces import (DiscreteSpace, GaussianTechnologySpace, TechEntry,
                               UniformRhsSpace)
 
@@ -46,15 +46,13 @@ def cut(space, cell, normal, offset):
 class TestDiscrete:
     def test_weights_must_sum_to_one(self):
         model, T = random_recourse_model(np.random.default_rng(0))
-        reals = [Realization(np.zeros(model.m), T, 0.4)]
         with pytest.raises(ValidationError):
-            DiscreteSpace(reals)
+            DiscreteSpace(model, [0.4], [np.zeros(model.m)], [T])
 
     def test_regroup_and_zero_mass_drop(self):
         model, T = random_recourse_model(np.random.default_rng(1))
-        reals = [Realization(np.full(model.m, v), T, w)
-                 for v, w in ((0.0, 0.5), (1.0, 0.5), (2.0, 0.0))]
-        space = DiscreteSpace(reals)
+        space = DiscreteSpace(model, [0.5, 0.5, 0.0], [np.full(model.m, v) for v in range(3)],
+                              [T] * 3)
         cell, = space.trivial_partition()
         split = space.split_cell(cell, ((0,), (1,), (2,)))
         assert len(split) == 2  # the zero-weight scenario carries no cell
@@ -84,6 +82,21 @@ class TestDiscrete:
         total_h = sum(c.mass * c.h_mean for c in part)
         npt.assert_allclose(total_h, space.weights @ space.hs, atol=1e-12)
         assert sum(c.mass for c in part) == pytest.approx(1.0, abs=1e-12)
+
+    def test_scenarios_of_another_model_are_rejected_at_construction(self):
+        model, T = random_recourse_model(np.random.default_rng(5), m=2)
+        with pytest.raises(ValidationError, match=r"scenario h \(2, 1\) and T \(2, 1, \d\) "
+                                                  r"do not match the model's \(2, 2\)"):
+            DiscreteSpace(model, [0.5, 0.5], [[0.0], [1.0]], [T[:1], T[:1]])
+
+    def test_realizations_view_the_scenario_arrays(self):
+        rng = np.random.default_rng(6)
+        model, T = random_recourse_model(rng)
+        space = random_discrete_space(rng, model, T, n_scenarios=3)
+        for s, real in enumerate(space.realizations):
+            assert real.h.base is space.hs and real.T.base is space.Ts
+            assert real.T.flags.c_contiguous
+            npt.assert_array_equal(real.T, space.Ts[s])
 
 
 class TestUniformRhs:
@@ -268,9 +281,45 @@ class TestBaseDataChecks:
         (float("inf"), 0.5, "scenario h and T entries must be finite"),
     ], ids=["weight", "h"])
     def test_discrete_data_must_be_finite(self, h, weight, message):
-        reals = [Realization([h], [[1.0]], weight), Realization([0.0], [[1.0]], 0.5)]
         with pytest.raises(ValidationError, match=message):
-            DiscreteSpace(reals)
+            DiscreteSpace(interval_model(), [weight, 0.5], [[h], [0.0]], [[[1.0]], [[1.0]]])
+
+    @pytest.mark.parametrize("weights, hs, Ts, message", [
+        ([], [], [], r"weight vector of at least one scenario, got shape \(0,\)"),
+        ([[1.0]], [[0.0]], [[[1.0]]], r"weight vector .* got shape \(1, 1\)"),
+        ([0.5, 0.5], [[0.0], [0.0, 1.0]], [[[1.0]]] * 2, "scenario h is not a rectangular array"),
+        ([0.5, 0.5], [[0.0], [1.0]], [[[1.0]], [[1.0], [2.0, 3.0]]],
+         "scenario T is not a rectangular array"),
+        ([0.5, 0.5], [[0.0, 0.0], [1.0, 1.0]], [[[1.0]]] * 2,
+         r"scenario h \(2, 2\) and T \(2, 1, 1\) do not match the model's \(2, 1\) and "
+         r"\(2, 1, 1\)"),
+        ([0.5, 0.5], [[0.0], [1.0]], [[[1.0, 0.0]]] * 2, r"T \(2, 1, 2\) do not match the model"),
+        ([1.0], [[0.0], [1.0]], [[[1.0]]] * 2, r"model's \(1, 1\) and \(1, 1, 1\)"),
+        ([1.5, -0.5], [[0.0], [1.0]], [[[1.0]]] * 2, "weights must be finite and nonnegative"),
+        ([np.inf, 0.5], [[0.0], [1.0]], [[[1.0]]] * 2, "weights must be finite and nonnegative"),
+        ([0.5, 0.4], [[0.0], [1.0]], [[[1.0]]] * 2, "scenario weights sum to 0.9000"),
+        ([0.5, 0.5], [[0.0], [np.nan]], [[[1.0]]] * 2, "scenario h and T entries must be finite"),
+        ([0.5, 0.5], [[0.0], [1.0]], [[[1.0]], [[-np.inf]]],
+         "scenario h and T entries must be finite"),
+    ], ids=["no-scenario", "weight-matrix", "ragged-h", "ragged-T", "h-rows", "T-columns",
+            "scenario-count", "negative-weight", "infinite-weight", "weight-sum", "nan-h",
+            "infinite-T"])
+    def test_discrete_data_must_fit_the_model(self, weights, hs, Ts, message):
+        with pytest.raises(ValidationError, match=message):
+            DiscreteSpace(interval_model(), weights, hs, Ts)
+
+    @pytest.mark.parametrize("lo, hi", [(7.0, 3.0), (3.0, 3.0)])
+    def test_interval_support_must_be_ordered(self, lo, hi):
+        with pytest.raises(ValidationError, match="uniform support needs lo < hi"):
+            interval_space(lo, hi)
+
+    def test_gaussian_needs_entries_and_a_pool(self):
+        with pytest.raises(ValidationError, match="declares no random technology entries"):
+            self.gaussian(entries=())
+        with pytest.raises(ValidationError, match="pool size must be at least 2"):
+            GaussianTechnologySpace(gaussian_model(), (0.0,), ((0.0, 0.0, 1.0),),
+                                    (TechEntry(0, 0, 0),), np.zeros(2), np.eye(2), seed=1,
+                                    pool_size=1)
 
     @pytest.mark.parametrize("lo, hi", [(-np.inf, 7.0), (3.0, np.inf), (np.nan, 7.0)])
     def test_interval_support_must_be_finite(self, lo, hi):
