@@ -1,8 +1,10 @@
 """Two-phase tableau simplex kernel with dual recovery and right-hand-side ranging.
 
-A pivot updates only the tableau columns in which the pivot row is nonzero, a
-small share on block-angular programs such as the aggregated master, whose
-columns are the first stage plus one copy of W per partition cell.
+The tableau is column-major: each column is a contiguous row of tab.T.  A
+pivot gathers only the columns in which the pivot row is nonzero, updates
+them by one rank-1 step and writes them back, a small share on block-angular
+programs such as the aggregated master, whose columns are the first stage
+plus one copy of W per partition cell.
 
 Problems are stated as  min q.y  subject to  M y (<=|=|>=) b  with per-variable
 bounds (default y >= 0).  Reported duals follow the max-form convention: the
@@ -327,42 +329,45 @@ class BasisCache:
 
 
 def _apply_pivot(tab: np.ndarray, row: int, col: int) -> None:
-    """Pivot on tab[row, col], updating only the columns where the scaled
-    pivot row is nonzero.  Any other entry would have +-0.0 subtracted from
-    it, so every value, ratio test, basis, x, dual and objective is bitwise
-    that of the dense  tab -= outer(factors, tab[row])  (a zero's sign aside),
-    and column col becomes the unit vector exactly, as f - f*1.0 is +0.0."""
-    piv = tab[row, col]
-    if abs(piv) < PIVOT_TOL:
-        raise SolverFailure("pivot element below tolerance")
-    tab[row] = tab[row] / piv
+    """Pivot on tab[row, col] of a column-major tableau, updating only the
+    columns where the scaled pivot row is nonzero: they are contiguous rows
+    of tab.T, gathered by one take, changed by one rank-1 update and written
+    back by one assignment.  Any other entry would have +-0.0 subtracted
+    from it, so every value, ratio test, basis, x, dual and objective is
+    bitwise that of the dense  tab -= outer(factors, tab[row])  (a zero's
+    sign aside), and column col becomes the unit vector exactly, as
+    f - f*1.0 is +0.0."""
+    tab[row] /= tab[row, col]
+    cols = tab[row].nonzero()[0]
+    touched = tab.T.take(cols, axis=0)
     factors = tab[:, col].copy()
     factors[row] = 0.0
-    cols = np.flatnonzero(tab[row])
-    # take and a plain assignment cost less than a fancy-indexed -=
-    touched = tab.take(cols, axis=1)
-    touched -= np.outer(factors, touched[row])
-    tab[:, cols] = touched
+    touched -= touched[:, row, None] * factors
+    tab.T[cols] = touched
 
 
 def _pivot_loop(tab: np.ndarray, basis: list[int], label: str) -> str:
-    scale = 1.0 + float(np.abs(tab[:-1, -1]).max(initial=0.0))
+    cost = tab[-1, :-1]
+    rhs = tab[:-1, -1]
+    if not cost.size:  # a program without columns, and so without rows
+        return OPTIMAL
+    scale = 1.0 + float(np.abs(rhs).max(initial=0.0))
+    ratios = np.empty(rhs.size)
     stall = 0
     bland = False
     for _ in range(_MAX_PIVOTS):
-        cost = tab[-1, :-1]
-        elig = np.flatnonzero(cost < -_RC_TOL)
-        if elig.size == 0:
+        # entering: the largest violation, lowest index among ties; Bland's
+        # rule takes the lowest violating index
+        col = int((cost < -_RC_TOL).argmax() if bland else cost.argmin())
+        if not cost[col] < -_RC_TOL:
             return OPTIMAL
-        col = int(elig[0]) if bland else int(elig[np.argmin(cost[elig])])
         colvals = tab[:-1, col]
-        rows = np.flatnonzero(colvals > PIVOT_TOL)
-        if rows.size == 0:
+        ratios.fill(np.inf)
+        np.divide(rhs, colvals, out=ratios, where=colvals > PIVOT_TOL)
+        rmin = float(np.minimum.reduce(ratios, initial=np.inf))
+        if rmin == np.inf:
             return UNBOUNDED
-        ratios = tab[rows, -1] / colvals[rows]
-        rmin = float(ratios.min())
-        ties = rows[ratios <= rmin + _RATIO_TIE * (1.0 + abs(rmin))]
-        row = int(ties[0])
+        row = int((ratios <= rmin + _RATIO_TIE * (1.0 + abs(rmin))).argmax())
         if rmin <= 1e-12 * scale:
             stall += 1
             if stall > STALL_LIMIT:
@@ -393,21 +398,22 @@ def solve(lp: StandardLp) -> LpSolution:
     start[art_rows] = n_c + np.arange(n_art)
     basis: list[int] = start.tolist()
 
-    tab = np.zeros((m_c + 1, n_c + n_art + 1))
+    tab = np.zeros((m_c + 1, n_c + n_art + 1), order="F")
     tab[:m_c, :n_c] = canon.A
     tab[:m_c, -1] = canon.b
     tab[art_rows, n_c + np.arange(n_art)] = 1.0
     if n_art:
+        # the cost row minus each artificial row in turn
         tab[-1, n_c:-1] = 1.0
-        for i in art_rows:
-            tab[-1] -= tab[i]
+        tab[-1] = np.subtract.reduce(tab[np.concatenate(([m_c], art_rows))])
         status = _pivot_loop(tab, basis, "phase 1")
         if status != OPTIMAL:
             raise SolverFailure("phase 1 reported unbounded; artificial objective is bounded below")
         # the same per-row residual test that _validate applies
-        held = [i for i, k in enumerate(basis) if k >= n_c]
-        if any(tab[i, -1] > FEAS_TOL * (1.0 + abs(canon.b[art_rows[basis[i] - n_c]]))
-               for i in held):
+        basic = np.asarray(basis)
+        held = np.flatnonzero(basic >= n_c)
+        art_b = canon.b[art_rows[basic[held] - n_c]]
+        if np.any(tab[held, -1] > FEAS_TOL * (1.0 + np.abs(art_b))):
             return LpSolution(INFEASIBLE)
         # Drive leftover artificials out of the basis; drop redundant rows.
         keep = np.ones(m_c, dtype=bool)
@@ -420,17 +426,21 @@ def solve(lp: StandardLp) -> LpSolution:
                 keep[i] = False
         kept = np.flatnonzero(keep)
         basis = [basis[i] for i in kept]
+        # the rhs column moves next to the true columns; the artificial ones go
+        tab[:, n_c] = tab[:, -1]
+        tab = tab[:, :n_c + 1]
+        if kept.size < m_c:
+            tab = np.asfortranarray(tab[np.append(kept, m_c)])
     else:
         kept = np.arange(m_c)
-    rows = np.append(kept, m_c)
-    tab = np.hstack([tab[rows, :n_c], tab[rows, -1:]])
 
-    # Phase 2: rebuild the cost row for the true objective.
-    cost2 = np.append(canon.c, 0.0)
-    for pos, bc in enumerate(basis):
-        if cost2[bc] != 0.0:
-            cost2 = cost2 - cost2[bc] * tab[pos]
-    tab[-1] = cost2
+    # Phase 2: the true objective minus c_k times the row of each basic
+    # column k in turn; basic columns are exact unit vectors, so each
+    # multiplier is c_k itself.
+    c_basic = canon.c[basis]
+    pos = c_basic.nonzero()[0]
+    tab[-1] = np.subtract.reduce(np.concatenate(([np.append(canon.c, 0.0)],
+                                                 c_basic[pos, None] * tab[pos])))
     status = _pivot_loop(tab, basis, "phase 2")
     if status == UNBOUNDED:
         return LpSolution(UNBOUNDED)
@@ -439,13 +449,13 @@ def solve(lp: StandardLp) -> LpSolution:
     z[basis] = tab[:len(basis), -1]
     x = canon.shift.copy()
     # in column order: a free variable's two columns add up one after the other
-    for k in np.flatnonzero(z[:n_var]):
-        x[canon.var[k]] += canon.sign[k] * z[k]
+    k = np.flatnonzero(z[:n_var])
+    np.add.at(x, canon.var[k], canon.sign[k] * z[k])
     objective = float(lp.objective @ x)
 
-    B = canon.A[np.ix_(kept, basis)]
+    B = canon.A[kept][:, basis]
     try:
-        lam = np.linalg.solve(B.T, canon.c[np.asarray(basis, dtype=int)])
+        lam = np.linalg.solve(B.T, canon.c[basis])
     except np.linalg.LinAlgError as exc:
         raise SolverFailure(f"singular basis during dual recovery: {exc}") from exc
     duals = np.zeros(lp.n_rows)

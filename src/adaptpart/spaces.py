@@ -42,8 +42,8 @@ class TechEntry:
 
 def _base_data(model: RecourseModel, h, T) -> tuple[np.ndarray, np.ndarray]:
     """(h, T) as float arrays shaped (m,) and (m, n1) for `model`."""
-    h = np.atleast_1d(np.asarray(h, dtype=float))
-    T = np.asarray(T, dtype=float)
+    h = np.atleast_1d(float_array("base h", h))
+    T = float_array("base T", T)
     if h.shape != (model.m,) or T.shape != (model.m, model.n_first):
         raise ValidationError(f"base h {h.shape} and T {T.shape} do not match the model's "
                               f"({model.m},) and ({model.m}, {model.n_first})")
@@ -281,8 +281,8 @@ class GaussianTechnologySpace(UncertaintySpace):
         if seed < 0:
             raise ValidationError(f"the sample pool seed must be nonnegative, got {seed}")
         self.h_base, T_base = _base_data(model, h_base, T_base)
-        mu = np.atleast_1d(np.asarray(mu, dtype=float))
-        sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
+        mu = np.atleast_1d(float_array("mean mu", mu))
+        sigma = np.atleast_2d(float_array("covariance sigma", sigma))
         d = mu.size
         if sigma.shape != (d, d):
             raise ValidationError("covariance shape does not match the mean")

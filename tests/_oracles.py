@@ -3,9 +3,12 @@
 These deliberately avoid the library's own canonicalization and solve paths:
 vertex enumeration works on its own equality form, the ranging oracle re-solves
 on a grid, and the extensive-form builder assembles the deterministic
-equivalent directly.  `dense_apply_pivot` and `loop_canonicalize` are the
-kernel's earlier dense pivot and per-column canonical form, kept as references
-for the column-sparse and array-built versions in `adaptpart.lp`.
+equivalent directly.  `reference_solve` is the kernel's earlier row-major
+two-phase simplex, frozen whole: its loop-built cost rows and per-column primal
+recovery run on `dense_apply_pivot` (every tableau entry updated) and
+`loop_canonicalize` (the canonical form built one column and one row at a
+time), the reference for the column-major kernel and the array-built canonical
+form in `adaptpart.lp`.
 `empirical_cvar` is the sample tail average the tail-risk bounds are checked
 against.
 """
@@ -192,3 +195,114 @@ def loop_canonicalize(lp: lplib.StandardLp) -> lplib._Canonical:
     var = np.array([j for j, _ in columns], dtype=int)
     sign = np.array([sgn for _, sgn in columns])
     return lplib._Canonical(A, b, c, row_sign, var, sign, shift)
+
+
+def _reference_pivot_loop(tab: np.ndarray, basis: list[int], label: str) -> tuple[str, int]:
+    """The pivot loop of `reference_solve`: (status, pivots chosen under
+    Bland's rule)."""
+    scale = 1.0 + float(np.abs(tab[:-1, -1]).max(initial=0.0))
+    stall = 0
+    bland = False
+    bland_pivots = 0
+    for _ in range(lplib._MAX_PIVOTS):
+        cost = tab[-1, :-1]
+        elig = np.flatnonzero(cost < -lplib._RC_TOL)
+        if elig.size == 0:
+            return lplib.OPTIMAL, bland_pivots
+        col = int(elig[0]) if bland else int(elig[np.argmin(cost[elig])])
+        bland_pivots += bland
+        colvals = tab[:-1, col]
+        rows = np.flatnonzero(colvals > lplib.PIVOT_TOL)
+        if rows.size == 0:
+            return lplib.UNBOUNDED, bland_pivots
+        ratios = tab[rows, -1] / colvals[rows]
+        rmin = float(ratios.min())
+        ties = rows[ratios <= rmin + lplib._RATIO_TIE * (1.0 + abs(rmin))]
+        row = int(ties[0])
+        if rmin <= 1e-12 * scale:
+            stall += 1
+            if stall > lplib.STALL_LIMIT:
+                bland = True
+        else:
+            stall = 0
+        dense_apply_pivot(tab, row, col)
+        basis[row] = col
+    raise SolverFailure(f"pivot limit exceeded in {label}")
+
+
+def reference_solve(lp: lplib.StandardLp) -> tuple[lplib.LpSolution, int]:
+    """Reference two-phase simplex on a row-major tableau, with the kernel's
+    pivot rules: (solution, pivots chosen under Bland's rule)."""
+    canon = loop_canonicalize(lp)
+    m_c, n_c = canon.A.shape
+    n_var = canon.var.size
+
+    start = np.full(m_c, -1)
+    slack_rows, slacks = np.nonzero(canon.A[:, n_var:] == 1.0)
+    start[slack_rows] = n_var + slacks
+    art_rows = np.flatnonzero(start < 0)
+    n_art = art_rows.size
+    start[art_rows] = n_c + np.arange(n_art)
+    basis: list[int] = start.tolist()
+
+    tab = np.zeros((m_c + 1, n_c + n_art + 1))
+    tab[:m_c, :n_c] = canon.A
+    tab[:m_c, -1] = canon.b
+    tab[art_rows, n_c + np.arange(n_art)] = 1.0
+    bland = 0
+    if n_art:
+        tab[-1, n_c:-1] = 1.0
+        for i in art_rows:
+            tab[-1] -= tab[i]
+        status, bland = _reference_pivot_loop(tab, basis, "phase 1")
+        if status != lplib.OPTIMAL:
+            raise SolverFailure("phase 1 reported unbounded; artificial objective is bounded below")
+        held = [i for i, k in enumerate(basis) if k >= n_c]
+        if any(tab[i, -1] > lplib.FEAS_TOL * (1.0 + abs(canon.b[art_rows[basis[i] - n_c]]))
+               for i in held):
+            return lplib.LpSolution(lplib.INFEASIBLE), bland
+        keep = np.ones(m_c, dtype=bool)
+        for i in held:
+            cols = np.flatnonzero(np.abs(tab[i, :n_c]) > lplib.PIVOT_TOL)
+            if cols.size:
+                dense_apply_pivot(tab, i, int(cols[0]))
+                basis[i] = int(cols[0])
+            else:
+                keep[i] = False
+        kept = np.flatnonzero(keep)
+        basis = [basis[i] for i in kept]
+    else:
+        kept = np.arange(m_c)
+    rows = np.append(kept, m_c)
+    tab = np.hstack([tab[rows, :n_c], tab[rows, -1:]])
+
+    cost2 = np.append(canon.c, 0.0)
+    for pos, bc in enumerate(basis):
+        if cost2[bc] != 0.0:
+            cost2 = cost2 - cost2[bc] * tab[pos]
+    tab[-1] = cost2
+    status, more = _reference_pivot_loop(tab, basis, "phase 2")
+    bland += more
+    if status == lplib.UNBOUNDED:
+        return lplib.LpSolution(lplib.UNBOUNDED), bland
+
+    z = np.zeros(n_c)
+    z[basis] = tab[:len(basis), -1]
+    x = canon.shift.copy()
+    for k in np.flatnonzero(z[:n_var]):
+        x[canon.var[k]] += canon.sign[k] * z[k]
+    objective = float(lp.objective @ x)
+
+    B = canon.A[np.ix_(kept, basis)]
+    try:
+        lam = np.linalg.solve(B.T, canon.c[np.asarray(basis, dtype=int)])
+    except np.linalg.LinAlgError as exc:
+        raise SolverFailure(f"singular basis during dual recovery: {exc}") from exc
+    duals = np.zeros(lp.n_rows)
+    original = kept < lp.n_rows
+    duals[kept[original]] = canon.row_sign[kept[original]] * lam[original]
+
+    lplib._validate(lp, canon, kept, x, lam, objective)
+    return (lplib.LpSolution(lplib.OPTIMAL, x, duals, objective,
+                             tuple(int(v) for v in basis), tuple(int(v) for v in kept)),
+            bland)

@@ -1,19 +1,19 @@
-"""Tests for the simplex kernel: solve, duals, ranging, determinism, and the
-column-sparse pivot against the dense reference."""
+"""Tests for the simplex kernel: solve, duals, ranging, determinism, its
+exits, and the column-major kernel against the frozen row-major reference."""
 from __future__ import annotations
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from adaptpart import lp as lplib
+from adaptpart import engine, lp as lplib, refiners
 from adaptpart.errors import SolverFailure, ValidationError
-from adaptpart.instances import document_to_model, document_to_space, lands_document
+from adaptpart.instances import (cvar_document, document_to_model, document_to_space,
+                                 lands_document)
 from adaptpart.lp import GE, LE, EQ, OPTIMAL, INFEASIBLE, UNBOUNDED, StandardLp
 from adaptpart.model import build_aggregated_master
 
-from _oracles import (dense_apply_pivot, grid_dual_breakpoints, loop_canonicalize,
-                      vertex_enumerate)
+from _oracles import grid_dual_breakpoints, loop_canonicalize, reference_solve, vertex_enumerate
 
 
 def test_single_bound_row():
@@ -250,18 +250,47 @@ def shaped_lp(rng):
     return StandardLp(q, M, b, senses, lower, upper)
 
 
-def solve_outcome(lp):
-    try:
-        return lplib.solve(lp)
-    except SolverFailure as exc:
-        return str(exc)
+def cvar_master(iterations):
+    """The tail-risk portfolio's aggregated master at the given iteration
+    (pool seed 0)."""
+    doc = cvar_document(seed=0)
+    model = document_to_model(doc)
+    space = document_to_space(doc, model)
+    result = engine.run(model, space, refiners.refiner_by_name("auto", space),
+                        engine.SolverConfig(max_iterations=iterations))
+    assert len(result.partitions) == iterations
+    return build_aggregated_master(
+        model, [(c.mass, c.h_mean, c.t_mean) for c in result.partitions[-1]])
 
 
 def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def test_sparse_pivot_and_array_canonical_form_match_the_references(monkeypatch):
+def assert_matches_the_reference(lp):
+    """Solve lp with the kernel and with `reference_solve`, assert the same
+    failure message or the same status, basis, kept rows and bits of x,
+    duals and objective, and return (kernel outcome, the reference's Bland
+    pivots)."""
+    try:
+        reference, bland = reference_solve(lp)
+    except SolverFailure as exc:
+        with pytest.raises(SolverFailure) as caught:
+            lplib.solve(lp)
+        assert str(caught.value) == str(exc)
+        return str(exc), 0
+    kernel = lplib.solve(lp)
+    assert kernel.status == reference.status
+    assert kernel.basis == reference.basis
+    assert kernel.kept_rows == reference.kept_rows
+    if kernel.status == OPTIMAL:
+        assert same_bits(kernel.x, reference.x)
+        assert same_bits(kernel.duals, reference.duals)
+        assert kernel.objective.hex() == reference.objective.hex()
+    return kernel, bland
+
+
+def test_sparse_pivot_and_array_canonical_form_match_the_references():
     rng = np.random.default_rng(11)
     lps = [shaped_lp(rng) for _ in range(200)] + [energy_master(45)]
     seen = {"free": 0, "capped": 0, "zero rhs": 0, "optimal": 0}
@@ -271,24 +300,13 @@ def test_sparse_pivot_and_array_canonical_form_match_the_references(monkeypatch)
         for name in ("A", "b", "c", "row_sign", "var", "sign", "shift"):
             assert same_bits(getattr(fast, name), getattr(slow, name)), name
 
-        kernel = solve_outcome(lp)
-        with monkeypatch.context() as patch:
-            patch.setattr(lplib, "_apply_pivot", dense_apply_pivot)
-            patch.setattr(lplib, "_canonicalize", loop_canonicalize)
-            reference = solve_outcome(lp)
+        kernel, _ = assert_matches_the_reference(lp)
         if isinstance(kernel, str):
-            assert kernel == reference
             continue
-        assert kernel.status == reference.status
-        assert kernel.basis == reference.basis
-        assert kernel.kept_rows == reference.kept_rows
         if kernel.status != OPTIMAL:
             outcomes[kernel.status] += 1
         else:
             outcomes["dropped row"] += len(kernel.kept_rows) < fast.A.shape[0]
-            assert same_bits(kernel.x, reference.x)
-            assert same_bits(kernel.duals, reference.duals)
-            assert kernel.objective.hex() == reference.objective.hex()
             seen["optimal"] += 1
             seen["free"] += bool(np.any(np.isinf(lp.lower)))
             seen["capped"] += bool(np.any(np.isfinite(lp.upper)))
@@ -296,6 +314,60 @@ def test_sparse_pivot_and_array_canonical_form_match_the_references(monkeypatch)
     assert min(seen.values()) >= 30, seen
     assert outcomes[INFEASIBLE] >= 30 and outcomes[UNBOUNDED] >= 30, outcomes
     assert outcomes["dropped row"] >= 5, outcomes
+
+
+def test_masters_match_the_reference_through_blands_rule():
+    # the random LPs are too small to stall, so Bland's rule is covered by a
+    # tail-risk master on which the reference makes Bland pivots
+    kernel, bland = assert_matches_the_reference(cvar_master(10))
+    assert kernel.status == OPTIMAL
+    assert bland > 0
+    kernel, bland = assert_matches_the_reference(energy_master(150))
+    assert kernel.status == OPTIMAL and bland == 0
+
+
+def test_pivot_limit_names_the_phase(monkeypatch):
+    monkeypatch.setattr(lplib, "_MAX_PIVOTS", 1)
+    # two >= rows: two artificial columns to drive to zero
+    with pytest.raises(SolverFailure, match="^pivot limit exceeded in phase 1$"):
+        lplib.solve(StandardLp([1.0, 1.0], np.eye(2), [1.0, 1.0], (GE, GE)))
+    # two <= rows start from their slacks, and both columns enter
+    with pytest.raises(SolverFailure, match="^pivot limit exceeded in phase 2$"):
+        lplib.solve(StandardLp([-1.0, -1.0], np.eye(2), [1.0, 1.0], (LE, LE)))
+    monkeypatch.setattr(lplib, "_MAX_PIVOTS", 2)
+    assert lplib.solve(StandardLp([-1.0, 0.0], np.eye(2), [1.0, 1.0], (LE, LE))).status == OPTIMAL
+
+
+def test_column_without_positive_entry_is_unbounded():
+    # the entering column x1 is -1 in both rows
+    lp = StandardLp([-1.0, -2.0], [[1.0, -1.0], [0.0, -1.0]], [1.0, 0.0], (LE, LE))
+    assert lplib.solve(lp).status == UNBOUNDED
+    assert_matches_the_reference(lp)
+    # phase 2 of an equality-constrained program: x0 - x1 = 1 leaves x1 unbounded
+    lp = StandardLp([0.0, -1.0], [[1.0, -1.0]], [1.0], (EQ,))
+    assert lplib.solve(lp).status == UNBOUNDED
+    assert_matches_the_reference(lp)
+
+
+def test_drive_out_pivots_on_a_negative_element(monkeypatch):
+    # phase 1 ends with the artificial of  -x2 = 0  basic at level zero; its
+    # row's only nonzero entry is -1, so the drive-out pivot divides by -1
+    lp = StandardLp([1.0, 2.0, 0.0], [[1.0, 1.0, 0.0], [0.0, 0.0, -1.0]], [1.0, 0.0], (EQ, EQ))
+    elements = []
+
+    def recording_pivot(tab, row, col):
+        elements.append(float(tab[row, col]))
+        pivot(tab, row, col)
+
+    pivot = lplib._apply_pivot
+    monkeypatch.setattr(lplib, "_apply_pivot", recording_pivot)
+    sol = lplib.solve(lp)
+    assert elements == [1.0, -1.0]
+    assert sol.status == OPTIMAL
+    assert sol.basis == (0, 2) and sol.kept_rows == (0, 1)
+    assert sol.x.tolist() == [1.0, 0.0, 0.0]
+    monkeypatch.undo()
+    assert_matches_the_reference(lp)
 
 
 def test_lp_without_canonical_rows():
@@ -313,6 +385,9 @@ def test_lp_without_canonical_rows():
     free = lplib.solve(StandardLp([0.0], np.zeros((0, 1)), [], (), [-np.inf]))
     assert free.status == OPTIMAL
     assert free.x.tolist() == [0.0] and free.basis == ()
+
+    empty = lplib.solve(StandardLp([], np.zeros((0, 0)), [], ()))
+    assert empty.status == OPTIMAL and empty.x.shape == (0,) and empty.objective == 0.0
 
 
 def test_large_master_against_highs():

@@ -338,6 +338,27 @@ class TestBaseDataChecks:
             GaussianTechnologySpace(gaussian_model(), (0.0,), ((0.0, 0.0, 1.0),), entries,
                                     mu, sigma, seed=1, pool_size=10)
 
+    @pytest.mark.parametrize("h, T, field", [
+        ([0.0, 0.0], [[1.0], [1.0, 2.0]], "base T"),
+        ([[0.0], [0.0, 1.0]], [[1.0], [1.0]], "base h"),
+    ], ids=["T", "h"])
+    def test_ragged_base_data_is_named(self, h, T, field):
+        two_rows = RecourseModel(
+            c=np.array([1.0]), A=np.array([[1.0]]), b=np.array([10.0]), senses=("<=",),
+            W=np.eye(2), q=np.ones(2), recourse_senses=(">=", ">="))
+        with pytest.raises(ValidationError, match=field + " is not a rectangular array"):
+            UniformRhsSpace(two_rows, h, T, 0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("mu, sigma, field", [
+        ((0.0, 0.0), ((1.0, 0.0), (0.0,)), "covariance sigma"),
+        (((0.0,), (0.0, 1.0)), np.eye(2), "mean mu"),
+    ], ids=["sigma", "mu"])
+    def test_ragged_gaussian_parameters_are_named(self, mu, sigma, field):
+        entries = (TechEntry(0, 0, 0), TechEntry(0, 1, 1))
+        with pytest.raises(ValidationError, match=field + " is not a rectangular array"):
+            GaussianTechnologySpace(gaussian_model(), (0.0,), ((0.0, 0.0, 1.0),), entries,
+                                    mu, sigma, seed=1, pool_size=10)
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ValidationError, match="seed must be nonnegative, got -5"):
             self.gaussian(seed=-5)
