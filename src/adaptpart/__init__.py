@@ -21,13 +21,13 @@ from .model import (Realization, RecourseModel, build_aggregated_master,
 from .refiners import (DualClusteringRefiner, HyperplaneRefiner, RangingRefiner,
                        RefineContext, Refiner, refiner_by_name, rhs_dual_breakpoints)
 from .reporting import iteration_csv_text, partition_trace, run_summary, write_run_report
-from .spaces import (Cell, DiscreteSpace, GaussianTechnologySpace, TechEntry,
-                     UncertaintySpace, UniformRhsSpace)
+from .spaces import (Cell, DiscreteSpace, GaussianTechnologySpace, UncertaintySpace,
+                     UniformRhsSpace)
 
 __all__ = [
     "AdaptPartError", "RecourseViolation", "SolverFailure", "ValidationError",
     "Cell", "UncertaintySpace", "DiscreteSpace", "UniformRhsSpace",
-    "GaussianTechnologySpace", "TechEntry",
+    "GaussianTechnologySpace",
     "RecourseModel", "Realization",
     "build_aggregated_master", "evaluate_subproblem",
     "Refiner", "RefineContext", "DualClusteringRefiner", "RangingRefiner",

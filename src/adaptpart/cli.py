@@ -13,6 +13,7 @@ from .errors import AdaptPartError
 from .model import build_aggregated_master
 from .refiners import refiner_by_name
 from .reporting import partition_trace_json, run_summary, write_run_report
+from .spaces import DiscreteSpace
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -56,7 +57,7 @@ def cmd_run(args) -> int:
     model = instances.document_to_model(doc)
     space = instances.document_to_space(doc, model, seed=args.seed,
                                         pool_size=args.mc_pool)
-    if args.oracle and space.kind != "discrete":
+    if args.oracle and not isinstance(space, DiscreteSpace):
         print("--oracle requires a discrete instance", file=sys.stderr)
         return EXIT_ERROR
     config = SolverConfig(epsilon=args.epsilon, max_iterations=args.max_iters)

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import RecourseModel
-from .spaces import (DEFAULT_POOL_SIZE, DiscreteSpace, GaussianTechnologySpace, TechEntry,
+from .spaces import (DEFAULT_POOL_SIZE, DiscreteSpace, GaussianTechnologySpace,
                      UncertaintySpace, UniformRhsSpace)
 
 
@@ -124,9 +124,14 @@ def _validate_dimensions(doc: dict) -> None:
             raise ValidationError(f"instance field uncertainty.parameters.h_base: expected {m} entries")
         if len(p["T_base"]) != m or any(len(r) != n1 for r in p["T_base"]):
             raise ValidationError(f"instance field uncertainty.parameters.T_base: expected {m}x{n1}")
+        seen = set()
         for t, e in enumerate(p["entries"]):
             if not (e["row"] < m and e["col"] < n1 and e["component"] < d):
                 raise ValidationError(f"instance field uncertainty.parameters.entries.{t}: out of range")
+            if (e["row"], e["col"]) in seen:
+                raise ValidationError(f"instance field uncertainty.parameters.entries.{t}: two "
+                                      f"technology entries set T[{e['row']}, {e['col']}]")
+            seen.add((e["row"], e["col"]))
         if "cvar" in p and not p["cvar"]["tau_col"] < n1:
             raise ValidationError("instance field uncertainty.parameters.cvar.tau_col: out of range")
 
@@ -178,12 +183,17 @@ def document_to_space(doc: dict, model: RecourseModel, seed: int | None = None,
     if use_seed is None:
         raise ValidationError("gaussian uncertainty needs a seed (document or --seed)")
     use_pool = pool_size if pool_size is not None else p.get("pool_size", DEFAULT_POOL_SIZE)
-    entries = [TechEntry(int(e["row"]), int(e["col"]), int(e["component"]),
-                         float(e.get("scale", 1.0))) for e in p["entries"]]
     if "cvar" in p:
         _check_tail_loss(model.W, model.q, model.recourse_senses, float(p["cvar"]["delta"]))
-    return GaussianTechnologySpace(model, p["h_base"], p["T_base"], entries, p["mu"],
-                                   p["sigma"], int(use_seed), int(use_pool))
+    # each entry T[row, col] = scale * xi[component] replaces its base value
+    T0 = np.array(p["T_base"], dtype=float)
+    Tk = np.zeros(T0.shape + (len(p["mu"]),))
+    for e in p["entries"]:
+        row, col = int(e["row"]), int(e["col"])
+        T0[row, col] = 0.0
+        Tk[row, col, int(e["component"])] = float(e.get("scale", 1.0))
+    return GaussianTechnologySpace(model, p["h_base"], T0, Tk, p["mu"], p["sigma"],
+                                   int(use_seed), int(use_pool))
 
 
 def _check_tail_loss(W, q, senses, delta: float) -> None:

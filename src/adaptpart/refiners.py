@@ -147,7 +147,7 @@ class DualClusteringRefiner(Refiner):
         cells = []
         for cell in ctx.partition:
             indices = cell.geometry.indices
-            if len(indices) > 1:
+            if indices.size > 1:
                 _, _, outs = ctx.atomized(cell)
                 groups = group_scenarios_by_dual(indices, [o.duals for o in outs])
                 if len(groups) > 1:
@@ -161,14 +161,14 @@ class DualClusteringRefiner(Refiner):
         order, from the members' solves that refine reads too.  A zero-weight
         scenario adds nothing, and no cell may hold it (a zero-mass group is
         dropped when its cell splits), so it is skipped."""
-        values = {}
+        values = np.full(ctx.space.weights.size, np.nan)
         for cell in ctx.partition:
             _, _, outs = ctx.atomized(cell)
-            values.update(zip(cell.geometry.indices, (o.objective for o in outs)))
+            values[cell.geometry.indices] = [o.objective for o in outs]
         value = float(ctx.model.c @ ctx.x_bar)
-        for s, w in enumerate(ctx.space.weights):
+        for w, v in zip(ctx.space.weights.tolist(), values.tolist()):
             if w > 0.0:
-                value += float(w) * values[s]
+                value += w * v
         return value
 
 
@@ -237,13 +237,13 @@ class RangingRefiner(Refiner):
 
 def dual_switch_hyperplanes(space: GaussianTechnologySpace,
                             x_bar: np.ndarray) -> list[tuple[np.ndarray, float]]:
-    """One pair (a, d0) per recourse row carrying random technology entries,
-    such that the row's subproblem rhs at the incumbent is d0 - a.xi under
-    T(xi) = T0 + Tk @ xi.  The hyperplane a.xi = d0 is where that rhs
-    crosses zero, which is where the row's optimal dual switches value; a
-    zero normal is kept."""
+    """One pair (a, d0) per recourse row, such that the row's subproblem rhs
+    at the incumbent is d0 - a.xi under T(xi) = T0 + Tk @ xi.  The
+    hyperplane a.xi = d0 is where that rhs crosses zero, which is where the
+    row's optimal dual switches value; a zero normal (a row with no random
+    entry, or an incumbent orthogonal to it) is kept and splits nothing."""
     return [(x_bar @ space.Tk[row], float(space.h_base[row] - space.T0[row] @ x_bar))
-            for row in sorted({e.row for e in space.entries})]
+            for row in range(space.h_base.size)]
 
 
 class HyperplaneRefiner(Refiner):

@@ -1,9 +1,10 @@
 """Uncertainty spaces and partitions of their support.
 
 Each space owns the random data of its backend: the realizations h(xi),
-T(xi) and whatever maps xi onto them (a random rhs row, technology
-entries).  The RecourseModel it is built against holds only the
-fixed-recourse program the space's data must fit.
+T(xi) and whatever maps xi onto them (a random rhs row, the affine
+technology map T0 + Tk @ xi).  The RecourseModel it is built against holds
+only the fixed-recourse program the space's data must fit.  The members of
+a finite-member space (scenarios, pool draws) are indices into its arrays.
 
 A partition is a tuple of disjoint cells covering the support.  Each cell
 caches its probability mass and the conditional means of (h, T); discrete and
@@ -30,16 +31,6 @@ MONTE_CARLO = "monte-carlo"
 DEFAULT_POOL_SIZE = 100_000
 
 
-@dataclass(frozen=True)
-class TechEntry:
-    """One random technology-matrix entry: T[row, col] = scale * xi[component]."""
-
-    row: int
-    col: int
-    component: int
-    scale: float = 1.0
-
-
 def _base_data(model: RecourseModel, h, T) -> tuple[np.ndarray, np.ndarray]:
     """(h, T) as float arrays shaped (m,) and (m, n1) for `model`."""
     h = np.atleast_1d(float_array("base h", h))
@@ -54,11 +45,11 @@ def _base_data(model: RecourseModel, h, T) -> tuple[np.ndarray, np.ndarray]:
 
 # ---------------------------------------------------------------- geometries
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioSet:
-    """Cell of a discrete space: a subset of scenario indices."""
+    """Cell of a discrete space: its scenario indices, a sorted int array."""
 
-    indices: tuple[int, ...]
+    indices: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -157,38 +148,35 @@ class DiscreteSpace(UncertaintySpace):
         self.weights, self.hs, self.Ts = weights, hs, Ts
         self.realizations = [Realization(h, T) for h, T in zip(hs, Ts)]
 
-    def _make_cell(self, label: str, indices: tuple[int, ...]) -> Cell | None:
-        idx = np.asarray(indices, dtype=int)
+    def _make_cell(self, label: str, idx: np.ndarray) -> Cell | None:
         w = self.weights[idx]
         mass = float(w.sum())
         if mass <= 0.0:
             return None
         h_mean = (w @ self.hs[idx]) / mass
         t_mean = np.tensordot(w, self.Ts[idx], axes=(0, 0)) / mass
-        return Cell(label, ScenarioSet(tuple(int(i) for i in idx)), mass, h_mean, t_mean,
-                    EXACT, len(indices))
+        return Cell(label, ScenarioSet(idx), mass, h_mean, t_mean, EXACT, idx.size)
 
     def trivial_partition(self) -> tuple[Cell, ...]:
-        return (self._make_cell("0", tuple(range(self.weights.size))),)
+        return (self._make_cell("0", np.arange(self.weights.size)),)
 
     def _split(self, cell: Cell, groups) -> list[Cell]:
         """One child per group of scenario indices; the groups must
         partition the cell's scenarios."""
-        parent = set(cell.geometry.indices)
-        flat = [i for g in groups for i in g]
-        if set(flat) != parent or len(flat) != len(parent):
+        groups = [np.sort(np.asarray(g, dtype=np.intp)) for g in groups]
+        flat = np.sort(np.concatenate([np.empty(0, np.intp), *groups]))
+        if not np.array_equal(flat, cell.geometry.indices):
             raise ValidationError("groups must partition the cell's scenario set")
-        children = (self._make_cell(f"{cell.label}.{t}", tuple(sorted(group)))
-                    for t, group in enumerate(groups))
+        children = (self._make_cell(f"{cell.label}.{t}", g) for t, g in enumerate(groups))
         return [c for c in children if c is not None]
 
     def cell_samples(self, cell: Cell, cap: int):
-        idx = list(cell.geometry.indices)
+        idx = cell.geometry.indices
         w = self.weights[idx]
-        return w / w.sum(), [self.realizations[i] for i in idx]
+        return w / w.sum(), [self.realizations[i] for i in idx.tolist()]
 
     def cell_report(self, cell: Cell) -> dict:
-        return {"geometry": {"type": "scenarios", "indices": list(cell.geometry.indices)},
+        return {"geometry": {"type": "scenarios", "indices": cell.geometry.indices.tolist()},
                 "h_mean": [float(v) for v in cell.h_mean]}
 
 
@@ -261,10 +249,9 @@ class UniformRhsSpace(UncertaintySpace):
 # ------------------------------------------------- Gaussian technology matrix
 
 class GaussianTechnologySpace(UncertaintySpace):
-    """Multivariate normal random vector feeding technology-matrix entries:
-    h is `h_base`, and T is `T_base` with each of `entries` replaced by its
-    scaled component of xi (one entry per (row, col)), which the space keeps
-    as the affine map T(xi) = T0 + Tk @ xi.
+    """Multivariate normal random vector xi ~ N(mu, sigma) feeding the
+    technology matrix through the affine map T(xi) = T0 + Tk @ xi, with T0
+    shaped (m, n1) and Tk (m, n1, d); h is `h_base`.
 
     Masses and conditional means are estimated over a fixed pool of
     `pool_size` common-random-numbers samples drawn once at construction; the
@@ -274,13 +261,13 @@ class GaussianTechnologySpace(UncertaintySpace):
 
     kind = "gaussian_technology"
 
-    def __init__(self, model: RecourseModel, h_base, T_base, entries, mu, sigma, seed: int,
+    def __init__(self, model: RecourseModel, h_base, T0, Tk, mu, sigma, seed: int,
                  pool_size: int = DEFAULT_POOL_SIZE):
         if seed is None:
             raise ValidationError("a seed is required for the sample pool")
         if seed < 0:
             raise ValidationError(f"the sample pool seed must be nonnegative, got {seed}")
-        self.h_base, T_base = _base_data(model, h_base, T_base)
+        self.h_base, self.T0 = _base_data(model, h_base, T0)
         mu = np.atleast_1d(float_array("mean mu", mu))
         sigma = np.atleast_2d(float_array("covariance sigma", sigma))
         d = mu.size
@@ -295,23 +282,14 @@ class GaussianTechnologySpace(UncertaintySpace):
         evals, evecs = np.linalg.eigh(sigma)
         if evals.min(initial=0.0) < -1e-9 * max(1.0, evals.max(initial=0.0)):
             raise ValidationError("covariance must be positive semidefinite")
-        entries = tuple(entries)
-        if not entries:
-            raise ValidationError("space declares no random technology entries")
-        self.T0 = T_base.copy()
-        self.Tk = np.zeros(T_base.shape + (d,))
-        for entry in entries:
-            if not (0 <= entry.row < model.m and 0 <= entry.col < model.n_first):
-                raise ValidationError(f"technology entry {entry} out of range")
-            if not 0 <= entry.component < d:
-                raise ValidationError(f"entry component {entry.component} out of range")
-            self.T0[entry.row, entry.col] = 0.0
-            self.Tk[entry.row, entry.col, entry.component] = entry.scale
-        if len({(e.row, e.col) for e in entries}) < len(entries):
-            raise ValidationError("two technology entries set the same T[row, col]")
+        self.Tk = float_array("technology map Tk", Tk)
+        if self.Tk.shape != self.T0.shape + (d,):
+            raise ValidationError(f"technology map Tk {self.Tk.shape} does not match the "
+                                  f"model's and the mean's {self.T0.shape + (d,)}")
+        if not np.isfinite(self.Tk).all():
+            raise ValidationError("technology map Tk entries must be finite")
         if pool_size < 2:
             raise ValidationError("pool size must be at least 2")
-        self.entries = entries
         self.pool_size = int(pool_size)
         root = evecs @ np.diag(np.sqrt(np.clip(evals, 0.0, None))) @ evecs.T
         rng = np.random.default_rng(int(seed))

@@ -49,6 +49,15 @@ def random_discrete_space(rng: np.random.Generator, model: RecourseModel, T_base
     return DiscreteSpace(model, weights, hs, Ts)
 
 
+def portfolio_map(dim: int = 2):
+    """(T0, Tk) of the tail-loss row T(xi) = [xi_0, ..., xi_{dim-1}, 1]: the
+    random returns on the portfolio columns, 1 on the threshold column."""
+    T0 = np.array([[0.0] * dim + [1.0]])
+    Tk = np.zeros((1, dim + 1, dim))
+    Tk[0, np.arange(dim), np.arange(dim)] = 1.0
+    return T0, Tk
+
+
 def random_first_stage_point(rng: np.random.Generator, model: RecourseModel) -> np.ndarray:
     """A random point of the first-stage feasible box scaled under the budget
     row (the generator's X is {0 <= x <= u, sum x <= b})."""

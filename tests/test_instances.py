@@ -53,6 +53,10 @@ DIMENSION_ERRORS = {
                         "uncertainty.parameters.T_base"),
     "entry": (_small_cvar, lambda fs, rc, p: p["entries"][1].update(component=2),
               "uncertainty.parameters.entries.1"),
+    "duplicate entry": (_small_cvar,
+                        lambda fs, rc, p: p["entries"].append({"row": 0, "col": 1,
+                                                               "component": 0}),
+                        "uncertainty.parameters.entries.2"),
     "tau_col": (_small_cvar, lambda fs, rc, p: p["cvar"].update(tau_col=3),
                 "uncertainty.parameters.cvar.tau_col"),
 }
@@ -266,6 +270,18 @@ class TestPortfolioDocument:
         model = document_to_model(doc)
         space = document_to_space(doc, model)
         assert space.pool.shape == (100_000, 2)
+
+    def test_entries_build_the_technology_map(self):
+        # each entry zeroes its cell of T_base and puts its scale on its component
+        doc = cvar_document(pool_size=10)
+        params = doc["uncertainty"]["parameters"]
+        params["T_base"] = [[0.5, 0.3, 1.0]]
+        params["entries"] = [{"row": 0, "col": 1, "component": 0, "scale": -2.0},
+                             {"row": 0, "col": 0, "component": 1}]
+        space = document_to_space(doc, document_to_model(doc))
+        npt.assert_array_equal(space.T0, [[0.0, 0.0, 1.0]])
+        npt.assert_array_equal(space.Tk, [[[0.0, 1.0], [-2.0, 0.0], [0.0, 0.0]]])
+        assert params["T_base"] == [[0.5, 0.3, 1.0]]
 
     def test_seed_is_required_for_sampling(self):
         doc = cvar_document()

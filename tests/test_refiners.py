@@ -18,10 +18,9 @@ from adaptpart.refiners import (DualClusteringRefiner, HyperplaneRefiner,
                                 RangingRefiner, RefineContext,
                                 dual_switch_hyperplanes, group_scenarios_by_dual,
                                 refiner_by_name, rhs_dual_breakpoints)
-from adaptpart.spaces import (DiscreteSpace, GaussianTechnologySpace, TechEntry,
-                              UniformRhsSpace)
+from adaptpart.spaces import DiscreteSpace, GaussianTechnologySpace, UniformRhsSpace
 
-from _generators import (random_discrete_space, random_first_stage_point,
+from _generators import (portfolio_map, random_discrete_space, random_first_stage_point,
                          random_recourse_model)
 from _oracles import grid_dual_breakpoints
 
@@ -359,8 +358,7 @@ class TestHyperplane:
             x_lower=np.array([0.0, 0.0, -np.inf]))
 
     def cvar_like_space(self, model, mu, sigma, seed, pool_size):
-        entries = tuple(TechEntry(0, j, j, 1.0) for j in range(2))
-        return GaussianTechnologySpace(model, np.zeros(1), [[0.0, 0.0, 1.0]], entries,
+        return GaussianTechnologySpace(model, np.zeros(1), *portfolio_map(),
                                        mu, sigma, seed=seed, pool_size=pool_size)
 
     def test_cut_geometry_from_incumbent(self):
@@ -436,6 +434,32 @@ class TestHyperplane:
         for xi in space.pool[:50]:
             real = space.realization_at(xi)
             assert float(real.h[0] - real.T[0] @ x_bar) == pytest.approx(d0 - a @ xi, abs=1e-12)
+        # a second recourse row with no random entry: its cut has a zero
+        # normal and splits nothing, and the random row's cut is unchanged
+        del params["cvar"]
+        doc["recourse"] = {"W": [[1.0, 0.0], [0.0, 1.0]], "q": [10.0, 1.0],
+                           "senses": [">=", ">="]}
+        params["h_base"] = [0.0, 0.25]
+        params["T_base"] = [[0.5, 0.3, 1.0], [0.2, -0.4, 0.0]]
+        model = document_to_model(doc)
+        space = document_to_space(doc, model)
+        (a0, d00), (a1, d01) = dual_switch_hyperplanes(space, x_bar)
+        npt.assert_array_equal(a0, a)
+        assert d00 == d0
+        npt.assert_array_equal(a1, np.zeros(2))
+        assert d01 == pytest.approx(0.25 - (0.2 * 0.4 - 0.4 * 0.6), abs=1e-15)
+        for xi in space.pool[:50]:
+            real = space.realization_at(xi)
+            rhs = real.h - real.T @ x_bar
+            assert float(rhs[0]) == pytest.approx(d00 - a0 @ xi, abs=1e-12)
+            assert float(rhs[1]) == pytest.approx(d01, abs=1e-12)
+        cell, = space.trivial_partition()
+        assert space.split_cell(cell, a1, d01, space.pool @ a1 <= d01) == (cell,)
+        part = HyperplaneRefiner().refine(context_for(model, space, x_bar))
+        assert len(part) == 2
+        for kid in part:
+            (normal, _), = kid.geometry.halfspaces
+            npt.assert_array_equal(np.abs(normal), np.abs(a0))
 
     def test_two_entries_on_one_matrix_entry_are_rejected(self):
         # the realization would keep the last entry, the cut would add both
@@ -445,9 +469,8 @@ class TestHyperplane:
         params["entries"] = [{"row": 0, "col": 0, "component": 0},
                              {"row": 0, "col": 0, "component": 1},
                              {"row": 0, "col": 1, "component": 1}]
-        model = document_to_model(doc)
         with pytest.raises(ValidationError, match="two technology entries"):
-            document_to_space(doc, model)
+            document_to_model(doc)
 
     def test_zero_direction_is_identity(self):
         model = self.cvar_like_model()

@@ -5,11 +5,11 @@ import numpy.testing as npt
 import pytest
 
 from adaptpart.errors import ValidationError
+from adaptpart.instances import cvar_document, validate_document
 from adaptpart.model import RecourseModel
-from adaptpart.spaces import (DiscreteSpace, GaussianTechnologySpace, TechEntry,
-                              UniformRhsSpace)
+from adaptpart.spaces import DiscreteSpace, GaussianTechnologySpace, UniformRhsSpace
 
-from _generators import random_discrete_space, random_recourse_model
+from _generators import portfolio_map, random_discrete_space, random_recourse_model
 from _oracles import trapezoid_integral
 
 
@@ -31,9 +31,8 @@ def gaussian_model(dim: int = 2) -> RecourseModel:
 
 
 def gaussian_space(mu, sigma, seed, pool_size=100_000, dim: int = 2) -> GaussianTechnologySpace:
-    entries = tuple(TechEntry(0, j, j, 1.0) for j in range(dim))
-    return GaussianTechnologySpace(gaussian_model(dim), np.zeros(1), [[0.0] * dim + [1.0]],
-                                   entries, mu, sigma, seed=seed, pool_size=pool_size)
+    return GaussianTechnologySpace(gaussian_model(dim), np.zeros(1), *portfolio_map(dim),
+                                   mu, sigma, seed=seed, pool_size=pool_size)
 
 
 def cut(space, cell, normal, offset):
@@ -65,6 +64,24 @@ class TestDiscrete:
         cell, = space.trivial_partition()
         with pytest.raises(ValidationError):
             space.split_cell(cell, ((0, 1), (2,)))
+
+    @pytest.mark.parametrize("groups", [
+        ((0, 2), (2, 4)),
+        ((0, 0, 2), (4,)),
+        ((0, 2), (1, 4)),
+        (),
+    ], ids=["repeat-across", "repeat-within", "foreign-member", "no-group"])
+    def test_groups_must_partition_the_cell(self, groups):
+        rng = np.random.default_rng(2)
+        model, T = random_recourse_model(rng)
+        space = random_discrete_space(rng, model, T, n_scenarios=6)
+        cell, _ = space.split_cell(space.trivial_partition()[0], ((0, 2, 4), (1, 3, 5)))
+        with pytest.raises(ValidationError, match="groups must partition the cell's scenario set"):
+            space.split_cell(cell, groups)
+        kids = space.split_cell(cell, ((4, 0), (2,)))
+        for kid, expected in zip(kids, ([0, 4], [2])):
+            assert kid.geometry.indices.dtype.kind == "i"
+            npt.assert_array_equal(kid.geometry.indices, expected)
 
     def test_single_group_is_identity(self):
         rng = np.random.default_rng(3)
@@ -245,20 +262,42 @@ class TestBaseDataChecks:
     fixed-recourse program it is built against (m = 1, n1 = 3 here)."""
 
     @staticmethod
-    def gaussian(model=None, h=(0.0,), T=((0.0, 0.0, 1.0),), entries=None, seed=1):
-        entries = entries if entries is not None else (TechEntry(0, 0, 0), TechEntry(0, 1, 1))
-        return GaussianTechnologySpace(model or gaussian_model(), h, T, entries, np.zeros(2),
+    def gaussian(model=None, h=(0.0,), T=((0.0, 0.0, 1.0),), Tk=None, seed=1):
+        Tk = portfolio_map()[1] if Tk is None else Tk
+        return GaussianTechnologySpace(model or gaussian_model(), h, T, Tk, np.zeros(2),
                                        np.eye(2), seed=seed, pool_size=10)
 
     @pytest.mark.parametrize("entry, message", [
-        (TechEntry(1, 0, 0), "technology entry"),
-        (TechEntry(-1, 0, 0), "technology entry"),
-        (TechEntry(0, 3, 0), "technology entry"),
-        (TechEntry(0, 0, 2), "entry component 2"),
+        ({"row": 1, "col": 0, "component": 0}, r"entries\.0: out of range"),
+        ({"row": -1, "col": 0, "component": 0}, r"entries\.0\.row: -1 is less than the minimum"),
+        ({"row": 0, "col": 3, "component": 0}, r"entries\.0: out of range"),
+        ({"row": 0, "col": 0, "component": 2}, r"entries\.0: out of range"),
     ], ids=["row", "negative-row", "col", "component"])
     def test_technology_entry_out_of_range(self, entry, message):
-        with pytest.raises(ValidationError, match=message + ".* out of range"):
-            self.gaussian(entries=(entry,))
+        # entries are checked in the document (m = 1, n1 = 3, d = 2 here); the
+        # space takes the map (T0, Tk) they build
+        doc = cvar_document(pool_size=10)
+        doc["uncertainty"]["parameters"]["entries"] = [entry]
+        with pytest.raises(ValidationError, match=message):
+            validate_document(doc)
+
+    @pytest.mark.parametrize("Tk, message", [
+        (np.zeros((2, 3, 2)), r"Tk \(2, 3, 2\) does not match the model's and the mean's "
+                              r"\(1, 3, 2\)"),
+        (np.zeros((1, 4, 2)), r"Tk \(1, 4, 2\) does not match"),
+        (np.zeros((1, 3, 3)), r"Tk \(1, 3, 3\) does not match"),
+        (np.zeros((1, 3)), r"Tk \(1, 3\) does not match"),
+        (np.full((1, 3, 2), np.nan), "technology map Tk entries must be finite"),
+        (np.full((1, 3, 2), np.inf), "technology map Tk entries must be finite"),
+        ([[[0.0, 1.0], [0.0]]], "technology map Tk is not a rectangular array"),
+    ], ids=["rows", "columns", "components", "no-component-axis", "nan", "inf", "ragged"])
+    def test_technology_map_must_fit(self, Tk, message):
+        with pytest.raises(ValidationError, match=message):
+            self.gaussian(Tk=Tk)
+
+    def test_deterministic_technology_map_is_accepted(self):
+        space = self.gaussian(Tk=np.zeros((1, 3, 2)))
+        npt.assert_array_equal(space.realization_at(space.pool[0]).T, [[0.0, 0.0, 1.0]])
 
     @pytest.mark.parametrize("row", [1, -1])
     def test_random_rhs_row_out_of_range(self, row):
@@ -314,12 +353,14 @@ class TestBaseDataChecks:
             interval_space(lo, hi)
 
     def test_gaussian_needs_entries_and_a_pool(self):
-        with pytest.raises(ValidationError, match="declares no random technology entries"):
-            self.gaussian(entries=())
+        doc = cvar_document(pool_size=10)
+        doc["uncertainty"]["parameters"]["entries"] = []
+        with pytest.raises(ValidationError, match=r"uncertainty\.parameters\.entries: "
+                                                  r"\[\] should be non-empty"):
+            validate_document(doc)
         with pytest.raises(ValidationError, match="pool size must be at least 2"):
-            GaussianTechnologySpace(gaussian_model(), (0.0,), ((0.0, 0.0, 1.0),),
-                                    (TechEntry(0, 0, 0),), np.zeros(2), np.eye(2), seed=1,
-                                    pool_size=1)
+            GaussianTechnologySpace(gaussian_model(), (0.0,), *portfolio_map(), np.zeros(2),
+                                    np.eye(2), seed=1, pool_size=1)
 
     @pytest.mark.parametrize("lo, hi", [(-np.inf, 7.0), (3.0, np.inf), (np.nan, 7.0)])
     def test_interval_support_must_be_finite(self, lo, hi):
@@ -333,9 +374,8 @@ class TestBaseDataChecks:
         ((0.0, 0.0), ((1.0, 0.0), (0.0, np.inf)), "covariance sigma"),
     ], ids=["mu", "sigma"])
     def test_gaussian_parameters_must_be_finite(self, mu, sigma, message):
-        entries = (TechEntry(0, 0, 0), TechEntry(0, 1, 1))
         with pytest.raises(ValidationError, match=message + " entries must be finite"):
-            GaussianTechnologySpace(gaussian_model(), (0.0,), ((0.0, 0.0, 1.0),), entries,
+            GaussianTechnologySpace(gaussian_model(), (0.0,), *portfolio_map(),
                                     mu, sigma, seed=1, pool_size=10)
 
     @pytest.mark.parametrize("h, T, field", [
@@ -354,9 +394,8 @@ class TestBaseDataChecks:
         (((0.0,), (0.0, 1.0)), np.eye(2), "mean mu"),
     ], ids=["sigma", "mu"])
     def test_ragged_gaussian_parameters_are_named(self, mu, sigma, field):
-        entries = (TechEntry(0, 0, 0), TechEntry(0, 1, 1))
         with pytest.raises(ValidationError, match=field + " is not a rectangular array"):
-            GaussianTechnologySpace(gaussian_model(), (0.0,), ((0.0, 0.0, 1.0),), entries,
+            GaussianTechnologySpace(gaussian_model(), (0.0,), *portfolio_map(),
                                     mu, sigma, seed=1, pool_size=10)
 
     def test_negative_seed_rejected(self):
