@@ -10,7 +10,7 @@ refines cells guided by subproblem duals until the bounds meet.
 
 from .engine import (CONDITIONS, GAP, ITERATION_LIMIT, STABILIZED,
                      IterationRecord, SolveResult, SolverConfig,
-                     check_conditions, compute_upper_bound, relative_gap, run)
+                     check_conditions, relative_gap, run)
 from .errors import (AdaptPartError, RecourseViolation, SolverFailure,
                      ValidationError)
 from .instances import (cvar_document, document_to_model, document_to_space,
@@ -33,7 +33,7 @@ __all__ = [
     "Refiner", "RefineContext", "DualClusteringRefiner", "RangingRefiner",
     "HyperplaneRefiner", "refiner_by_name", "rhs_dual_breakpoints",
     "SolverConfig", "SolveResult", "IterationRecord", "run", "check_conditions",
-    "compute_upper_bound", "relative_gap",
+    "relative_gap",
     "GAP", "CONDITIONS", "STABILIZED", "ITERATION_LIMIT",
     "lands_document", "cvar_document", "document_to_model", "document_to_space",
     "load_document", "write_document", "validate_document",

@@ -97,8 +97,8 @@ def check_conditions(weights, hs, techs, duals, x_bar, tol: float) -> bool:
 
 def compute_upper_bound(refiner: Refiner, ctx: RefineContext) -> float | None:
     """Exact expected cost of the incumbent ctx.x_bar by the refiner's rule
-    (see Refiner.upper_bound); None when the backend has no rule for this
-    model."""
+    (see Refiner.upper_bound), or None.  A pass-through, not exported, kept
+    so that the benchmark's tracer can time the bound under this name."""
     return refiner.upper_bound(ctx)
 
 
@@ -106,8 +106,8 @@ def _conditions_hold(ctx: RefineContext) -> bool:
     """The optimality conditions on every cell.  cell_samples gives a
     Monte-Carlo cell at most CONDITION_SAMPLE_CAP of its members, so a cell
     with more cannot be checked in full: it fails before any member solve."""
-    if any(c.estimate == MONTE_CARLO and c.sample_count > CONDITION_SAMPLE_CAP
-           for c in ctx.partition):
+    if ctx.space.estimate == MONTE_CARLO and any(
+            c.sample_count > CONDITION_SAMPLE_CAP for c in ctx.partition):
         return False
     for cell in ctx.partition:
         weights, reals, outs = ctx.atomized(cell)

@@ -7,8 +7,8 @@ recourse dual switches.  Each hands its space plain split arguments per
 cell, builds the refined partition (a tuple of cells) once from the
 children in cell order, and returns the same tuple object when nothing
 splits.  Each also carries its backend's exact upper bound rule, which
-reads the member solves and the breakpoint sweep of the same RefineContext
-as the split.
+reads what the split reads (member solves, the breakpoint sweep, the pool
+projections) from the memo of the same RefineContext.
 """
 from __future__ import annotations
 
@@ -32,10 +32,10 @@ class RefineContext:
     """What a refiner may consult at one iteration: the incumbent and the
     partition it was computed on.
 
-    Member solves, the breakpoint sweep and the pool projections are
-    cached, so the upper bound, the refiner and the condition check share
-    them; every recourse LP goes through `bases`, the run's BasisCache (see
-    evaluate_subproblem).
+    The upper bound, the refiner and the condition check share `memo`: the
+    member solves of each cell (keyed by the cell) and whatever else the
+    backend's refiner keeps for the iteration.  Every recourse LP goes
+    through `bases`, the run's BasisCache (see evaluate_subproblem).
     """
 
     model: RecourseModel
@@ -43,37 +43,17 @@ class RefineContext:
     partition: tuple[Cell, ...]
     x_bar: np.ndarray
     bases: lplib.BasisCache | None = None
-    _atoms: dict = field(default_factory=dict, repr=False)
-    _points: tuple | None = field(default=None, repr=False)
-    _cuts: tuple | None = field(default=None, repr=False)
+    memo: dict = field(default_factory=dict, repr=False)
 
     def atomized(self, cell: Cell):
         """(weights, realizations, solutions) for one cell's members at the
         incumbent, one evaluate_subproblem LpSolution per member; weights
         are cell-conditional and sum to one."""
-        if cell not in self._atoms:
+        if cell not in self.memo:
             weights, reals = self.space.cell_samples(cell, CONDITION_SAMPLE_CAP)
             outs = [evaluate_subproblem(self.model, self.x_bar, r, self.bases) for r in reals]
-            self._atoms[cell] = (weights, reals, outs)
-        return self._atoms[cell]
-
-    def breakpoints(self) -> tuple[float, ...]:
-        """The interior dual breakpoints of an interval space's support at
-        the incumbent, from one rhs_dual_breakpoints sweep."""
-        if self._points is None:
-            self._points = tuple(rhs_dual_breakpoints(self.model, self.space, self.x_bar,
-                                                      self.bases))
-        return self._points
-
-    def cuts(self) -> tuple:
-        """(a, d0, pool @ a) for each dual-switch hyperplane a.xi = d0 of a
-        Gaussian space at the incumbent: one projection of the pool per cut,
-        shared by the upper bound and the split."""
-        if self._cuts is None:
-            pool = self.space.pool
-            self._cuts = tuple((a, d0, pool @ a) for a, d0 in
-                               dual_switch_hyperplanes(self.space, self.x_bar))
-        return self._cuts
+            self.memo[cell] = (weights, reals, outs)
+        return self.memo[cell]
 
 
 class Refiner(ABC):
@@ -85,7 +65,7 @@ class Refiner(ABC):
     def check(self, space: UncertaintySpace) -> None:
         if not isinstance(space, self.space_type):
             raise ValidationError(
-                f"{type(self).__name__} does not support {space.kind} spaces")
+                f"{type(self).__name__} does not support {type(space).__name__}")
 
     @abstractmethod
     def refine(self, ctx: RefineContext) -> tuple[Cell, ...]:
@@ -214,15 +194,22 @@ class RangingRefiner(Refiner):
 
     space_type = UniformRhsSpace
 
+    def _breakpoints(self, ctx: RefineContext) -> tuple[float, ...]:
+        """The support's interior dual breakpoints at the incumbent, one sweep per iteration."""
+        if "breakpoints" not in ctx.memo:
+            sweep = rhs_dual_breakpoints(ctx.model, ctx.space, ctx.x_bar, ctx.bases)
+            ctx.memo["breakpoints"] = tuple(sweep)
+        return ctx.memo["breakpoints"]
+
     def refine(self, ctx: RefineContext) -> tuple[Cell, ...]:
-        points = ctx.breakpoints()
+        points = self._breakpoints(ctx)
         cells = [c for cell in ctx.partition for c in ctx.space.split_cell(cell, points)]
         return _refined(ctx.partition, cells)
 
     def upper_bound(self, ctx):
         """Closed-form integration of the piecewise linear recourse value."""
         model, space, x_bar = ctx.model, ctx.space, ctx.x_bar
-        edges = [space.lo, *ctx.breakpoints(), space.hi]
+        edges = [space.lo, *self._breakpoints(ctx), space.hi]
         expected = 0.0
         # the recourse value is linear on each segment, so the midpoint
         # rule integrates it exactly against the uniform density
@@ -241,21 +228,31 @@ def dual_switch_hyperplanes(space: GaussianTechnologySpace,
     at the incumbent is d0 - a.xi under T(xi) = T0 + Tk @ xi.  The
     hyperplane a.xi = d0 is where that rhs crosses zero, which is where the
     row's optimal dual switches value; a zero normal (a row with no random
-    entry, or an incumbent orthogonal to it) is kept and splits nothing."""
+    entry, or an incumbent orthogonal to it) is kept."""
     return [(x_bar @ space.Tk[row], float(space.h_base[row] - space.T0[row] @ x_bar))
             for row in range(space.h_base.size)]
 
 
 class HyperplaneRefiner(Refiner):
     """Cut every region cell along the dual-switch hyperplane(s) of the
-    incumbent; one-sided cells (every cell, for a zero normal) pass through
-    unchanged."""
+    incumbent; one-sided cells pass through unchanged, and a cut with a zero
+    normal is skipped."""
 
     space_type = GaussianTechnologySpace
 
+    def _cuts(self, ctx: RefineContext) -> tuple:
+        """(a, d0, pool @ a) for each dual-switch hyperplane a.xi = d0 at the
+        incumbent: the pool is projected once per cut per iteration."""
+        if "cuts" not in ctx.memo:
+            ctx.memo["cuts"] = tuple((a, d0, ctx.space.pool @ a) for a, d0 in
+                                     dual_switch_hyperplanes(ctx.space, ctx.x_bar))
+        return ctx.memo["cuts"]
+
     def refine(self, ctx: RefineContext) -> tuple[Cell, ...]:
         part = ctx.partition
-        for normal, offset, proj in ctx.cuts():
+        for normal, offset, proj in self._cuts(ctx):
+            if not normal.any():
+                continue
             side = proj <= offset
             cells = [c for cell in part
                      for c in ctx.space.split_cell(cell, normal, offset, side)]
@@ -270,7 +267,7 @@ class HyperplaneRefiner(Refiner):
         model = ctx.model
         if model.recourse_senses != (">=",) or model.W.tolist() != [[1.0]] or model.q[0] < 0:
             return None
-        (_, d0, proj), = ctx.cuts()
+        (_, d0, proj), = self._cuts(ctx)
         shortfall = np.maximum(d0 - proj, 0.0)
         return float(model.c @ ctx.x_bar + model.q[0] * shortfall.mean())
 
@@ -285,4 +282,4 @@ def refiner_by_name(name: str, space: UncertaintySpace) -> Refiner:
     for cls in REFINERS:
         if isinstance(space, cls.space_type):
             return cls()
-    raise ValidationError(f"no refiner available for {space.kind} spaces")
+    raise ValidationError(f"no refiner available for {type(space).__name__}")

@@ -32,7 +32,7 @@ def iteration_csv_text(records, n_first: int) -> str:
 
 
 def _cell_entry(cell, space: UncertaintySpace) -> dict:
-    entry: dict = {"label": cell.label, "mass": cell.mass, "estimate": cell.estimate}
+    entry: dict = {"label": cell.label, "mass": cell.mass, "estimate": space.estimate}
     if cell.sample_count is not None:
         entry["sample_count"] = cell.sample_count
     entry.update(space.cell_report(cell))

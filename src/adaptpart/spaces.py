@@ -18,6 +18,7 @@ refiner computes: scenario index groups (discrete), interior points
 from __future__ import annotations
 
 import math
+import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
@@ -82,17 +83,22 @@ class Cell:
     mass: float
     h_mean: np.ndarray
     t_mean: np.ndarray
-    estimate: str = EXACT
     sample_count: int | None = None
 
 
-class UncertaintySpace(ABC):
-    """Backend interface: cell construction, splitting, sampling, and the
-    report geometry of a cell.  `kind` is the instance document tag.
-    Splitting takes the backend's own arguments (see `_split` of each
-    subclass) and returns children; the caller assembles the partition."""
+def _integer(name: str, value) -> int:
+    if not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
-    kind: str = ""
+
+class UncertaintySpace(ABC):
+    """Backend interface, one subclass per backend: cell construction,
+    splitting (from the backend's own arguments, see each `_split`; the
+    caller assembles the partition), sampling, and report geometry.
+    `estimate` tells exact cell masses and means from sample estimates."""
+
+    estimate = EXACT
 
     @abstractmethod
     def trivial_partition(self) -> tuple[Cell, ...]:
@@ -126,8 +132,6 @@ class DiscreteSpace(UncertaintySpace):
     """Finite scenario set with exact conditional expectations: scenario s
     has probability weights[s] and data hs[s] (m,) and Ts[s] (m, n1)."""
 
-    kind = "discrete"
-
     def __init__(self, model: RecourseModel, weights, hs, Ts):
         weights = float_array("scenario weights", weights)
         hs = float_array("scenario h", hs)
@@ -155,7 +159,7 @@ class DiscreteSpace(UncertaintySpace):
             return None
         h_mean = (w @ self.hs[idx]) / mass
         t_mean = np.tensordot(w, self.Ts[idx], axes=(0, 0)) / mass
-        return Cell(label, ScenarioSet(idx), mass, h_mean, t_mean, EXACT, idx.size)
+        return Cell(label, ScenarioSet(idx), mass, h_mean, t_mean, idx.size)
 
     def trivial_partition(self) -> tuple[Cell, ...]:
         return (self._make_cell("0", np.arange(self.weights.size)),)
@@ -186,17 +190,15 @@ class UniformRhsSpace(UncertaintySpace):
     """Component `row` of h uniform on [lo, hi]; the rest of h (`h_base`)
     and the technology matrix `T` are deterministic."""
 
-    kind = "uniform_rhs"
-
     def __init__(self, model: RecourseModel, h_base, T, row: int, lo: float, hi: float):
         self.h_base, self.T = _base_data(model, h_base, T)
+        self.row = _integer("random rhs row", row)
         if not 0 <= row < model.m:
             raise ValidationError(f"random rhs row {row} out of range")
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValidationError(f"uniform support lo and hi must be finite, got [{lo}, {hi}]")
         if not lo < hi:
             raise ValidationError("uniform support needs lo < hi")
-        self.row = int(row)
         self.lo = float(lo)
         self.hi = float(hi)
         # knots closer than this are one knot, and a cell end this far past the support is kept
@@ -214,7 +216,7 @@ class UniformRhsSpace(UncertaintySpace):
         h_mean = self.h_base.copy()
         h_mean[self.row] = 0.5 * (lo + hi)
         return Cell(label, Interval(float(lo), float(hi)), float(mass),
-                    h_mean, self.T.copy(), EXACT)
+                    h_mean, self.T.copy())
 
     def trivial_partition(self) -> tuple[Cell, ...]:
         return (self._make_cell("0", self.lo, self.hi),)
@@ -259,12 +261,11 @@ class GaussianTechnologySpace(UncertaintySpace):
     and lower bounds computed from them are monotone under refinement.
     """
 
-    kind = "gaussian_technology"
+    estimate = MONTE_CARLO
 
     def __init__(self, model: RecourseModel, h_base, T0, Tk, mu, sigma, seed: int,
                  pool_size: int = DEFAULT_POOL_SIZE):
-        if seed is None:
-            raise ValidationError("a seed is required for the sample pool")
+        seed = _integer("the sample pool seed", seed)
         if seed < 0:
             raise ValidationError(f"the sample pool seed must be nonnegative, got {seed}")
         self.h_base, self.T0 = _base_data(model, h_base, T0)
@@ -288,11 +289,11 @@ class GaussianTechnologySpace(UncertaintySpace):
                                   f"model's and the mean's {self.T0.shape + (d,)}")
         if not np.isfinite(self.Tk).all():
             raise ValidationError("technology map Tk entries must be finite")
-        if pool_size < 2:
+        self.pool_size = _integer("pool size", pool_size)
+        if self.pool_size < 2:
             raise ValidationError("pool size must be at least 2")
-        self.pool_size = int(pool_size)
         root = evecs @ np.diag(np.sqrt(np.clip(evals, 0.0, None))) @ evecs.T
-        rng = np.random.default_rng(int(seed))
+        rng = np.random.default_rng(seed)
         self.pool = rng.standard_normal((self.pool_size, d)) @ root + mu
 
     def _technology(self, xi) -> np.ndarray:
@@ -305,7 +306,7 @@ class GaussianTechnologySpace(UncertaintySpace):
         xi_mean = self.pool[members].mean(axis=0)
         return Cell(label, HalfspaceRegion(halfspaces, members, xi_mean),
                     members.size / self.pool_size, self.h_base.copy(),
-                    self._technology(xi_mean), MONTE_CARLO, int(members.size))
+                    self._technology(xi_mean), int(members.size))
 
     def trivial_partition(self) -> tuple[Cell, ...]:
         return (self._make_cell("0", (), np.arange(self.pool_size)),)

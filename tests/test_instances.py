@@ -13,6 +13,7 @@ from adaptpart.instances import (cvar_document, document_to_model,
                                  document_to_space, instance_schema,
                                  lands_document, load_document,
                                  validate_document, write_document)
+from adaptpart.spaces import DiscreteSpace, UniformRhsSpace
 
 
 def _fixed_lands():
@@ -226,7 +227,7 @@ class TestEnergyDocument:
         npt.assert_allclose(model.c, [10.0, 7.0, 16.0, 6.0])
         npt.assert_allclose(model.b, [12.0, 120.0])
         space = document_to_space(doc, model)
-        assert space.kind == "uniform_rhs"
+        assert isinstance(space, UniformRhsSpace)
         assert (space.lo, space.hi) == (3.0, 7.0)
 
     def test_mean_value_relaxation(self):
@@ -246,7 +247,7 @@ class TestEnergyDocument:
         doc = lands_document(d1_fixed=5.0)
         model = document_to_model(doc)
         space = document_to_space(doc, model)
-        assert space.kind == "discrete"
+        assert isinstance(space, DiscreteSpace)
         assert space.weights.size == 1
         assert space.hs[0][-3] == pytest.approx(5.0)
 

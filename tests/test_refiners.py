@@ -88,6 +88,20 @@ def recourse_value_highs(model, space, x_bar, xi) -> float:
     return float(res.fun)
 
 
+def two_row_pair():
+    """The tail-risk portfolio with a second recourse row 1 z2 >= 0.25 - T[1] x
+    that has no random entry, so its cut has a zero normal."""
+    doc = cvar_document(pool_size=2000)
+    params = doc["uncertainty"]["parameters"]
+    del params["cvar"]
+    doc["recourse"] = {"W": [[1.0, 0.0], [0.0, 1.0]], "q": [10.0, 1.0],
+                       "senses": [">=", ">="]}
+    params["h_base"] = [0.0, 0.25]
+    params["T_base"] = [[0.5, 0.3, 1.0], [0.2, -0.4, 0.0]]
+    model = document_to_model(doc)
+    return model, document_to_space(doc, model)
+
+
 def context_for(model, space, x_bar):
     return RefineContext(model=model, space=space,
                          partition=space.trivial_partition(),
@@ -436,13 +450,7 @@ class TestHyperplane:
             assert float(real.h[0] - real.T[0] @ x_bar) == pytest.approx(d0 - a @ xi, abs=1e-12)
         # a second recourse row with no random entry: its cut has a zero
         # normal and splits nothing, and the random row's cut is unchanged
-        del params["cvar"]
-        doc["recourse"] = {"W": [[1.0, 0.0], [0.0, 1.0]], "q": [10.0, 1.0],
-                           "senses": [">=", ">="]}
-        params["h_base"] = [0.0, 0.25]
-        params["T_base"] = [[0.5, 0.3, 1.0], [0.2, -0.4, 0.0]]
-        model = document_to_model(doc)
-        space = document_to_space(doc, model)
+        model, space = two_row_pair()
         (a0, d00), (a1, d01) = dual_switch_hyperplanes(space, x_bar)
         npt.assert_array_equal(a0, a)
         assert d00 == d0
@@ -460,6 +468,31 @@ class TestHyperplane:
         for kid in part:
             (normal, _), = kid.geometry.halfspaces
             npt.assert_array_equal(np.abs(normal), np.abs(a0))
+
+    def test_zero_normal_cut_is_skipped(self, monkeypatch):
+        model, space = two_row_pair()
+        x_bar = np.array([0.4, 0.6, -0.05])
+        part = HyperplaneRefiner().refine(context_for(model, space, x_bar))
+        ctx = RefineContext(model, space, part, np.array([0.7, 0.3, -0.05]))
+        # the partition of the same pass with every cut applied in turn
+        expected = part
+        for normal, offset in dual_switch_hyperplanes(space, ctx.x_bar):
+            side = space.pool @ normal <= offset
+            expected = tuple(c for cell in expected
+                             for c in space.split_cell(cell, normal, offset, side))
+        calls = []
+        split_cell = GaussianTechnologySpace.split_cell
+
+        def counting(self, cell, *how):
+            calls.append(cell)
+            return split_cell(self, cell, *how)
+
+        monkeypatch.setattr(GaussianTechnologySpace, "split_cell", counting)
+        refined = HyperplaneRefiner().refine(ctx)
+        assert calls == list(part)
+        assert len(refined) == 4
+        assert [(c.label, c.geometry.halfspaces, c.geometry.members.tobytes()) for c in refined] \
+            == [(c.label, c.geometry.halfspaces, c.geometry.members.tobytes()) for c in expected]
 
     def test_two_entries_on_one_matrix_entry_are_rejected(self):
         # the realization would keep the last entry, the cut would add both
@@ -507,12 +540,12 @@ class TestSelection:
             refiner_by_name("dual-cluster", space)
         with pytest.raises(ValidationError):
             refiner_by_name("no-such-refiner", space)
-        with pytest.raises(ValidationError, match="does not support uniform_rhs"):
+        with pytest.raises(ValidationError, match="does not support UniformRhsSpace"):
             DualClusteringRefiner().check(space)
 
     def test_unknown_backend_has_no_refiner(self):
-        with pytest.raises(ValidationError, match="no refiner available for foreign spaces"):
-            refiner_by_name("auto", SimpleNamespace(kind="foreign"))
+        with pytest.raises(ValidationError, match="no refiner available for SimpleNamespace"):
+            refiner_by_name("auto", SimpleNamespace())
 
 
 def discrete_pass():

@@ -262,10 +262,10 @@ class TestBaseDataChecks:
     fixed-recourse program it is built against (m = 1, n1 = 3 here)."""
 
     @staticmethod
-    def gaussian(model=None, h=(0.0,), T=((0.0, 0.0, 1.0),), Tk=None, seed=1):
+    def gaussian(model=None, h=(0.0,), T=((0.0, 0.0, 1.0),), Tk=None, seed=1, pool_size=10):
         Tk = portfolio_map()[1] if Tk is None else Tk
         return GaussianTechnologySpace(model or gaussian_model(), h, T, Tk, np.zeros(2),
-                                       np.eye(2), seed=seed, pool_size=10)
+                                       np.eye(2), seed=seed, pool_size=pool_size)
 
     @pytest.mark.parametrize("entry, message", [
         ({"row": 1, "col": 0, "component": 0}, r"entries\.0: out of range"),
@@ -402,3 +402,20 @@ class TestBaseDataChecks:
         with pytest.raises(ValidationError, match="seed must be nonnegative, got -5"):
             self.gaussian(seed=-5)
         assert self.gaussian(seed=0).pool.shape == (10, 2)
+
+    # a non-integral row, seed or pool size is an error, never truncated
+
+    def test_non_integral_row_rejected(self):
+        with pytest.raises(ValidationError, match=r"random rhs row must be an integer, got 0\.7"):
+            interval_space(3.0, 7.0, row=0.7)
+        assert interval_space(3.0, 7.0, row=np.int64(0)).row == 0
+
+    def test_non_integral_seed_rejected(self):
+        with pytest.raises(ValidationError, match=r"pool seed must be an integer, got 1\.7"):
+            self.gaussian(seed=1.7)
+        npt.assert_array_equal(self.gaussian(seed=np.int64(1)).pool, self.gaussian(seed=1).pool)
+
+    def test_non_integral_pool_size_rejected(self):
+        with pytest.raises(ValidationError, match=r"pool size must be an integer, got 10\.9"):
+            self.gaussian(pool_size=10.9)
+        assert self.gaussian(pool_size=np.int64(10)).pool_size == 10
