@@ -34,9 +34,9 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.epsilon < math.inf:
             raise ValidationError(f"gap threshold must be positive and finite, got {self.epsilon}")
-        if not isinstance(self.max_iterations, numbers.Integral) or self.max_iterations < 1:
-            raise ValidationError(f"iteration limit must be an integer of at least 1, "
-                                  f"got {self.max_iterations!r}")
+        n = self.max_iterations
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise ValidationError(f"iteration limit must be an integer of at least 1, got {n!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,12 +124,12 @@ def run(model: RecourseModel, space: UncertaintySpace, refiner: Refiner,
     lower bound and incumbent; the refiner bounds it from above (when its
     backend has an exact rule) and splits cells, both from the iteration's
     one RefineContext.  Stops on gap, on a partition that no longer changes
-    (with the optimality conditions deciding between converged and stalled),
-    or on the iteration limit.  Both bounds describe one problem, so a gap
-    below -max(epsilon, lp.DUALITY_TOL) raises SolverFailure.  Every recourse
-    LP of the run goes through one BasisCache, since only the rhs changes
-    between them (fixed recourse), so the LP solves are the masters plus the
-    cache's simplex calls."""
+    (a refine pass returns the same cells; the optimality conditions then
+    decide converged or stalled), or on the iteration limit.  Both bounds
+    describe one problem, so a gap below -max(epsilon, lp.DUALITY_TOL) raises
+    SolverFailure.  Every recourse LP of the run goes through one BasisCache,
+    since only the rhs changes between them (fixed recourse), so the LP
+    solves are the masters plus the cache's simplex calls."""
     refiner.check(space)
     started = time.perf_counter()
     bases = lplib.BasisCache(model.q, model.W, model.recourse_senses)
@@ -165,7 +165,7 @@ def run(model: RecourseModel, space: UncertaintySpace, refiner: Refiner,
         if t == config.max_iterations:
             break
         refined = refiner.refine(ctx)
-        if refined is partition:
+        if refined == partition:
             termination = CONDITIONS if _conditions_hold(ctx) else STABILIZED
             break
         partition = refined

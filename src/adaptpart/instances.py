@@ -165,11 +165,16 @@ def document_to_model(doc: dict) -> RecourseModel:
 def document_to_space(doc: dict, model: RecourseModel, seed: int | None = None,
                       pool_size: int | None = None) -> UncertaintySpace:
     """Build the uncertainty space from the document's uncertainty block;
-    seed/pool_size override the document.  A Gaussian block's optional
-    `cvar` entry must declare the model's own recourse (_check_tail_loss)."""
+    seed/pool_size override a Gaussian document's sample pool (no other kind
+    has one, so it refuses them).  A Gaussian block's optional `cvar` entry
+    must declare the model's own recourse (_check_tail_loss)."""
     unc = doc["uncertainty"]
     p = unc["parameters"]
     kind = unc["kind"]
+    for name, value in (("seed (--seed)", seed), ("pool_size (--mc-pool)", pool_size)):
+        if value is not None and kind != "gaussian_technology":
+            raise ValidationError(f"the {name} override sets the sample pool of "
+                                  f"gaussian_technology uncertainty; this document's is {kind}")
     if kind == "discrete":
         scenarios = p["scenarios"]
         t_base = p.get("T_base", np.zeros((model.m, model.n_first)))
@@ -179,10 +184,12 @@ def document_to_space(doc: dict, model: RecourseModel, seed: int | None = None,
     if kind == "uniform_rhs":
         return UniformRhsSpace(model, p["h_base"], p["T"], int(p["row"]),
                                float(p["lo"]), float(p["hi"]))
-    use_seed = seed if seed is not None else p.get("seed")
-    if use_seed is None:
-        raise ValidationError("gaussian uncertainty needs a seed (document or --seed)")
-    use_pool = pool_size if pool_size is not None else p.get("pool_size", DEFAULT_POOL_SIZE)
+    # an override reaches the space as given, so a bool or a float is refused there
+    if seed is None:
+        if "seed" not in p:
+            raise ValidationError("gaussian uncertainty needs a seed (document or --seed)")
+        seed = int(p["seed"])
+    pool_size = int(p.get("pool_size", DEFAULT_POOL_SIZE)) if pool_size is None else pool_size
     if "cvar" in p:
         _check_tail_loss(model.W, model.q, model.recourse_senses, float(p["cvar"]["delta"]))
     # each entry T[row, col] = scale * xi[component] replaces its base value
@@ -193,7 +200,7 @@ def document_to_space(doc: dict, model: RecourseModel, seed: int | None = None,
         T0[row, col] = 0.0
         Tk[row, col, int(e["component"])] = float(e.get("scale", 1.0))
     return GaussianTechnologySpace(model, p["h_base"], T0, Tk, p["mu"], p["sigma"],
-                                   int(use_seed), int(use_pool))
+                                   seed, pool_size)
 
 
 def _check_tail_loss(W, q, senses, delta: float) -> None:

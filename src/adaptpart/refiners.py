@@ -4,11 +4,11 @@ Three structure-aware disaggregation procedures, one per uncertainty backend:
 grouping scenarios by equal subproblem duals, splitting intervals at rhs
 ranging breakpoints, and cutting regions along the hyperplane where the
 recourse dual switches.  Each hands its space plain split arguments per
-cell, builds the refined partition (a tuple of cells) once from the
-children in cell order, and returns the same tuple object when nothing
-splits.  Each also carries its backend's exact upper bound rule, which
-reads what the split reads (member solves, the breakpoint sweep, the pool
-projections) from the memo of the same RefineContext.
+cell and returns the tuple of the children in cell order, which equals
+the partition it was given (the same cells) when nothing splits.  Each
+also carries its backend's exact upper bound rule, which reads what the
+split reads (member solves, the breakpoint sweep, the pool projections)
+from the memo of the same RefineContext.
 """
 from __future__ import annotations
 
@@ -69,18 +69,12 @@ class Refiner(ABC):
 
     @abstractmethod
     def refine(self, ctx: RefineContext) -> tuple[Cell, ...]:
-        """A refinement of ctx.partition; the same object when no cell splits."""
+        """The children of ctx.partition's cells in cell order; equal to it when none splits."""
 
     @abstractmethod
     def upper_bound(self, ctx: RefineContext) -> float | None:
         """Exact expected cost c.x + E[Q(x, xi)] of the incumbent ctx.x_bar,
         or None when the backend has no exact rule for this model."""
-
-
-def _refined(partition: tuple[Cell, ...], cells: list) -> tuple[Cell, ...]:
-    """The partition of `cells`, or `partition` itself (the same object,
-    which is how run sees that nothing split) when no cell split."""
-    return partition if len(cells) == len(partition) else tuple(cells)
 
 
 # ------------------------------------------------------------ dual clustering
@@ -134,7 +128,7 @@ class DualClusteringRefiner(Refiner):
                     cells.extend(ctx.space.split_cell(cell, groups))
                     continue
             cells.append(cell)
-        return _refined(ctx.partition, cells)
+        return tuple(cells)
 
     def upper_bound(self, ctx):
         """Weighted sum of the per-scenario recourse values, in scenario
@@ -203,8 +197,7 @@ class RangingRefiner(Refiner):
 
     def refine(self, ctx: RefineContext) -> tuple[Cell, ...]:
         points = self._breakpoints(ctx)
-        cells = [c for cell in ctx.partition for c in ctx.space.split_cell(cell, points)]
-        return _refined(ctx.partition, cells)
+        return tuple(c for cell in ctx.partition for c in ctx.space.split_cell(cell, points))
 
     def upper_bound(self, ctx):
         """Closed-form integration of the piecewise linear recourse value."""
@@ -234,42 +227,40 @@ def dual_switch_hyperplanes(space: GaussianTechnologySpace,
 
 
 class HyperplaneRefiner(Refiner):
-    """Cut every region cell along the dual-switch hyperplane(s) of the
-    incumbent; one-sided cells pass through unchanged, and a cut with a zero
-    normal is skipped."""
+    """Cut every region cell along each dual-switch hyperplane of the
+    incumbent with a nonzero normal; one-sided cells pass through unchanged."""
 
     space_type = GaussianTechnologySpace
 
     def _cuts(self, ctx: RefineContext) -> tuple:
-        """(a, d0, pool @ a) for each dual-switch hyperplane a.xi = d0 at the
-        incumbent: the pool is projected once per cut per iteration."""
+        """(a, d0, pool @ a) for each dual-switch hyperplane a.xi = d0 of the
+        incumbent whose normal a is nonzero (a zero one cannot cut): the pool
+        is projected once per such row per iteration.  memo["planes"] keeps every row."""
         if "cuts" not in ctx.memo:
-            ctx.memo["cuts"] = tuple((a, d0, ctx.space.pool @ a) for a, d0 in
-                                     dual_switch_hyperplanes(ctx.space, ctx.x_bar))
+            planes = ctx.memo["planes"] = dual_switch_hyperplanes(ctx.space, ctx.x_bar)
+            ctx.memo["cuts"] = tuple((a, d0, ctx.space.pool @ a) for a, d0 in planes if a.any())
         return ctx.memo["cuts"]
 
     def refine(self, ctx: RefineContext) -> tuple[Cell, ...]:
         part = ctx.partition
         for normal, offset, proj in self._cuts(ctx):
-            if not normal.any():
-                continue
             side = proj <= offset
-            cells = [c for cell in part
-                     for c in ctx.space.split_cell(cell, normal, offset, side)]
-            part = _refined(part, cells)
+            part = tuple(c for cell in part
+                         for c in ctx.space.split_cell(cell, normal, offset, side))
         return part
 
     def upper_bound(self, ctx):
         """Pool-average cost, the exact objective of the sample problem whose
         cells the master aggregates, for the tail-loss recourse (one `>=`
-        row, W = [[1]], q0 >= 0), whose value is q0 * max(0, d0 - a.xi);
-        None for any other recourse."""
+        row, W = [[1]], q0 >= 0), whose value is q0 * max(0, d0 - a.xi), or
+        q0 * max(0, d0) for a zero normal a; None for any other recourse."""
         model = ctx.model
         if model.recourse_senses != (">=",) or model.W.tolist() != [[1.0]] or model.q[0] < 0:
             return None
-        (_, d0, proj), = self._cuts(ctx)
-        shortfall = np.maximum(d0 - proj, 0.0)
-        return float(model.c @ ctx.x_bar + model.q[0] * shortfall.mean())
+        cuts = self._cuts(ctx)
+        (_, d0), = ctx.memo["planes"]
+        rhs = d0 - cuts[0][2] if cuts else d0
+        return float(model.c @ ctx.x_bar + model.q[0] * np.maximum(rhs, 0.0).mean())
 
 
 REFINERS = (DualClusteringRefiner, RangingRefiner, HyperplaneRefiner)

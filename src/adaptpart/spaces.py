@@ -87,7 +87,7 @@ class Cell:
 
 
 def _integer(name: str, value) -> int:
-    if not isinstance(value, numbers.Integral):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     return int(value)
 

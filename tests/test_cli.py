@@ -141,6 +141,13 @@ class TestEnergyRuns:
         err = capsys.readouterr().err
         assert "subproblem infeasible at rhs component value 7" in err
 
+    def test_pool_overrides_are_an_error(self, tmp_path, capsys):
+        path = make_lands(tmp_path)
+        assert run_cli(["run", "--instance", path, "--seed", 7, "--mc-pool", 3]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: the seed (--seed) override")
+        assert "termination:" not in captured.out  # refused before solving
+
     def test_oracle_rejected_for_continuous_uncertainty(self, tmp_path, capsys):
         path = make_lands(tmp_path)
         assert run_cli(["run", "--instance", path, "--oracle"]) == 1

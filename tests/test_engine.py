@@ -247,6 +247,24 @@ class TestTermination:
         assert len(result.records) == 1
         assert result.records[0].gap == pytest.approx(0.234, abs=5e-4)
 
+    def test_an_equal_copy_of_the_partition_is_stable(self):
+        # a refine pass that splits nothing may return a new tuple of the
+        # same cells; the run still sees that the partition stopped changing
+        class Copying(HyperplaneRefiner):
+            def refine(self, ctx):
+                return tuple(list(super().refine(ctx)))
+
+        doc = cvar_document(pool_size=2000)
+        del doc["uncertainty"]["parameters"]["cvar"]
+        doc["recourse"]["W"] = [[2.0]]
+        model = document_to_model(doc)
+        space = document_to_space(doc, model)
+        config = SolverConfig(max_iterations=60)
+        for refiner in (HyperplaneRefiner(), Copying()):
+            result = run(model, space, refiner, config)
+            assert result.termination == STABILIZED
+            assert len(result.records) == 13
+
     def test_unbounded_master_is_an_error(self):
         # a negative price on the one recourse variable makes every master unbounded
         model = RecourseModel(c=np.array([1.0]), A=np.array([[1.0]]), b=np.array([1.0]),

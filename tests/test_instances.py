@@ -251,6 +251,16 @@ class TestEnergyDocument:
         assert space.weights.size == 1
         assert space.hs[0][-3] == pytest.approx(5.0)
 
+    @pytest.mark.parametrize("make", [lands_document, _fixed_lands], ids=["interval", "discrete"])
+    @pytest.mark.parametrize("override", [{"seed": 7}, {"pool_size": 3}], ids=["seed", "pool_size"])
+    def test_pool_overrides_need_a_gaussian_document(self, make, override):
+        # only a Gaussian space has a sample pool for seed and pool_size to set
+        doc = make()
+        model = document_to_model(doc)
+        name, = override
+        with pytest.raises(ValidationError, match=f"the {name} .*override"):
+            document_to_space(doc, model, **override)
+
     def test_model_is_the_same_for_either_uncertainty(self):
         # the two documents differ only in their uncertainty block
         interval = document_to_model(lands_document())

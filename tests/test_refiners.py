@@ -190,7 +190,7 @@ class TestDualGrouping:
         ctx2 = RefineContext(model=model, space=space, partition=part1,
                              x_bar=ctx.x_bar)
         part2 = refiner.refine(ctx2)
-        assert part2 is part1
+        assert part2 == part1
 
     def test_children_cover_parent(self):
         rng = np.random.default_rng(12)
@@ -281,7 +281,7 @@ class TestRanging:
         part = space.trivial_partition()
         ctx = RefineContext(model=model, space=space, partition=part,
                             x_bar=np.array([9.0]))
-        assert RangingRefiner().refine(ctx) is part
+        assert RangingRefiner().refine(ctx) == part
 
     def test_cached_bases_answer_the_probes(self):
         # the walk solves only at lo, where a cached basis answers a repeat
@@ -494,6 +494,36 @@ class TestHyperplane:
         assert [(c.label, c.geometry.halfspaces, c.geometry.members.tobytes()) for c in refined] \
             == [(c.label, c.geometry.halfspaces, c.geometry.members.tobytes()) for c in expected]
 
+    def test_zero_normal_row_is_not_projected(self):
+        model, space = two_row_pair()
+        projected = []
+
+        class CountingPool(np.ndarray):
+            def __matmul__(self, other):
+                projected.append(other)
+                return np.asarray(self) @ other
+
+        space.pool = space.pool.view(CountingPool)
+        ctx = context_for(model, space, [0.4, 0.6, -0.05])
+        normals = [a for a, _ in dual_switch_hyperplanes(space, ctx.x_bar)]
+        assert [a.any() for a in normals] == [True, False]
+        assert len(HyperplaneRefiner().refine(ctx)) == 2
+        # one projection, for the row with a random entry
+        assert len(projected) == 1
+        npt.assert_array_equal(projected[0], normals[0])
+
+    def test_zero_normal_bound_is_the_constant_tail(self):
+        model = self.cvar_like_model()
+        space = self.cvar_like_space(model, np.zeros(2), np.eye(2), seed=4, pool_size=2000)
+        # an empty portfolio: the rhs d0 = -tau is the same at every pool point
+        x_bar = np.array([0.0, 0.0, -0.3])
+        ctx = context_for(model, space, x_bar)
+        (a, d0), = dual_switch_hyperplanes(space, x_bar)
+        assert not a.any() and d0 > 0.0
+        bound = HyperplaneRefiner().upper_bound(ctx)
+        assert bound == float(model.c @ x_bar + model.q[0] * max(d0, 0.0))
+        assert HyperplaneRefiner().refine(ctx) == ctx.partition
+
     def test_two_entries_on_one_matrix_entry_are_rejected(self):
         # the realization would keep the last entry, the cut would add both
         doc = cvar_document(pool_size=2000)
@@ -513,7 +543,7 @@ class TestHyperplane:
         # incumbent with an empty portfolio produces a zero cut normal
         ctx = RefineContext(model=model, space=space, partition=part,
                             x_bar=np.array([0.0, 0.0, 0.5]))
-        assert HyperplaneRefiner().refine(ctx) is part
+        assert HyperplaneRefiner().refine(ctx) == part
 
     def test_cut_missing_every_member_is_identity(self):
         model = self.cvar_like_model()
@@ -522,7 +552,7 @@ class TestHyperplane:
         part = space.trivial_partition()
         ctx = RefineContext(model=model, space=space, partition=part,
                             x_bar=np.array([1.0, 0.0, 50.0]))
-        assert HyperplaneRefiner().refine(ctx) is part
+        assert HyperplaneRefiner().refine(ctx) == part
 
 
 class TestSelection:
@@ -590,4 +620,4 @@ def test_refinement_pass_keeps_cell_order(make):
     assert [c.label for c in children] == [middle.label + ".0", middle.label + ".1"]
     assert sum(c.mass for c in children) == pytest.approx(middle.mass, rel=1e-12)
     # the refined partition is a fixed point at the same incumbent
-    assert refiner.refine(RefineContext(model, space, refined, x_bar)) is refined
+    assert refiner.refine(RefineContext(model, space, refined, x_bar)) == refined

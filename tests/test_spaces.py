@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from adaptpart.engine import SolverConfig
 from adaptpart.errors import ValidationError
 from adaptpart.instances import cvar_document, validate_document
 from adaptpart.model import RecourseModel
@@ -414,6 +415,17 @@ class TestBaseDataChecks:
         with pytest.raises(ValidationError, match=r"pool seed must be an integer, got 1\.7"):
             self.gaussian(seed=1.7)
         npt.assert_array_equal(self.gaussian(seed=np.int64(1)).pool, self.gaussian(seed=1).pool)
+
+    # nor a bool, although numbers.Integral holds for it
+    @pytest.mark.parametrize("build, name", [
+        (lambda: interval_space(3.0, 7.0, row=True), "random rhs row"),
+        (lambda: TestBaseDataChecks.gaussian(seed=True), "pool seed"),
+        (lambda: TestBaseDataChecks.gaussian(pool_size=True), "pool size"),
+        (lambda: SolverConfig(max_iterations=True), "iteration limit"),
+    ], ids=["row", "seed", "pool_size", "max_iterations"])
+    def test_bool_is_not_an_integer(self, build, name):
+        with pytest.raises(ValidationError, match=f"{name} must be an integer.*got True$"):
+            build()
 
     def test_non_integral_pool_size_rejected(self):
         with pytest.raises(ValidationError, match=r"pool size must be an integer, got 10\.9"):
