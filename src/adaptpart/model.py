@@ -41,11 +41,11 @@ class RecourseModel:
     x_upper: np.ndarray | None = None
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.c, dtype=float))
+        c = _vector("c", self.c)
         A = np.atleast_2d(float_array("A", self.A))
-        b = np.atleast_1d(np.asarray(self.b, dtype=float)) if np.size(self.b) else np.zeros(0)
+        b = _vector("b", self.b)
         W = np.atleast_2d(float_array("W", self.W))
-        q = np.atleast_1d(np.asarray(self.q, dtype=float))
+        q = _vector("q", self.q)
         senses = tuple(self.senses)
         rsenses = tuple(self.recourse_senses)
         if A.size == 0:
@@ -61,8 +61,8 @@ class RecourseModel:
             raise ValidationError("recourse rows and senses disagree")
         lower = self.x_lower
         upper = self.x_upper
-        lower = np.zeros(c.size) if lower is None else np.asarray(lower, dtype=float)
-        upper = np.full(c.size, np.inf) if upper is None else np.asarray(upper, dtype=float)
+        lower = np.zeros(c.size) if lower is None else float_array("x_lower", lower)
+        upper = np.full(c.size, np.inf) if upper is None else float_array("x_upper", upper)
         if lower.shape != (c.size,) or upper.shape != (c.size,):
             raise ValidationError(f"first-stage bounds must have shape ({c.size},), got "
                                   f"{lower.shape} and {upper.shape}")
@@ -104,6 +104,15 @@ def float_array(name: str, value) -> np.ndarray:
         return np.asarray(value, dtype=float)
     except ValueError as exc:
         raise ValidationError(f"{name} is not a rectangular array: {exc}") from exc
+
+
+def _vector(name: str, value) -> np.ndarray:
+    """`value` as a one-dimensional float array (a scalar is one entry);
+    any other shape is a ValidationError."""
+    vector = np.atleast_1d(float_array(name, value))
+    if vector.ndim != 1:
+        raise ValidationError(f"{name} must be a vector, got shape {vector.shape}")
+    return vector
 
 
 def evaluate_subproblem(model: RecourseModel, x, realization: Realization,

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import json
 import os
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
 
 from .engine import SolveResult
 from .model import RecourseModel
@@ -46,13 +48,52 @@ def partition_trace(partitions, space: UncertaintySpace) -> list[dict]:
             for t, part in enumerate(partitions)]
 
 
+_FLOAT_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(value: float) -> str:
+    text = float.__repr__(value)
+    return _FLOAT_SPECIALS.get(text, text)
+
+
+_SCALAR_TEXT = {str: encode_basestring_ascii, int: int.__repr__, float: _float_text,
+                bool: lambda v: "true" if v else "false", type(None): lambda v: "null"}
+
+
+def _json_text(value, indent: str) -> str:
+    """`json.dumps(value, indent=2)`, with `indent` before every line after
+    the first, for a value built of dicts with str keys, lists, tuples and
+    scalars of exactly the types str, int, float, bool and None.  `json`'s
+    `indent` encoder is pure Python and writes piece by piece; this writes
+    each container with one join, and numbers and strings with the same
+    functions `json` uses."""
+    text = _SCALAR_TEXT.get(type(value))
+    if text is not None:
+        return text(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner)
+                 for k, v in value.items()]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = map(_json_text, value, repeat(inner))
+        brackets = "[]"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return (brackets[0] + "\n" + inner + (",\n" + inner).join(items)
+            + "\n" + indent + brackets[1])
+
+
 def partition_trace_json(partitions, space: UncertaintySpace) -> str:
     """The text `json.dumps(partition_trace(...), indent=2)` gives, plus a
     newline, for the partitions of a run (never empty, nor is any of them).
     Consecutive partitions share most of their Cell objects, so each
     distinct cell is encoded once and its text spliced in wherever it
     recurs."""
-    encode = json.JSONEncoder(indent=2).encode
     texts: dict[int, str] = {}
     blocks = []
     for t, part in enumerate(partitions):
@@ -61,7 +102,7 @@ def partition_trace_json(partitions, space: UncertaintySpace) -> str:
             text = texts.get(id(c))
             if text is None:
                 # a cell entry sits three levels deep in the trace
-                text = texts[id(c)] = encode(_cell_entry(c, space)).replace("\n", "\n      ")
+                text = texts[id(c)] = _json_text(_cell_entry(c, space), "      ")
             cells.append(text)
         blocks.append('{\n    "iteration": %d,\n    "cells": [\n      %s\n    ]\n  }'
                       % (t + 1, ",\n      ".join(cells)))

@@ -303,7 +303,15 @@ class GaussianTechnologySpace(UncertaintySpace):
         return Realization(self.h_base, self._technology(xi))
 
     def _make_cell(self, label: str, halfspaces, members: np.ndarray) -> Cell:
-        xi_mean = self.pool[members].mean(axis=0)
+        rows = self.pool.take(members, axis=0)
+        if rows.shape[1] == 1:
+            xi_mean = rows.mean(axis=0)
+        else:
+            # With two or more columns NumPy's axis-0 mean adds the rows one
+            # after another, so the last running sum is bitwise its sum; one
+            # column is summed pairwise, so it keeps `mean`.  The running sum
+            # overwrites the gathered block, so peak memory does not grow.
+            xi_mean = np.cumsum(rows, axis=0, out=rows)[-1] / members.size
         return Cell(label, HalfspaceRegion(halfspaces, members, xi_mean),
                     members.size / self.pool_size, self.h_base.copy(),
                     self._technology(xi_mean), int(members.size))
@@ -316,10 +324,10 @@ class GaussianTechnologySpace(UncertaintySpace):
         pool-wide mask of normal.xi <= offset, read at the cell's members."""
         members = cell.geometry.members
         below = side[members]
-        inside = members[below]
-        if inside.size in (0, members.size):
+        if np.count_nonzero(below) in (0, members.size):
             return []
-        outside = members[~below]
+        inside = np.compress(below, members)
+        outside = np.compress(~below, members)
         norm_a = tuple(float(v) for v in normal)
         beta = float(offset)
         first = cell.geometry.halfspaces + ((norm_a, beta),)

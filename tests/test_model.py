@@ -58,6 +58,19 @@ class TestRecourseModel:
         with pytest.raises(ValidationError, match=message):
             RecourseModel(**{**data, **change})
 
+    @pytest.mark.parametrize("change, message", [
+        ({"c": np.array([[1.0]])}, r"c must be a vector, got shape \(1, 1\)"),
+        ({"c": [1.0, [2.0]]}, "c is not a rectangular array"),
+        ({"b": np.array([[10.0]])}, r"b must be a vector, got shape \(1, 1\)"),
+        ({"q": np.array([[2.0]])}, r"q must be a vector, got shape \(1, 1\)"),
+        ({"x_lower": [0.0, [1.0]]}, "x_lower is not a rectangular array"),
+    ], ids=["c-matrix", "c-ragged", "b-matrix", "q-matrix", "bound-ragged"])
+    def test_vector_fields_must_be_vectors(self, change, message):
+        data = dict(c=[1.0], A=[[1.0]], b=[10.0], senses=("<=",), W=[[1.0]], q=[1.0],
+                    recourse_senses=(">=",))
+        with pytest.raises(ValidationError, match=message):
+            RecourseModel(**{**data, **change})
+
     @staticmethod
     def bounded(lower=None, upper=None):
         return RecourseModel(c=[1.0], A=[[1.0]], b=[1.0], senses=("<=",), W=[[1.0]],

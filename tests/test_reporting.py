@@ -9,7 +9,8 @@ from adaptpart.instances import (cvar_document, document_to_model, document_to_s
                                  lands_document)
 from adaptpart.model import RecourseModel
 from adaptpart.refiners import refiner_by_name
-from adaptpart.reporting import partition_trace, write_run_report
+from adaptpart.reporting import (_json_text, partition_trace, partition_trace_json,
+                                 write_run_report)
 from adaptpart.spaces import DiscreteSpace, UniformRhsSpace
 
 from _generators import random_discrete_space, random_recourse_model
@@ -102,3 +103,52 @@ def test_region_partitions_reuse_cells():
     result = run(model, space, refiner_by_name("auto", space), SolverConfig())
     entries = [c for part in result.partitions for c in part]
     assert len({id(c) for c in entries}) < len(entries)
+
+
+def region_partitions():
+    """Region partitions of a 200-draw pool: the whole space (no halfspaces),
+    one cut whose normal has a zero component (its complement writes -0.0),
+    and a cut of the first child with the coefficients 1e16 and 1e-300."""
+    _, space = document_pair(cvar_document(pool_size=200))
+    whole = space.trivial_partition()
+    first = split_with_mask(space, whole[0], (0.0, 1.0), 0.07)
+    second = split_with_mask(space, first[0], (1e16, 1e-300), 5e14) + first[1:]
+    assert len(first) == 2 and len(second) == 3
+    return space, [whole, first, second]
+
+
+def split_with_mask(space, cell, normal, offset):
+    return space.split_cell(cell, normal, offset, space.pool @ np.asarray(normal) <= offset)
+
+
+def discrete_partitions():
+    space = DiscreteSpace(shortage_model(), [0.25, 0.5, 0.25], [[1.0], [2.0], [5.0]],
+                          np.ones((3, 1, 1)))
+    whole = space.trivial_partition()
+    return space, [whole, space.split_cell(whole[0], ((0, 2), (1,)))]
+
+
+def interval_partitions():
+    space = UniformRhsSpace(shortage_model(), [0.0], [[1.0]], 0, 1.0, 3.0)
+    whole = space.trivial_partition()
+    return space, [whole, space.split_cell(whole[0], (1.1, 2.5))]
+
+
+@pytest.mark.parametrize("make", [region_partitions, discrete_partitions, interval_partitions],
+                         ids=["region", "discrete", "interval"])
+def test_trace_text_is_the_json_dump(make):
+    space, partitions = make()
+    assert (partition_trace_json(partitions, space)
+            == json.dumps(partition_trace(partitions, space), indent=2) + "\n")
+
+
+def test_json_text_writes_what_json_dumps_writes():
+    value = {"label": "Zürich ☃ \"q\"\n", "none": None, "flags": [True, False],
+             "floats": [float("nan"), float("inf"), -float("inf"), -0.0, 0.1, 1e-300, 1e16],
+             "ints": [0, -3, 10 ** 20], "empty": {"list": [], "dict": {}, "str": ""},
+             "mixed": [1, 2.5, "s", None, [], {"t": (1, "a")}]}
+    assert _json_text(value, "") == json.dumps(value, indent=2)
+    assert _json_text(value, "    ") == json.dumps(value, indent=2).replace("\n", "\n    ")
+    assert _json_text(float("nan"), "") == "NaN"
+    with pytest.raises(TypeError):
+        _json_text([np.float64(1.0)], "")

@@ -247,6 +247,22 @@ class TestGaussian:
             npt.assert_array_equal(c.geometry.xi_mean,
                                    space.pool[c.geometry.members].mean(axis=0))
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_child_mean_is_bitwise_the_member_mean(self, dim):
+        # one column is summed pairwise by NumPy, more columns row by row;
+        # xi_mean must be the plain mean bit for bit either way
+        rng = np.random.default_rng(dim)
+        space = gaussian_space(rng.normal(0.0, 0.1, dim), np.diag(rng.uniform(0.1, 0.3, dim)),
+                               seed=dim, pool_size=20000, dim=dim)
+        part = space.trivial_partition()
+        for _ in range(3):
+            normal, offset = rng.normal(size=dim), rng.normal(0.0, 0.1)
+            part = tuple(kid for cell in part for kid in cut(space, cell, normal, offset))
+        assert len(part) >= 4
+        for c in part:
+            npt.assert_array_equal(c.geometry.xi_mean,
+                                   space.pool[c.geometry.members].mean(axis=0))
+
     def test_seed_required_and_covariance_validated(self):
         with pytest.raises(ValidationError):
             gaussian_space(np.zeros(2), np.eye(2), seed=None)
