@@ -12,7 +12,7 @@ import numpy as np
 
 from . import lp as lplib
 from .errors import SolverFailure, ValidationError
-from .model import RecourseModel, build_aggregated_master
+from .model import RecourseModel, build_aggregated_master, master_incumbent, master_lex
 from .model import evaluate_subproblem  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .refiners import CONDITION_SAMPLE_CAP, RefineContext, Refiner
 from .refiners import rhs_dual_breakpoints  # noqa: F401  (perfbench/tracing.py wraps it here)
@@ -138,13 +138,18 @@ def run(model: RecourseModel, space: UncertaintySpace, refiner: Refiner,
     records: list[IterationRecord] = []
     partitions: list[tuple[Cell, ...]] = []
     termination = ITERATION_LIMIT
+    master_pivots = 0
     for t in range(1, config.max_iterations + 1):
         triples = [(c.mass, c.h_mean, c.t_mean) for c in partition]
-        sol = lplib.solve(build_aggregated_master(model, triples))
+        x_hat = records[-1].incumbent if records else None
+        master = build_aggregated_master(model, triples,
+                                         anchor=None if x_hat is None else (x_hat, bases))
+        sol = lplib.solve(master, lex=master_lex(model, master, x_hat is not None))
+        del master  # the dense program is not needed past its solve
         if sol.status != lplib.OPTIMAL:
             raise SolverFailure(f"aggregated master {sol.status} at iteration {t}")
-        lower = float(sol.objective)
-        x_bar = np.array(sol.x[:model.n_first])
+        master_pivots += sol.pivots
+        x_bar, lower = master_incumbent(model, sol, x_hat)
         ctx = RefineContext(model, space, partition, x_bar, bases)
         if records and x_bar.tobytes() == records[-1].incumbent.tobytes():
             # the bound depends on the incumbent alone
@@ -173,6 +178,7 @@ def run(model: RecourseModel, space: UncertaintySpace, refiner: Refiner,
     stats = {
         "iterations": len(records),
         "master_solves": len(records),
+        "master_pivots": master_pivots,
         "lp_solves": len(records) + bases.solves,
         "basis_hits": bases.hits,
         "wall_time_s": time.perf_counter() - started,

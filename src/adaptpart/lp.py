@@ -115,6 +115,7 @@ class LpSolution:
     objective: float | None = None
     basis: tuple[int, ...] | None = None
     kept_rows: tuple[int, ...] | None = None
+    pivots: int = 0  # simplex pivots of the solve, over all its phases
 
 
 @dataclass
@@ -146,20 +147,25 @@ def _canonicalize(lp: StandardLp) -> _Canonical:
     senses = np.array(lp.senses + (LE,) * bounded.size, dtype=str)
     ineq = np.flatnonzero(senses != EQ)
 
-    A = np.zeros((senses.size, n_var + ineq.size))
-    A[:m, :n_var] = lp.matrix[:, var] * sign
-    on = np.flatnonzero(bound_row[var] >= 0)
-    A[bound_row[var[on]], on] = sign[on]
-    A[ineq, n_var + np.arange(ineq.size)] = np.where(senses[ineq] == LE, 1.0, -1.0)
     b = np.concatenate([lp.rhs - lp.matrix @ shift, upper[bounded] - shift[bounded]])
-    c = np.zeros(A.shape[1])
+    c = np.zeros(n_var + ineq.size)
     c[:n_var] = sign * lp.objective[var]
-
     row_sign = np.ones(senses.size)
     neg = b < 0
     row_sign[neg] = -1.0
-    A[neg] *= -1.0
     b[neg] *= -1.0
+    if c.size == n and senses.size == m and not neg.any():
+        # no free variable, capped variable, inequality or negative rhs:
+        # the matrix is its own canonical form
+        return _Canonical(lp.matrix, b, c, row_sign, var, sign, shift)
+
+    A = np.zeros((senses.size, c.size))
+    # with no free variable the leading columns are the matrix itself
+    A[:m, :n_var] = lp.matrix if n_var == n else lp.matrix[:, var] * sign
+    on = np.flatnonzero(bound_row[var] >= 0)
+    A[bound_row[var[on]], on] = sign[on]
+    A[ineq, n_var + np.arange(ineq.size)] = np.where(senses[ineq] == LE, 1.0, -1.0)
+    A[neg] *= -1.0
     return _Canonical(A, b, c, row_sign, var, sign, shift)
 
 
@@ -178,17 +184,18 @@ class BasisCache:
     dropped row.  Any other r goes to the simplex, which `solves` counts,
     and an optimal basis it finds joins the cache.  `hits` counts the
     answers from cached bases.
-    Canonical columns are those of `_canonicalize`: one per y, then one
-    slack per inequality row; sign folding of rows leaves B^-1 r and the
-    duals unchanged, so `rhs_ranging` and `cross` read their basis matrices
-    from these columns too.
+    `columns` holds the family's canonical columns [W S] of
+    `_canonicalize`: one per y, then one slack per inequality row (+1 for
+    <=, -1 for >=); sign folding of rows leaves B^-1 r and the duals
+    unchanged, so `rhs_ranging`, `cross` and the anchored master read their
+    basis matrices from these columns too.
     """
 
     def __init__(self, objective, matrix, senses):
         family = StandardLp(objective, matrix, np.zeros(len(senses)), senses)
         canon = _canonicalize(family)
         self._family = family
-        self._A = canon.A
+        self.columns = canon.A
         self._c = canon.c
         self._ranged = (None, None)  # (arguments, result) of the last _range
         # (basis, kept rows, B^-1 over all rows, duals), most recently hit first
@@ -206,6 +213,46 @@ class BasisCache:
             self._add(sol)
         return sol
 
+    def lookup_many(self, R: np.ndarray) -> list[tuple | None]:
+        """For each row r of R, the cached entry (basis, kept rows, B^-1,
+        duals) that `solve(r)` would answer from now, or None: the first
+        basis, in the cache's order, that passes `_lookup`'s floor and
+        residual tests at r.  One product of R with the stacked inverses
+        gives every basic value; each round tests each row's first basis
+        that clears the floor, and a row that fails moves on to its next.
+        Read-only: no simplex call, no hit counted, no reordering."""
+        R = np.asarray(R, dtype=float)
+        entries = self._entries
+        found: list[tuple | None] = [None] * len(R)
+        if not entries:
+            return found
+        fam = self._family
+        sizes = np.array([len(entry[1]) for entry in entries])
+        owner = np.repeat(np.arange(sizes.size), sizes)  # the entry of each column of Z
+        cols = np.concatenate([np.asarray(entry[0], dtype=int) for entry in entries])
+        on_y = cols < fam.n_cols
+        Z = R @ np.vstack([entry[2] for entry in entries]).T
+        # each basis's smallest basic value per row (+inf for an empty basis)
+        low = np.full((len(R), sizes.size), np.inf)
+        some = sizes > 0
+        if Z.shape[1]:
+            low[:, some] = np.minimum.reduceat(Z, (np.cumsum(sizes) - sizes)[some], axis=1)
+        clear = low > (_BASIC_FLOOR * (1.0 + np.abs(R).max(axis=1, initial=0.0)))[:, None]
+        senses = np.array(fam.senses, dtype=str)
+        pending = np.flatnonzero(clear.any(axis=1))
+        while pending.size:
+            first = clear[pending].argmax(axis=1)
+            at, col = np.nonzero((owner == first[:, None]) & on_y)
+            y = np.zeros((pending.size, fam.n_cols))
+            y[at, cols[col]] = Z[pending[at], col]
+            held = ~_violated(y @ fam.matrix.T - R[pending], R[pending], senses).any(axis=1)
+            for i, k in zip(pending[held], first[held]):
+                found[i] = entries[k]
+            clear[pending[~held], first[~held]] = False
+            pending = pending[~held]
+            pending = pending[clear[pending].any(axis=1)]
+        return found
+
     def cross(self, sol: LpSolution, rhs: np.ndarray, row: int) -> LpSolution | None:
         """The optimal solution at the upper end of sol's range in rhs[row]
         (see rhs_ranging) whose basis stays optimal past it, one dual simplex
@@ -218,7 +265,7 @@ class BasisCache:
         if leave is None:
             return None
         kept = list(sol.kept_rows)
-        A = self._A[kept]
+        A = self.columns[kept]
         alpha = np.linalg.inv(B)[leave] @ A
         enter = np.flatnonzero(alpha < -PIVOT_TOL)
         if enter.size == 0:
@@ -253,8 +300,8 @@ class BasisCache:
         key = (sol, row, rhs.tobytes())
         if self._ranged[0] == key:
             return self._ranged[1]
-        if not 0 <= row < self._A.shape[0]:
-            raise ValidationError(f"row {row} out of range for {self._A.shape[0]} rows")
+        if not 0 <= row < self.columns.shape[0]:
+            raise ValidationError(f"row {row} out of range for {self.columns.shape[0]} rows")
         if sol.status != OPTIMAL or sol.basis is None or sol.kept_rows is None:
             raise ValidationError("ranging requires an optimal solution with a stored basis")
 
@@ -262,7 +309,7 @@ class BasisCache:
         basis = np.asarray(sol.basis, dtype=int)
         if kept.size != basis.size:
             raise ValidationError("basis descriptor does not match the problem")
-        B = self._A[np.ix_(kept, basis)]
+        B = self.columns[np.ix_(kept, basis)]
         try:
             x_b = np.linalg.solve(B, rhs[kept])
         except np.linalg.LinAlgError as exc:
@@ -296,7 +343,7 @@ class BasisCache:
             z_b = inv @ rhs
             if z_b.min(initial=np.inf) <= floor:
                 continue
-            z = np.zeros(self._A.shape[1])
+            z = np.zeros(self.columns.shape[1])
             z[list(basis)] = z_b
             y = z[:fam.n_cols]
             if _row_violation(fam.matrix, rhs, fam.senses, y) is not None:
@@ -318,10 +365,10 @@ class BasisCache:
             return
         kept = list(sol.kept_rows)
         try:
-            inv = np.linalg.inv(self._A[np.ix_(kept, sol.basis)]) if inv is None else inv
+            inv = np.linalg.inv(self.columns[np.ix_(kept, sol.basis)]) if inv is None else inv
         except np.linalg.LinAlgError:
             return
-        wide = np.zeros((len(kept), self._A.shape[0]))
+        wide = np.zeros((len(kept), self.columns.shape[0]))
         wide[:, kept] = inv
         self._entries.insert(0, (sol.basis, sol.kept_rows, wide,
                                  np.array(sol.duals, dtype=float)))
@@ -346,27 +393,30 @@ def _apply_pivot(tab: np.ndarray, row: int, col: int) -> None:
     tab.T[cols] = touched
 
 
-def _pivot_loop(tab: np.ndarray, basis: list[int], label: str) -> str:
+def _pivot_loop(tab: np.ndarray, basis: list[int], label: str,
+                log: list | None = None) -> tuple[str, int]:
+    """Primal simplex on the tableau's cost row: (status, pivots made).
+    `log` receives (row, leaving column) before each pivot."""
     cost = tab[-1, :-1]
     rhs = tab[:-1, -1]
     if not cost.size:  # a program without columns, and so without rows
-        return OPTIMAL
+        return OPTIMAL, 0
     scale = 1.0 + float(np.abs(rhs).max(initial=0.0))
     ratios = np.empty(rhs.size)
     stall = 0
     bland = False
-    for _ in range(_MAX_PIVOTS):
+    for pivots in range(_MAX_PIVOTS):
         # entering: the largest violation, lowest index among ties; Bland's
         # rule takes the lowest violating index
         col = int((cost < -_RC_TOL).argmax() if bland else cost.argmin())
         if not cost[col] < -_RC_TOL:
-            return OPTIMAL
+            return OPTIMAL, pivots
         colvals = tab[:-1, col]
         ratios.fill(np.inf)
         np.divide(rhs, colvals, out=ratios, where=colvals > PIVOT_TOL)
         rmin = float(np.minimum.reduce(ratios, initial=np.inf))
         if rmin == np.inf:
-            return UNBOUNDED
+            return UNBOUNDED, pivots
         row = int((ratios <= rmin + _RATIO_TIE * (1.0 + abs(rmin))).argmax())
         if rmin <= 1e-12 * scale:
             stall += 1
@@ -374,29 +424,90 @@ def _pivot_loop(tab: np.ndarray, basis: list[int], label: str) -> str:
                 bland = True
         else:
             stall = 0
+        if log is not None:
+            log.append((row, basis[row]))
         _apply_pivot(tab, row, col)
         basis[row] = col
     raise SolverFailure(f"pivot limit exceeded in {label}")
 
 
-def solve(lp: StandardLp) -> LpSolution:
+def _lex_step(tab: np.ndarray, basis: list[int], canon: _Canonical, lex: np.ndarray) -> int:
+    """Move an optimal phase-2 tableau, in place, to the lexicographic
+    minimum of lex[0] @ x, lex[1] @ x, ... over the optimal face; returns
+    the pivots made.  The face is fixed by the columns whose reduced cost
+    exceeds _RC_TOL; each objective is minimized by a phase 2 that never
+    lets a fixed column enter (its cost entry is +inf), and then fixes the
+    columns its own reduced cost prices out, so the face shrinks.  An
+    objective unbounded on the face keeps its value: its pivots are undone.
+    Every pivot enters a column of zero true reduced cost, so the basis
+    stays optimal for the true objective; the cost row is left holding the
+    last objective."""
+    fixed = tab[-1, :-1] > _RC_TOL
+    objectives = np.zeros((len(lex), tab.shape[1]))
+    objectives[:, :canon.var.size] = lex[:, canon.var] * canon.sign
+    pivots = 0
+    for cost in objectives:
+        basic = np.array(basis)
+        movable = ~fixed
+        movable[basic] = False
+        if not movable.any():  # the face is one vertex
+            break
+        c_basic = cost[basic]
+        pos = c_basic.nonzero()[0]
+        tab[-1] = cost - c_basic[pos] @ tab[pos]
+        tab[-1, :-1][fixed] = np.inf
+        log: list = []
+        status, count = _pivot_loop(tab, basis, "lex step", log)
+        pivots += count
+        if status == UNBOUNDED:
+            for row, col in reversed(log):
+                _apply_pivot(tab, row, col)
+                basis[row] = col
+            pivots += len(log)
+            continue
+        fixed |= tab[-1, :-1] > _RC_TOL
+    return pivots
+
+
+def solve(lp: StandardLp, lex: np.ndarray | None = None) -> LpSolution:
     """Solve with a two-phase primal simplex.  Deterministic: fixed pivot rules
     (entering: largest reduced-cost violation, lowest-index ties, Bland's rule
     after a degeneracy stall; leaving: first row among ratio ties) yield
-    identical bases on identical input."""
+    identical bases on identical input.
+
+    `lex`, a k x n array of objectives over lp's columns, adds a step after
+    phase 2 (`_lex_step`): x becomes the lexicographic minimum of lex[0] @ x,
+    then lex[1] @ x, ... over the optimal face.  That x depends on the face
+    alone, whatever pivots reached it, so with `lex` phase 1 starts every
+    row it can from a +1 unit column (a slack, or any column whose only
+    nonzero is a +1 in that row), not only from a slack, and phase 2 prices
+    its cost row as c - c_B @ tab."""
+    if lex is not None:
+        lex = np.atleast_2d(np.asarray(lex, dtype=float))
+        if lex.ndim != 2 or lex.shape[1] != lp.n_cols:
+            raise ValidationError(f"lex must have {lp.n_cols} columns, got shape {lex.shape}")
     canon = _canonicalize(lp)
     m_c, n_c = canon.A.shape
     n_var = canon.var.size
 
-    # Phase 1: the +1 slack columns start the basis; every other row gets
-    # an artificial column.
+    # Phase 1: the +1 slack columns (with lex: the +1 unit columns, lowest
+    # index first) start the basis; every other row gets an artificial.
     start = np.full(m_c, -1)
-    slack_rows, slacks = np.nonzero(canon.A[:, n_var:] == 1.0)
-    start[slack_rows] = n_var + slacks
+    if lex is None:
+        slack_rows, slacks = np.nonzero(canon.A[:, n_var:] == 1.0)
+        start[slack_rows] = n_var + slacks
+    else:
+        nonzero = (canon.A != 0.0).view(np.uint8)
+        single = np.flatnonzero(nonzero.sum(axis=0, dtype=np.uint32) == 1)
+        rows = nonzero[:, single].argmax(axis=0)
+        unit = canon.A[rows, single] == 1.0
+        unit_rows, first = np.unique(rows[unit], return_index=True)
+        start[unit_rows] = single[unit][first]
     art_rows = np.flatnonzero(start < 0)
     n_art = art_rows.size
     start[art_rows] = n_c + np.arange(n_art)
     basis: list[int] = start.tolist()
+    pivots = 0
 
     tab = np.zeros((m_c + 1, n_c + n_art + 1), order="F")
     tab[:m_c, :n_c] = canon.A
@@ -406,7 +517,7 @@ def solve(lp: StandardLp) -> LpSolution:
         # the cost row minus each artificial row in turn
         tab[-1, n_c:-1] = 1.0
         tab[-1] = np.subtract.reduce(tab[np.concatenate(([m_c], art_rows))])
-        status = _pivot_loop(tab, basis, "phase 1")
+        status, pivots = _pivot_loop(tab, basis, "phase 1")
         if status != OPTIMAL:
             raise SolverFailure("phase 1 reported unbounded; artificial objective is bounded below")
         # the same per-row residual test that _validate applies
@@ -414,7 +525,7 @@ def solve(lp: StandardLp) -> LpSolution:
         held = np.flatnonzero(basic >= n_c)
         art_b = canon.b[art_rows[basic[held] - n_c]]
         if np.any(tab[held, -1] > FEAS_TOL * (1.0 + np.abs(art_b))):
-            return LpSolution(INFEASIBLE)
+            return LpSolution(INFEASIBLE, pivots=pivots)
         # Drive leftover artificials out of the basis; drop redundant rows.
         keep = np.ones(m_c, dtype=bool)
         for i in held:
@@ -422,28 +533,43 @@ def solve(lp: StandardLp) -> LpSolution:
             if cols.size:
                 _apply_pivot(tab, i, int(cols[0]))
                 basis[i] = int(cols[0])
+                pivots += 1
             else:
                 keep[i] = False
         kept = np.flatnonzero(keep)
         basis = [basis[i] for i in kept]
-        # the rhs column moves next to the true columns; the artificial ones go
-        tab[:, n_c] = tab[:, -1]
-        tab = tab[:, :n_c + 1]
-        if kept.size < m_c:
-            tab = np.asfortranarray(tab[np.append(kept, m_c)])
+        if lex is None or kept.size < m_c:
+            # the rhs column moves next to the true columns; the artificial ones go
+            tab[:, n_c] = tab[:, -1]
+            tab = tab[:, :n_c + 1]
+            if kept.size < m_c:
+                tab = np.asfortranarray(tab[np.append(kept, m_c)])
     else:
         kept = np.arange(m_c)
+    # With lex and every row kept, the artificial columns stay, priced out
+    # at +inf: the start columns are then the identity, and tab[:-1, start]
+    # is B^-1 of the current basis.
+    inverse = lex is not None and tab.shape[1] == n_c + n_art + 1
 
     # Phase 2: the true objective minus c_k times the row of each basic
-    # column k in turn; basic columns are exact unit vectors, so each
-    # multiplier is c_k itself.
+    # column k; basic columns are exact unit vectors, so each multiplier is
+    # c_k itself.  Without lex the rows are subtracted in turn.
     c_basic = canon.c[basis]
-    pos = c_basic.nonzero()[0]
-    tab[-1] = np.subtract.reduce(np.concatenate(([np.append(canon.c, 0.0)],
-                                                 c_basic[pos, None] * tab[pos])))
-    status = _pivot_loop(tab, basis, "phase 2")
+    if lex is None:
+        pos = c_basic.nonzero()[0]
+        tab[-1] = np.subtract.reduce(np.concatenate(([np.append(canon.c, 0.0)],
+                                                     c_basic[pos, None] * tab[pos])))
+    else:
+        cost = np.zeros(tab.shape[1])
+        cost[:n_c] = canon.c
+        cost[n_c:-1] = np.inf
+        tab[-1] = cost - c_basic @ tab[:-1]
+    status, count = _pivot_loop(tab, basis, "phase 2")
+    pivots += count
     if status == UNBOUNDED:
-        return LpSolution(UNBOUNDED)
+        return LpSolution(UNBOUNDED, pivots=pivots)
+    if lex is not None:
+        pivots += _lex_step(tab, basis, canon, lex)
 
     z = np.zeros(n_c)
     z[basis] = tab[:len(basis), -1]
@@ -453,18 +579,20 @@ def solve(lp: StandardLp) -> LpSolution:
     np.add.at(x, canon.var[k], canon.sign[k] * z[k])
     objective = float(lp.objective @ x)
 
-    B = canon.A[kept][:, basis]
-    try:
-        lam = np.linalg.solve(B.T, canon.c[basis])
-    except np.linalg.LinAlgError as exc:
-        raise SolverFailure(f"singular basis during dual recovery: {exc}") from exc
+    if inverse:
+        lam = canon.c[basis] @ tab[:-1, start]
+    else:
+        B = canon.A[kept][:, basis]
+        try:
+            lam = np.linalg.solve(B.T, canon.c[basis])
+        except np.linalg.LinAlgError as exc:
+            raise SolverFailure(f"singular basis during dual recovery: {exc}") from exc
     duals = np.zeros(lp.n_rows)
     original = kept < lp.n_rows  # the rows after them bound capped variables
     duals[kept[original]] = canon.row_sign[kept[original]] * lam[original]
 
     _validate(lp, canon, kept, x, lam, objective)
-    return LpSolution(OPTIMAL, x, duals, objective, tuple(int(v) for v in basis),
-                      tuple(int(v) for v in kept))
+    return LpSolution(OPTIMAL, x, duals, objective, tuple(basis), tuple(kept.tolist()), pivots)
 
 
 def _row_violation(matrix: np.ndarray, rhs: np.ndarray, senses, x: np.ndarray) -> str | None:
@@ -483,6 +611,15 @@ def _row_violation(matrix: np.ndarray, rhs: np.ndarray, senses, x: np.ndarray) -
     return None
 
 
+def _violated(resid: np.ndarray, rhs: np.ndarray, senses: np.ndarray) -> np.ndarray:
+    """Where a residual  matrix x - rhs  misses its row's sense (an array of
+    sense strings) by more than `_row_violation`'s FEAS_TOL*(1+|rhs_i|)."""
+    tol = FEAS_TOL * (1.0 + np.abs(rhs))
+    return np.where(senses == EQ, np.abs(resid) > tol,
+                    np.where(senses == LE, resid > tol, resid < -tol))
+
+
+
 def _check_dual(c: np.ndarray, A: np.ndarray, lam: np.ndarray) -> None:
     """Raise SolverFailure when a reduced cost c - A'lam is below -FEAS_TOL*(1+|c|)."""
     rc = c - A.T @ lam
@@ -493,12 +630,13 @@ def _check_dual(c: np.ndarray, A: np.ndarray, lam: np.ndarray) -> None:
 def _validate(lp: StandardLp, canon: _Canonical, kept: np.ndarray, x: np.ndarray,
               lam: np.ndarray, objective: float) -> None:
     """Certify the reported optimum; raise SolverFailure on numerical breakdown."""
-    violation = _row_violation(lp.matrix, lp.rhs, lp.senses, x)
-    if violation is not None:
-        raise SolverFailure(violation)
+    # the same residuals as _row_violation's, tested at once; the loop only
+    # names the first violated row
+    if _violated(lp.matrix @ x - lp.rhs, lp.rhs, np.array(lp.senses, dtype=str)).any():
+        raise SolverFailure(_row_violation(lp.matrix, lp.rhs, lp.senses, x))
     if np.any(x < lp.lower - FEAS_TOL) or np.any(x > lp.upper + FEAS_TOL):
         raise SolverFailure("variable bound violated at reported optimum")
-    _check_dual(canon.c, canon.A[kept], lam)
+    _check_dual(canon.c, canon.A if kept.size == canon.A.shape[0] else canon.A[kept], lam)
     offset = float(lp.objective @ canon.shift)
     gap = abs(float(canon.b[kept] @ lam) + offset - objective)
     if gap > DUALITY_TOL * (1.0 + abs(objective)):

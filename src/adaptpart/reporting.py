@@ -116,6 +116,7 @@ def run_summary(result: SolveResult) -> dict:
         "iterations": result.stats["iterations"],
         "wall_time_s": result.stats["wall_time_s"],
         "master_solves": result.stats["master_solves"],
+        "master_pivots": result.stats["master_pivots"],
         "lp_solves": result.stats["lp_solves"],
         "basis_hits": result.stats["basis_hits"],
         "final_lb": last.lower_bound,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from adaptpart import cli
+from adaptpart import lp as lplib
 from adaptpart.errors import ValidationError
 from adaptpart.instances import (cvar_document, document_to_model, lands_document,
                                  load_document, validate_document, write_document)
@@ -408,3 +409,23 @@ class TestReports:
                 assert code in (0, 2)
                 blobs.append((out_dir / "iterations.csv").read_bytes())
             assert blobs[0] == blobs[1]
+
+    def test_summary_counts_the_master_pivots(self, tmp_path, monkeypatch):
+        # the masters are the solves given a lexicographic order
+        pivots = []
+        solve = lplib.solve
+
+        def counting(problem, lex=None):
+            sol = solve(problem, lex=lex)
+            if lex is not None:
+                pivots.append(sol.pivots)
+            return sol
+
+        monkeypatch.setattr(lplib, "solve", counting)
+        path = make_lands(tmp_path)
+        out_dir = tmp_path / "report"
+        assert run_cli(["run", "--instance", path, "--epsilon", 1e-9, "--out-dir", out_dir]) == 0
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert len(pivots) == summary["master_solves"] == summary["iterations"]
+        # warm-started masters: 2171 pivots when every master was solved cold
+        assert summary["master_pivots"] == sum(pivots) <= 400

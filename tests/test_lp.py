@@ -2,6 +2,8 @@
 exits, and the column-major kernel against the frozen row-major reference."""
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -13,6 +15,7 @@ from adaptpart.instances import (cvar_document, document_to_model, document_to_s
 from adaptpart.lp import GE, LE, EQ, OPTIMAL, INFEASIBLE, UNBOUNDED, StandardLp
 from adaptpart.model import build_aggregated_master
 
+from _generators import random_recourse_model
 from _oracles import grid_dual_breakpoints, loop_canonicalize, reference_solve, vertex_enumerate
 
 
@@ -403,3 +406,162 @@ def test_large_master_against_highs():
     assert ref.status == 0
     assert abs(sol.objective - ref.fun) <= 1e-9 * abs(ref.fun)
     assert abs(float(sol.duals @ lp.rhs) - sol.objective) <= 1e-7 * abs(sol.objective)
+
+
+class TestLexicographicStep:
+    """`solve(lp, lex=L)` returns the lexicographic minimum of L @ x over
+    the optimal face, whatever pivots reached the face."""
+
+    @staticmethod
+    def coordinates(n, order):
+        return np.eye(n)[list(order)]
+
+    def test_tied_faces_by_hand(self):
+        # min x0 + x1 s.t. x0 + x1 >= 1: the optimal face is a segment
+        lp = StandardLp([1.0, 1.0], [[1.0, 1.0]], [1.0], (GE,))
+        npt.assert_array_equal(lplib.solve(lp, lex=self.coordinates(2, [1, 0])).x, [1.0, 0.0])
+        npt.assert_array_equal(lplib.solve(lp, lex=self.coordinates(2, [0, 1])).x, [0.0, 1.0])
+        with pytest.raises(ValidationError, match="lex must have 2 columns"):
+            lplib.solve(lp, lex=np.eye(3))
+        # every point of x0 + x1 + x2 = 2 in the unit box is optimal
+        lp = StandardLp([1.0, 1.0, 1.0], [[1.0, 1.0, 1.0]], [2.0], (EQ,),
+                        upper=[1.0, 1.0, 1.0])
+        npt.assert_array_equal(lplib.solve(lp, lex=self.coordinates(3, [2, 1, 0])).x,
+                               [1.0, 1.0, 0.0])
+        npt.assert_array_equal(lplib.solve(lp, lex=self.coordinates(3, [0, 2, 1])).x,
+                               [0.0, 1.0, 1.0])
+        # min x0 - x1 then lower x1: x1 as high as x0 allows, then x0 = x1 = 0
+        lp = StandardLp([0.0, 0.0], [[1.0, 0.0], [-1.0, 1.0]], [2.0, 0.0], (LE, LE))
+        npt.assert_array_equal(lplib.solve(lp, lex=[[1.0, -1.0], [0.0, 1.0]]).x, [0.0, 0.0])
+
+    def test_unique_optimum_gives_the_plain_point(self):
+        rng = np.random.default_rng(41)
+        checked = 0
+        for _ in range(150):
+            n, m = int(rng.integers(2, 7)), int(rng.integers(1, 6))
+            M = rng.normal(size=(m, n))
+            b = M @ rng.uniform(0.0, 1.0, n) + rng.uniform(0.0, 0.5, m)
+            senses = tuple(rng.choice([LE, GE, EQ], size=m))
+            lp = StandardLp(rng.normal(size=n), M, b, senses, upper=np.full(n, 3.0))
+            plain = lplib.solve(lp)
+            if plain.status != OPTIMAL:
+                continue
+            lex = lplib.solve(lp, lex=self.coordinates(n, range(n - 1, -1, -1)))
+            assert lex.status == OPTIMAL
+            npt.assert_allclose(lex.x, plain.x, rtol=0.0, atol=1e-12)
+            assert lex.objective == pytest.approx(plain.objective, rel=1e-12, abs=1e-12)
+            checked += 1
+        assert checked >= 100
+
+    def test_random_tied_programs_against_sequential_highs(self):
+        from scipy.optimize import linprog
+
+        rng = np.random.default_rng(43)
+        checked = moved = 0
+        for _ in range(120):
+            n, m = 6, int(rng.integers(1, 4))
+            M = rng.integers(-2, 4, size=(m, n)).astype(float)
+            b = rng.integers(1, 6, size=m).astype(float)
+            # few distinct costs: the optimal face is rarely one vertex
+            c = rng.integers(-1, 2, size=n).astype(float)
+            upper = rng.integers(1, 4, size=n).astype(float)
+            senses = tuple(rng.choice([LE, GE], size=m))
+            lp = StandardLp(c, M, b, senses, upper=upper)
+            plain = lplib.solve(lp)
+            if plain.status != OPTIMAL:
+                continue
+            lex = np.vstack([rng.integers(-1, 2, size=n),
+                             self.coordinates(n, rng.permutation(n))]).astype(float)
+            sol = lplib.solve(lp, lex=lex)
+            assert sol.status == OPTIMAL
+            assert sol.objective == pytest.approx(plain.objective, abs=1e-9)
+
+            sign = np.where(np.array(senses) == LE, 1.0, -1.0)
+            A_ub, b_ub = M * sign[:, None], b * sign
+            for objective in np.vstack([c, lex]):
+                ref = linprog(objective, A_ub=A_ub, b_ub=b_ub,
+                              bounds=list(zip(np.zeros(n), upper)), method="highs")
+                assert ref.status == 0
+                # hold each objective at its minimum for the next ones
+                A_ub = np.vstack([A_ub, objective])
+                b_ub = np.append(b_ub, ref.fun + 1e-9)
+            npt.assert_allclose(sol.x, ref.x, rtol=0.0, atol=1e-7)
+            checked += 1
+            moved += not np.allclose(sol.x, plain.x)
+        assert checked >= 60 and moved >= 20, (checked, moved)
+
+    def test_unbounded_objective_keeps_its_value(self):
+        # x1 is free and every point with x0 <= 1 is optimal; x0 sits in
+        # two rows, so the slacks start the basis
+        lp = StandardLp([0.0, 0.0], [[1.0, 0.0], [1.0, 0.0]], [1.0, 2.0], (LE, LE),
+                        lower=[0.0, -np.inf])
+        plain = lplib.solve(lp)
+        npt.assert_array_equal(plain.x, [0.0, 0.0])
+        # min x1 has no bound on the face: x1 keeps 0, and min -x0 still runs
+        sol = lplib.solve(lp, lex=[[0.0, 1.0], [-1.0, 0.0]])
+        npt.assert_array_equal(sol.x, [1.0, 0.0])
+        # min x1 - x0 first raises x0 to 1, then finds the ray: undone
+        sol = lplib.solve(lp, lex=[[-1.0, 1.0]])
+        npt.assert_array_equal(sol.x, [0.0, 0.0])
+        assert sol.pivots == 2
+
+    def test_pivots_are_counted_and_the_plain_path_is_kept(self):
+        # two >= rows need two artificials, then phase 2 moves to the optimum
+        lp = StandardLp([1.0, 2.0], [[1.0, 1.0], [1.0, -1.0]], [2.0, 0.0], (GE, GE))
+        reference, _ = reference_solve(lp)
+        plain = lplib.solve(lp)
+        assert plain.basis == reference.basis and plain.pivots >= 2
+        # min 2 x0 + z s.t. x0 + z >= 1, x0 <= 3: with lex, the unit column
+        # z starts the >= row, which the plain path gives an artificial
+        lp = StandardLp([2.0, 1.0], [[1.0, 1.0], [1.0, 0.0]], [1.0, 3.0], (GE, LE))
+        plain, lex = lplib.solve(lp), lplib.solve(lp, lex=np.eye(2))
+        npt.assert_array_equal(plain.x, [0.0, 1.0])
+        npt.assert_array_equal(lex.x, [0.0, 1.0])
+        assert plain.pivots >= 1 and lex.pivots == 0
+
+
+class TestLookupMany:
+    """`BasisCache.lookup_many` answers a block of rhs as `solve` would,
+    without changing the cache."""
+
+    def test_answers_agree_with_solve(self):
+        rng = np.random.default_rng(17)
+        for _ in range(4):
+            model, _ = random_recourse_model(rng, m=3, extra_cols=2)
+            bases = lplib.BasisCache(model.q, model.W, model.recourse_senses)
+            for r in rng.uniform(-1.5, 1.5, (40, model.m)):
+                bases.solve(r)
+            R = rng.uniform(-1.5, 1.5, (200, model.m))
+            before = (bases.hits, bases.solves, [e[0] for e in bases._entries])
+            found = bases.lookup_many(R)
+            assert (bases.hits, bases.solves, [e[0] for e in bases._entries]) == before
+            answered = 0
+            for r, entry in zip(R, found):
+                probe = copy.deepcopy(bases)
+                sol = probe.solve(r)
+                if entry is None:
+                    assert probe.hits == bases.hits and probe.solves == bases.solves + 1
+                    continue
+                answered += 1
+                basis, kept, inv, duals = entry
+                assert probe.hits == bases.hits + 1
+                assert sol.basis == basis and sol.kept_rows == kept
+                z = np.zeros(bases.columns.shape[1])
+                z[list(basis)] = inv @ r
+                npt.assert_allclose(sol.x, z[:model.n_second], rtol=0.0, atol=1e-12)
+                npt.assert_allclose(sol.duals, duals, rtol=0.0, atol=1e-12)
+            assert answered > 100
+
+    def test_degenerate_and_inconsistent_rows_get_none(self):
+        # min z : z >= r, with the basis of z cached from r = 1
+        bases = lplib.BasisCache([1.0], [[1.0]], (GE,))
+        bases.solve(np.array([1.0]))
+        found = bases.lookup_many(np.array([[2.0], [0.0], [-1.0]]))
+        assert found[0] is not None and found[1] is None and found[2] is None
+        # y = r twice: the cached basis kept one row, so r = (2, 3) passes
+        # the floor and fails the residual test
+        bases = lplib.BasisCache([1.0], [[1.0], [1.0]], (EQ, EQ))
+        assert len(bases.solve(np.array([1.0, 1.0])).kept_rows) == 1
+        found = bases.lookup_many(np.array([[2.0, 2.0], [2.0, 3.0]]))
+        assert found[0] is not None and found[1] is None
+        assert bases.hits == 0 and bases.solves == 1

@@ -3,11 +3,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from adaptpart import instances
+from adaptpart import engine, instances
 from adaptpart import lp as lplib
 from adaptpart.errors import RecourseViolation, ValidationError
 from adaptpart.model import (Realization, RecourseModel, build_aggregated_master,
-                             evaluate_subproblem)
+                             evaluate_subproblem, master_incumbent, master_lex)
+from adaptpart.refiners import refiner_by_name
 
 from _generators import (random_discrete_space, random_first_stage_point,
                          random_recourse_model)
@@ -258,6 +259,116 @@ class TestAggregatedMaster:
         for cell in ((1.0, np.zeros(model.m + 1), T), (1.0, h, T[:, :-1])):
             with pytest.raises(ValidationError, match="cell 0 mean shapes do not match"):
                 build_aggregated_master(model, [cell])
+
+
+def solve_master(model, cells, anchor=None):
+    """(incumbent, lower bound) of the master the engine solves: anchored
+    at anchor = (x_hat, bases) when given, with the lexicographic step."""
+    master = build_aggregated_master(model, cells, anchor=anchor)
+    sol = lplib.solve(master, lex=master_lex(model, master, anchor is not None))
+    assert sol.status == lplib.OPTIMAL
+    return master_incumbent(model, sol, None if anchor is None else anchor[0])
+
+
+def assert_same_master(got, expected):
+    (x, lower), (x_ref, lower_ref) = got, expected
+    npt.assert_allclose(x, x_ref, rtol=0.0, atol=1e-9)
+    assert abs(lower - lower_ref) <= lplib.DUALITY_TOL * (1.0 + abs(lower_ref))
+
+
+def lands_cells(iterations=6):
+    """The energy model, its partition's cells at the last of `iterations`
+    iterations on [3, 7], and the incumbent before it."""
+    doc = instances.lands_document()
+    model = instances.document_to_model(doc)
+    space = instances.document_to_space(doc, model)
+    result = engine.run(model, space, refiner_by_name("auto", space),
+                        engine.SolverConfig(epsilon=1e-9, max_iterations=iterations))
+    cells = [(c.mass, c.h_mean, c.t_mean) for c in result.partitions[-1]]
+    return model, cells, result.records[-2].incumbent
+
+
+def discrete_cells(seed):
+    """A random model with first-stage rows and bounds, one cell per
+    scenario, and a random first-stage point."""
+    rng = np.random.default_rng(seed)
+    model, T = random_recourse_model(rng, m=3, extra_cols=2)
+    space = random_discrete_space(rng, model, T, n_scenarios=12)
+    cells = list(zip(space.weights, space.hs, space.Ts))
+    return model, cells, random_first_stage_point(rng, model)
+
+
+def warm_cache(model, cells, x_hat):
+    """A BasisCache that has solved every cell's mean at x_hat."""
+    bases = lplib.BasisCache(model.q, model.W, model.recourse_senses)
+    for _, h, T in cells:
+        bases.solve(h - T @ x_hat)
+    return bases
+
+
+class TestAnchoredMaster:
+    """The master written around the last incumbent, warm-started from the
+    cells' cached recourse bases, has the plain master's incumbent and bound."""
+
+    @pytest.mark.parametrize("source", ["lands", 0, 1, 2])
+    def test_cell_order_does_not_move_the_incumbent(self, source):
+        model, cells, x_hat = lands_cells() if source == "lands" else discrete_cells(source)
+        bases = warm_cache(model, cells, x_hat)
+        assert sum(e is not None for e in bases.lookup_many(
+            np.array([h - T @ x_hat for _, h, T in cells]))) > len(cells) // 2
+        reference = solve_master(model, cells)
+        order = np.random.default_rng(3).permutation(len(cells))
+        shuffled = [cells[k] for k in order]
+        for cell_list in (cells, shuffled, shuffled[::-1]):
+            assert_same_master(solve_master(model, cell_list), reference)
+            assert_same_master(solve_master(model, cell_list, (x_hat, bases)), reference)
+
+    @pytest.mark.parametrize("source", ["lands", 0, 1, 2])
+    def test_answered_cells_start_from_exact_unit_columns(self, source):
+        model, cells, x_hat = lands_cells() if source == "lands" else discrete_cells(source)
+        bases = warm_cache(model, cells, x_hat)
+        answered = sum(e is not None for e in bases.lookup_many(
+            np.array([h - T @ x_hat for _, h, T in cells])))
+        M = build_aggregated_master(model, cells, anchor=(x_hat, bases)).matrix
+        unit = (np.count_nonzero(M, axis=0) == 1) & (M.max(axis=0) == 1.0)
+        started = set(M[:, unit].argmax(axis=0).tolist())
+        first_cell_row = M.shape[0] - len(cells) * model.m
+        assert len([r for r in started if r >= first_cell_row]) >= answered * model.m > 0
+
+    @pytest.mark.parametrize("source", ["lands", 0, 1, 2])
+    def test_an_empty_cache_gives_the_plain_master(self, source):
+        model, cells, x_hat = lands_cells() if source == "lands" else discrete_cells(source)
+        bases = lplib.BasisCache(model.q, model.W, model.recourse_senses)
+        assert_same_master(solve_master(model, cells, (x_hat, bases)),
+                           solve_master(model, cells))
+        assert bases.hits == bases.solves == 0
+
+    @pytest.mark.parametrize("doc, epsilon, answered", [
+        (instances.lands_document(), 1e-9, True),
+        (instances.cvar_document(seed=0, pool_size=2000), 1e-4, False),
+    ], ids=["lands", "cvar"])
+    def test_every_master_of_a_run_matches_the_plain_one(self, monkeypatch, doc,
+                                                         epsilon, answered):
+        model = instances.document_to_model(doc)
+        space = instances.document_to_space(doc, model)
+        build = engine.build_aggregated_master
+        seen = {"anchored": 0, "answered": 0}
+
+        def checking(model, cells, anchor=None):
+            plain = solve_master(model, cells)
+            if anchor is not None:
+                seen["anchored"] += 1
+                R = np.array([h - T @ anchor[0] for _, h, T in cells])
+                seen["answered"] += sum(e is not None for e in anchor[1].lookup_many(R))
+                assert_same_master(solve_master(model, cells, anchor), plain)
+            return build(model, cells, anchor=anchor)
+
+        monkeypatch.setattr(engine, "build_aggregated_master", checking)
+        result = engine.run(model, space, refiner_by_name("auto", space),
+                            engine.SolverConfig(epsilon=epsilon))
+        assert result.termination == "gap"
+        assert seen["anchored"] == len(result.records) - 1 >= 6
+        assert (seen["answered"] > 0) == answered
 
 
 class TestAveragingLemmas:
