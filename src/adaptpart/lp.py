@@ -481,7 +481,9 @@ def solve(lp: StandardLp, lex: np.ndarray | None = None) -> LpSolution:
     alone, whatever pivots reached it, so with `lex` phase 1 starts every
     row it can from a +1 unit column (a slack, or any column whose only
     nonzero is a +1 in that row), not only from a slack, and phase 2 prices
-    its cost row as c - c_B @ tab."""
+    its cost row as c - c_B @ tab.  When no row is dropped, the artificial
+    columns stay in the tableau, so the duals are read as c_B B^-1 from its
+    start columns instead of a dense solve."""
     if lex is not None:
         lex = np.atleast_2d(np.asarray(lex, dtype=float))
         if lex.ndim != 2 or lex.shape[1] != lp.n_cols:
