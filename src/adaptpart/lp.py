@@ -13,6 +13,7 @@ nonpositive and duals of >= rows are nonnegative at an optimum.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,6 +185,19 @@ class BasisCache:
     dropped row.  Any other r goes to the simplex, which `solves` counts,
     and an optimal basis it finds joins the cache.  `hits` counts the
     answers from cached bases.
+
+    The cache keeps up to _CACHED_BASES bases in fixed slots, and their
+    inverses (widened to every row) in one slots x s x m stack, s the most
+    kept rows of any slot and a shorter slot padded with zero rows; `_add`
+    rebuilds the stack when it inserts a basis or evicts the least recently
+    hit one.  A lookup is one batched product of the stack with r, so each
+    full slot's basic values are bitwise its own B^-1 r; a padded slot that
+    answers recomputes its values as B^-1 r.  One minimum per slot then gives
+    the floor test of every cached basis, and only the bases above the
+    floor are tried, most recently hit first, against the residual test.  A
+    miss costs that product plus a simplex solve.  r must be a finite vector
+    of one entry per row, as `StandardLp` requires, whether or not a cached
+    basis could answer it.
     `columns` holds the family's canonical columns [W S] of
     `_canonicalize`: one per y, then one slack per inequality row (+1 for
     <=, -1 for >=); sign folding of rows leaves B^-1 r and the duals
@@ -195,17 +209,27 @@ class BasisCache:
         family = StandardLp(objective, matrix, np.zeros(len(senses)), senses)
         canon = _canonicalize(family)
         self._family = family
+        self._senses = np.array(family.senses, dtype=str)
         self.columns = canon.A
         self._c = canon.c
         self._ranged = (None, None)  # (arguments, result) of the last _range
-        # (basis, kept rows, B^-1 over all rows, duals), most recently hit first
-        self._entries: list[tuple[tuple[int, ...], tuple[int, ...], np.ndarray, np.ndarray]] = []
+        # (basis, kept rows, B^-1 over all rows, duals) per slot; the order
+        # lists slot positions, most recently hit first
+        self._slots: list[tuple[tuple[int, ...], tuple[int, ...], np.ndarray, np.ndarray]] = []
+        self._order: list[int] = []
+        self._restack()
         self.hits = 0
         self.solves = 0
 
+    @property
+    def _entries(self) -> list[tuple]:
+        """The cached (basis, kept rows, B^-1, duals), most recently hit first."""
+        return [self._slots[k] for k in self._order]
+
     def solve(self, rhs: np.ndarray) -> LpSolution:
         """The solution of the family at rhs, from a cached basis or the simplex."""
-        sol = self._lookup(rhs)
+        rhs, values = self._check_rhs(rhs)
+        sol = self._lookup(rhs, values)
         if sol is None:
             fam = self._family
             sol = solve(StandardLp(fam.objective, fam.matrix, rhs, fam.senses))
@@ -216,38 +240,41 @@ class BasisCache:
     def lookup_many(self, R: np.ndarray) -> list[tuple | None]:
         """For each row r of R, the cached entry (basis, kept rows, B^-1,
         duals) that `solve(r)` would answer from now, or None: the first
-        basis, in the cache's order, that passes `_lookup`'s floor and
+        basis, most recently hit first, that passes `_lookup`'s floor and
         residual tests at r.  One product of R with the stacked inverses
         gives every basic value; each round tests each row's first basis
         that clears the floor, and a row that fails moves on to its next.
         Read-only: no simplex call, no hit counted, no reordering."""
         R = np.asarray(R, dtype=float)
-        entries = self._entries
+        m = self._family.n_rows
+        if R.ndim != 2:
+            raise ValidationError(f"rhs block must be two-dimensional, got shape {R.shape}")
+        if R.shape[1] != m:
+            raise ValidationError(f"rhs has {R.shape[1]} entries, matrix has {m} rows")
+        if not np.isfinite(R).all():
+            raise ValidationError("rhs entries must be finite")
         found: list[tuple | None] = [None] * len(R)
-        if not entries:
+        if not self._slots:
             return found
         fam = self._family
-        sizes = np.array([len(entry[1]) for entry in entries])
-        owner = np.repeat(np.arange(sizes.size), sizes)  # the entry of each column of Z
-        cols = np.concatenate([np.asarray(entry[0], dtype=int) for entry in entries])
-        on_y = cols < fam.n_cols
-        Z = R @ np.vstack([entry[2] for entry in entries]).T
-        # each basis's smallest basic value per row (+inf for an empty basis)
-        low = np.full((len(R), sizes.size), np.inf)
-        some = sizes > 0
-        if Z.shape[1]:
-            low[:, some] = np.minimum.reduceat(Z, (np.cumsum(sizes) - sizes)[some], axis=1)
-        clear = low > (_BASIC_FLOOR * (1.0 + np.abs(R).max(axis=1, initial=0.0)))[:, None]
-        senses = np.array(fam.senses, dtype=str)
+        n_slots, s = self._stack.shape[:2]
+        Z = (R @ self._stack.reshape(n_slots * s, m).T).reshape(len(R), n_slots, s)
+        # each slot's smallest basic value per row (+inf for an empty basis)
+        low = np.minimum.reduce(Z if self._pad is None else Z + self._pad, axis=2,
+                                initial=np.inf)
+        floor = _BASIC_FLOOR * (1.0 + np.abs(R).max(axis=1, initial=0.0))
+        order = np.array(self._order)
+        clear = (low > floor[:, None])[:, order]  # columns by recency
         pending = np.flatnonzero(clear.any(axis=1))
         while pending.size:
             first = clear[pending].argmax(axis=1)
-            at, col = np.nonzero((owner == first[:, None]) & on_y)
-            y = np.zeros((pending.size, fam.n_cols))
-            y[at, cols[col]] = Z[pending[at], col]
-            held = ~_violated(y @ fam.matrix.T - R[pending], R[pending], senses).any(axis=1)
-            for i, k in zip(pending[held], first[held]):
-                found[i] = entries[k]
+            slot = order[first]
+            y = np.zeros((pending.size, fam.n_cols + 1))
+            y[np.arange(pending.size)[:, None], self._ymap[slot]] = Z[pending, slot]
+            y = y[:, :fam.n_cols]
+            held = ~_violated(y @ fam.matrix.T - R[pending], R[pending], self._senses).any(axis=1)
+            for i, k in zip(pending[held], slot[held]):
+                found[i] = self._slots[k]
             clear[pending[~held], first[~held]] = False
             pending = pending[~held]
             pending = pending[clear[pending].any(axis=1)]
@@ -336,19 +363,38 @@ class BasisCache:
         self._ranged = (key, (B, min(d_lo, 0.0), max(d_hi, 0.0), leave))
         return self._ranged[1]
 
-    def _lookup(self, rhs: np.ndarray) -> LpSolution | None:
+    def _check_rhs(self, rhs) -> tuple[np.ndarray, list[float]]:
+        """rhs as a float vector and as Python floats, refused as
+        `StandardLp` refuses it: a scalar is one entry, and any other shape
+        than one entry per row, or a non-finite entry, is a ValidationError."""
+        rhs = np.asarray(rhs, dtype=float)
+        m = self._family.n_rows
+        if rhs.shape != (m,):
+            rhs = np.atleast_1d(rhs)
+            if rhs.shape != (m,):
+                raise ValidationError(f"rhs has {rhs.size} entries, matrix has {m} rows")
+        values = rhs.tolist()
+        if not all(map(math.isfinite, values)):
+            raise ValidationError("rhs entries must be finite")
+        return rhs, values
+
+    def _lookup(self, rhs: np.ndarray, values: list[float]) -> LpSolution | None:
         fam = self._family
-        floor = _BASIC_FLOOR * (1.0 + float(np.abs(rhs).max(initial=0.0)))
-        for k, (basis, kept, inv, duals) in enumerate(self._entries):
-            z_b = inv @ rhs
-            if z_b.min(initial=np.inf) <= floor:
+        n = fam.n_cols
+        floor = _BASIC_FLOOR * (1.0 + max(map(abs, values), default=0.0))
+        Z = self._stack @ rhs
+        low = np.minimum.reduce(Z if self._pad is None else Z + self._pad, axis=1,
+                                initial=np.inf).tolist()
+        for i, k in enumerate(self._order):
+            if low[k] <= floor:
                 continue
-            z = np.zeros(self.columns.shape[1])
-            z[list(basis)] = z_b
-            y = z[:fam.n_cols]
+            basis, kept, inv, duals = self._slots[k]
+            z = np.zeros(n + 1)  # the last entry takes the slack values
+            z[self._ymap[k, :len(kept)]] = Z[k] if len(kept) == Z.shape[1] else inv @ rhs
+            y = z[:n]
             if _row_violation(fam.matrix, rhs, fam.senses, y) is not None:
                 continue
-            self._entries.insert(0, self._entries.pop(k))
+            self._order.insert(0, self._order.pop(i))
             self.hits += 1
             return LpSolution(OPTIMAL, y, duals.copy(), float(fam.objective @ y),
                               basis, kept)
@@ -358,10 +404,10 @@ class BasisCache:
         """Keep an optimal basis with its inverse over its kept rows (`inv`
         when the caller has it), widened by a zero column per dropped row;
         known and singular bases are skipped, and the least recently hit
-        basis goes when the cache is full."""
+        basis gives up its slot when the cache is full."""
         if sol.status != OPTIMAL:
             return
-        if any(set(entry[0]) == set(sol.basis) for entry in self._entries):
+        if any(set(entry[0]) == set(sol.basis) for entry in self._slots):
             return
         kept = list(sol.kept_rows)
         try:
@@ -370,9 +416,30 @@ class BasisCache:
             return
         wide = np.zeros((len(kept), self.columns.shape[0]))
         wide[:, kept] = inv
-        self._entries.insert(0, (sol.basis, sol.kept_rows, wide,
-                                 np.array(sol.duals, dtype=float)))
-        del self._entries[_CACHED_BASES:]
+        entry = (sol.basis, sol.kept_rows, wide, np.array(sol.duals, dtype=float))
+        if len(self._slots) < _CACHED_BASES:
+            self._slots.append(entry)
+            self._order.insert(0, len(self._slots) - 1)
+        else:
+            self._order.insert(0, self._order.pop())
+            self._slots[self._order[0]] = entry
+        self._restack()
+
+    def _restack(self) -> None:
+        """Rebuild the slots' stacked inverses `_stack`, `_pad` (+inf on the
+        padding rows of the stack, None when no slot is padded) and `_ymap`:
+        per slot and basis position, the column of y that its basic value
+        fills, or n_cols for a slack or padding row."""
+        m, n = self._family.n_rows, self._family.n_cols
+        sizes = np.array([len(entry[1]) for entry in self._slots], dtype=int)
+        s = int(sizes.max(initial=0))
+        self._stack = np.zeros((sizes.size, s, m))
+        self._ymap = np.full((sizes.size, s), n)
+        for k, (basis, kept, wide, _) in enumerate(self._slots):
+            self._stack[k, :len(kept)] = wide
+            self._ymap[k, :len(kept)] = np.minimum(basis, n)
+        padding = np.arange(s) >= sizes[:, None]
+        self._pad = np.where(padding, np.inf, 0.0) if padding.any() else None
 
 
 def _apply_pivot(tab: np.ndarray, row: int, col: int) -> None:
@@ -600,10 +667,9 @@ def solve(lp: StandardLp, lex: np.ndarray | None = None) -> LpSolution:
 def _row_violation(matrix: np.ndarray, rhs: np.ndarray, senses, x: np.ndarray) -> str | None:
     """The first row of  matrix x (senses) rhs  that x misses by more than
     FEAS_TOL*(1+|rhs_i|), as an error message; None when every row holds."""
-    resid = matrix @ x - rhs
-    for i, sense in enumerate(senses):
-        tol = FEAS_TOL * (1.0 + abs(rhs[i]))
-        r = resid[i]
+    resid = (matrix @ x - rhs).tolist()
+    for i, (sense, b, r) in enumerate(zip(senses, rhs.tolist(), resid)):
+        tol = FEAS_TOL * (1.0 + abs(b))
         if sense == EQ and abs(r) > tol:
             return f"equality row {i} violated by {r:.3e}"
         if sense == LE and r > tol:

@@ -9,11 +9,15 @@ recovery run on `dense_apply_pivot` (every tableau entry updated) and
 `loop_canonicalize` (the canonical form built one column and one row at a
 time), the reference for the column-major kernel and the array-built canonical
 form in `adaptpart.lp`.
+`LoopBasisCache` is the basis cache as it was before its inverses were
+stacked: a list of entries, most recently hit first, tried one at a time,
+each with its own product and its residual loop on NumPy scalars.
 `empirical_cvar` is the sample tail average the tail-risk bounds are checked
 against.
 """
 from __future__ import annotations
 
+import copy
 from itertools import combinations
 
 import numpy as np
@@ -306,3 +310,81 @@ def reference_solve(lp: lplib.StandardLp) -> tuple[lplib.LpSolution, int]:
     return (lplib.LpSolution(lplib.OPTIMAL, x, duals, objective,
                              tuple(int(v) for v in basis), tuple(int(v) for v in kept)),
             bland)
+
+
+def loop_row_violation(matrix, rhs, senses, x) -> str | None:
+    """Reference `_row_violation`: the first row missed by more than
+    FEAS_TOL*(1+|rhs_i|), tested on NumPy scalars."""
+    resid = matrix @ x - rhs
+    for i, sense in enumerate(senses):
+        tol = lplib.FEAS_TOL * (1.0 + abs(rhs[i]))
+        r = resid[i]
+        if sense == lplib.EQ and abs(r) > tol:
+            return f"equality row {i} violated by {r:.3e}"
+        if sense == lplib.LE and r > tol:
+            return f"<= row {i} violated by {r:.3e}"
+        if sense == lplib.GE and r < -tol:
+            return f">= row {i} violated by {-r:.3e}"
+    return None
+
+
+class LoopBasisCache(lplib.BasisCache):
+    """Reference `BasisCache`: `entries` lists (basis, kept rows, B^-1 over
+    all rows, duals), most recently hit first, and a lookup walks it, one
+    product B^-1 r and one minimum per basis.  `cross`, `_range` and the
+    family are the library's."""
+
+    def __init__(self, objective, matrix, senses):
+        super().__init__(objective, matrix, senses)
+        self.entries: list[tuple] = []
+
+    def solve(self, rhs):
+        sol = self._lookup(rhs)
+        if sol is None:
+            fam = self._family
+            sol = lplib.solve(lplib.StandardLp(fam.objective, fam.matrix, rhs, fam.senses))
+            self.solves += 1
+            self._add(sol)
+        return sol
+
+    def lookup_many(self, R):
+        """The entry `solve(r)` would answer from, per row r of R; read-only."""
+        found = []
+        for r in np.asarray(R, dtype=float):
+            probe = copy.deepcopy(self)
+            found.append(probe.entries[0] if probe._lookup(r) is not None else None)
+        return found
+
+    def _lookup(self, rhs):
+        fam = self._family
+        floor = lplib._BASIC_FLOOR * (1.0 + float(np.abs(rhs).max(initial=0.0)))
+        for k, (basis, kept, inv, duals) in enumerate(self.entries):
+            z_b = inv @ rhs
+            if z_b.min(initial=np.inf) <= floor:
+                continue
+            z = np.zeros(self.columns.shape[1])
+            z[list(basis)] = z_b
+            y = z[:fam.n_cols]
+            if loop_row_violation(fam.matrix, rhs, fam.senses, y) is not None:
+                continue
+            self.entries.insert(0, self.entries.pop(k))
+            self.hits += 1
+            return lplib.LpSolution(lplib.OPTIMAL, y, duals.copy(), float(fam.objective @ y),
+                                    basis, kept)
+        return None
+
+    def _add(self, sol, inv=None):
+        if sol.status != lplib.OPTIMAL:
+            return
+        if any(set(entry[0]) == set(sol.basis) for entry in self.entries):
+            return
+        kept = list(sol.kept_rows)
+        try:
+            inv = np.linalg.inv(self.columns[np.ix_(kept, sol.basis)]) if inv is None else inv
+        except np.linalg.LinAlgError:
+            return
+        wide = np.zeros((len(kept), self.columns.shape[0]))
+        wide[:, kept] = inv
+        self.entries.insert(0, (sol.basis, sol.kept_rows, wide,
+                                np.array(sol.duals, dtype=float)))
+        del self.entries[lplib._CACHED_BASES:]

@@ -16,7 +16,8 @@ from adaptpart.lp import GE, LE, EQ, OPTIMAL, INFEASIBLE, UNBOUNDED, StandardLp
 from adaptpart.model import build_aggregated_master
 
 from _generators import random_recourse_model
-from _oracles import grid_dual_breakpoints, loop_canonicalize, reference_solve, vertex_enumerate
+from _oracles import (LoopBasisCache, grid_dual_breakpoints, loop_canonicalize, reference_solve,
+                      vertex_enumerate)
 
 
 def test_single_bound_row():
@@ -565,3 +566,172 @@ class TestLookupMany:
         found = bases.lookup_many(np.array([[2.0, 2.0], [2.0, 3.0]]))
         assert found[0] is not None and found[1] is None
         assert bases.hits == 0 and bases.solves == 1
+
+
+def _outcome(call):
+    """A call's LpSolution / lookup result, or its exception type and message."""
+    try:
+        return call()
+    except (ValidationError, SolverFailure, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_solution(got, want):
+    if isinstance(want, tuple) and isinstance(want[0], type):
+        assert got == want
+        return
+    if want is None:
+        assert got is None
+        return
+    assert got.status == want.status
+    assert got.basis == want.basis and got.kept_rows == want.kept_rows
+    if want.status == OPTIMAL:
+        assert same_bits(got.x, want.x)
+        assert same_bits(got.duals, want.duals)
+        assert got.objective.hex() == want.objective.hex()
+
+
+def assert_same_cache(bases, reference):
+    assert bases.hits == reference.hits and bases.solves == reference.solves
+    assert [e[:2] for e in bases._entries] == [e[:2] for e in reference.entries]
+    for got, want in zip(bases._entries, reference.entries):
+        assert same_bits(got[2], want[2]) and same_bits(got[3], want[3])
+
+
+def walk_family(rng, kind, m):
+    """(objective, matrix, senses) of a random recourse family with m rows.
+    "dropped" repeats the first row, both copies equalities, so the simplex
+    drops one and caches its basis over the rest.  "twins" appends a copy of
+    the +I block at the same costs, so two bases, one with each copy, are
+    optimal wherever one is."""
+    extra = 0 if kind == "twins" else int(rng.integers(1, 4))
+    model, _ = random_recourse_model(rng, m=m, extra_cols=extra)
+    W, q, senses = model.W, model.q, model.recourse_senses
+    if kind == "dropped":
+        W = np.vstack([W, W[:1]])
+        senses = (EQ,) + senses[1:] + (EQ,)
+    if kind == "twins":
+        W = np.hstack([W, np.eye(m)])
+        q = np.concatenate([q, q[:m]])
+    return q, W, senses
+
+
+def twin_of(sol, m):
+    """sol with each basic column of the first +I block swapped for its copy."""
+    basis = tuple(2 * m + j if j < m else j for j in sol.basis)
+    return lplib.LpSolution(OPTIMAL, sol.x, sol.duals, sol.objective, basis, sol.kept_rows)
+
+
+class TestStackedBasisCache:
+    """`BasisCache` against `LoopBasisCache`, the per-entry walk it
+    replaced, call by call: the same answering basis, the same bits of x,
+    duals and objective, and the same hits, solves and recency order."""
+
+    @pytest.mark.parametrize("kind,m", [("plain", 1), ("plain", 2), ("plain", 3), ("plain", 5),
+                                        ("plain", 6), ("plain", 8), ("dropped", 2),
+                                        ("dropped", 3), ("twins", 2), ("twins", 3)])
+    def test_matches_the_per_entry_walk(self, kind, m):
+        rng = np.random.default_rng(800 + 10 * m + len(kind))
+        family = walk_family(rng, kind, m)
+        bases, reference = lplib.BasisCache(*family), LoopBasisCache(*family)
+        rows = len(family[2])
+        seen, dropped, crossed, looked_up, twins = set(), 0, 0, 0, 0
+        last = None
+        for step in range(300):
+            # mostly small rhs, which few bases answer, with a wide one now and then
+            r = rng.uniform(-1.5, 1.5, rows) * (10.0 if rng.random() < 0.1 else 1.0)
+            R = rng.uniform(-1.5, 1.5, (12, rows))
+            if kind == "dropped":
+                # mostly consistent copies, so a dropped-row basis can answer
+                if rng.random() < 0.9:
+                    r[-1] = r[0]
+                R[:8, -1] = R[:8, 0]
+            action = rng.random()
+            if action < 0.1:
+                got, want = bases.lookup_many(R), reference.lookup_many(R)
+                assert [e if e is None else e[:2] for e in got] == \
+                    [e if e is None else e[:2] for e in want]
+                looked_up += sum(e is not None for e in got)
+            elif action < 0.2 and last is not None and last[0].status == OPTIMAL:
+                row = int(rng.integers(rows))
+                got = _outcome(lambda: bases.cross(last[0], last[2], row))
+                want = _outcome(lambda: reference.cross(last[1], last[2], row))
+                assert_same_solution(got, want)
+                crossed += want is not None and not isinstance(want, tuple)
+            elif action < 0.23:
+                bases, reference = copy.deepcopy(bases), copy.deepcopy(reference)
+            elif action < 0.33 and kind == "twins" and last is not None:
+                bases._add(twin_of(last[0], m))
+                reference._add(twin_of(last[1], m))
+                twins += 1
+            else:
+                got, want = bases.solve(r), reference.solve(r)
+                assert_same_solution(got, want)
+                last = (got, want, r)
+            assert_same_cache(bases, reference)
+            seen.update(e[0] for e in reference.entries)
+            dropped += sum(len(e[1]) < rows for e in reference.entries)
+        assert reference.hits > 10 and looked_up > 0
+        assert crossed > 0 or kind == "dropped"
+        assert (dropped > 0) == (kind == "dropped")
+        assert (twins > 0) == (kind == "twins")
+        if m >= 5:
+            assert len(seen) > lplib._CACHED_BASES  # bases were evicted
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_stacked_product_is_each_slots_own(self, m):
+        # each full slot's values in the batched product are bitwise its own
+        # B^-1 r, with and without a padded (row-dropping) slot beside it
+        rng = np.random.default_rng(900 + m)
+        bases = lplib.BasisCache(np.ones(m), np.eye(m), (GE,) * m)
+        for n_slots in range(1, lplib._CACHED_BASES + 1):
+            for short in (False, True):
+                sizes = [m] * n_slots
+                if short and m > 1:
+                    sizes[int(rng.integers(n_slots))] = m - 1
+                bases._slots = [(tuple(range(s)), tuple(range(s)),
+                                 rng.standard_normal((s, m)) * 10.0 ** rng.uniform(-3, 3, (s, 1)),
+                                 np.zeros(m)) for s in sizes]
+                bases._order = list(range(n_slots))
+                bases._restack()
+                for _ in range(4):
+                    r = rng.standard_normal(m) * 10.0 ** rng.uniform(-3, 3)
+                    Z = bases._stack @ r
+                    for k, (_, kept, wide, _) in enumerate(bases._slots):
+                        if len(kept) == Z.shape[1]:
+                            assert same_bits(Z[k], wide @ r)
+
+    def test_warm_and_cold_caches_refuse_the_same_rhs(self):
+        def outcome(bases, r):
+            got = _outcome(lambda: bases.solve(r))
+            return got if isinstance(got, tuple) else (got.status, got.x.tolist(), got.objective)
+
+        for family, good in [(([1.0], [[1.0]], (GE,)), [1.0]),
+                             (([1.0, 1.0], np.eye(2), (GE, LE)), [1.0, 2.0])]:
+            m = len(good)
+            cases = [[np.nan] * m, [np.inf] * m, [-np.inf] * m, [1.0] * (m + 1),
+                     [[1.0] * m], np.full((m, 1), 1.0), [0.5] + [np.nan] * (m - 1)]
+            if m == 1:
+                cases += [2.0, np.float64(2.0)]
+            warm = lplib.BasisCache(*family)
+            warm.solve(np.array(good))
+            for r in cases:
+                cold = lplib.BasisCache(*family)
+                want = outcome(cold, r)
+                got = outcome(warm, r)
+                assert got == want, r
+                if isinstance(want, tuple) and isinstance(want[0], type):
+                    # the message StandardLp gives for the same rhs
+                    fam = cold._family
+                    with pytest.raises(ValidationError) as plain:
+                        StandardLp(fam.objective, fam.matrix, r, fam.senses)
+                    assert want == (ValidationError, str(plain.value))
+            assert warm.solves == 1
+            blocks = [np.ones((3, m + 1)), np.ones(m), np.full((2, m), np.nan),
+                      np.full((2, m), -np.inf)]
+            for R in blocks:
+                want = _outcome(lambda: lplib.BasisCache(*family).lookup_many(R))
+                assert isinstance(want, tuple) and want[0] is ValidationError
+                assert _outcome(lambda: warm.lookup_many(R)) == want
+            assert lplib.BasisCache(*family).lookup_many(np.ones((2, m))) == [None, None]
+            assert warm.lookup_many(np.zeros((0, m))) == []
